@@ -1,4 +1,4 @@
-//! Ablations beyond the paper (DESIGN.md §6): fine-grained γ sweep,
+//! Ablations beyond the paper: fine-grained γ sweep,
 //! burst-buffer capacity sweep for the native baseline, and the
 //! period-search ε sensitivity.
 //!

@@ -47,7 +47,7 @@ mod tests {
         assert_eq!(rows.len(), 3);
         let intrepid = &rows[0];
         assert_eq!(intrepid.name, "intrepid");
-        // DESIGN.md calibration: saturation at the small/large boundary.
+        // Intrepid's calibration: saturation at the small/large boundary.
         assert_eq!(intrepid.saturation_nodes, 1_280);
         assert!(rows[1].total_bw_gib > rows[0].total_bw_gib); // Mira > Intrepid
         assert!(rows[2].procs < rows[0].procs); // Vesta is tiny

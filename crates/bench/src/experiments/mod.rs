@@ -1,4 +1,5 @@
-//! One module per paper table/figure (see DESIGN.md §4 for the index).
+//! One module per paper table/figure, plus the ablations and the
+//! closed-loop control study.
 
 pub mod ablations;
 pub mod control;

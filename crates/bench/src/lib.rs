@@ -2,13 +2,12 @@
 //!
 //! Experiment runners regenerating **every table and figure** of the
 //! paper's evaluation (§4 simulations, §5 Vesta experiments), plus the
-//! ablations listed in DESIGN.md §6.
+//! ablations of [`experiments::ablations`].
 //!
 //! Each experiment lives in [`experiments`] as a pure function returning
 //! structured rows (so integration tests can assert the paper's *shape*
 //! claims without parsing stdout) and has a thin binary under `src/bin/`
-//! that prints the same rows the paper reports. `EXPERIMENTS.md` records
-//! paper-vs-measured values for each.
+//! that prints the same rows the paper reports.
 //!
 //! Run counts scale with the `REPRO_RUNS` environment variable (default
 //! shown per experiment); the binaries also accept a single integer

@@ -7,9 +7,12 @@
 //! compute any block and the results are bit-identical. A shard `i/n`
 //! owns the strided subset `{b : b mod n == i}` and appends each
 //! finished block to its own JSONL partial file
-//! (`shard-<i>-of-<n>.jsonl`), one flushed `write(2)` per line, so a
-//! partial file is always a valid prefix: at worst the final line is
-//! torn and the scanner drops it.
+//! (`shard-<i>-of-<n>.jsonl`) through the append-log framing the serve
+//! journal shares ([`iosched_model::append_log`]): one flushed `write(2)`
+//! per `\n`-terminated line, so a partial file is always a valid prefix.
+//! At worst a kill leaves a torn tail — the bytes after the last `\n`,
+//! however much of the record they hold — which the scanner drops and
+//! a resume truncates before appending.
 //!
 //! ## Why partials carry raw metrics, and the canonical merge order
 //!
@@ -41,10 +44,10 @@
 
 use crate::campaign::{fold_block_subset, CampaignResult, CampaignSpec, CellFold, RunMetrics};
 use crate::runner::ScenarioRunner;
+use iosched_model::append_log;
 use iosched_obs::{Histogram, HistogramSnapshot, Stopwatch};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Stable 64-bit fingerprint of a campaign spec: FNV-1a over the
@@ -251,10 +254,10 @@ pub struct PartialScan {
     pub blocks: BTreeMap<usize, BlockRecord>,
     /// Clean-exit footers, file order then line order.
     pub footers: Vec<ShardFooter>,
-    /// Block lines whose index was already present (0 unless a crash
-    /// tore a line that a later pass then recomputed).
+    /// Block lines whose index was already present (0 unless two
+    /// shards of overlapping plans both finished a block).
     pub duplicates: usize,
-    /// Torn trailing lines dropped (at most one per file).
+    /// Files whose torn tail (bytes after the last `\n`) was dropped.
     pub torn: usize,
 }
 
@@ -268,8 +271,11 @@ impl PartialScan {
 }
 
 fn parse_lines(path: &Path, text: &str, scan: &mut PartialScan) -> Result<(), String> {
-    let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-    for (i, line) in lines.iter().enumerate() {
+    let (lines, torn) = append_log::split(text);
+    if !torn.is_empty() {
+        scan.torn += 1;
+    }
+    for (i, line) in lines.enumerate() {
         match serde_json::from_str::<ShardLine>(line) {
             Ok(ShardLine::Manifest(m)) => {
                 if spec_hash(&m.spec) != m.spec_hash {
@@ -298,17 +304,11 @@ fn parse_lines(path: &Path, text: &str, scan: &mut PartialScan) -> Result<(), St
             },
             Ok(ShardLine::Done(f)) => scan.footers.push(f),
             Err(e) => {
-                // A torn final line is the expected signature of a
-                // killed shard; anything earlier is real corruption.
-                if i + 1 == lines.len() {
-                    scan.torn += 1;
-                } else {
-                    return Err(format!(
-                        "{}: corrupt line {} (not a trailing torn write): {e}",
-                        path.display(),
-                        i + 1
-                    ));
-                }
+                return Err(format!(
+                    "{}: corrupt line {} (not a trailing torn write): {e}",
+                    path.display(),
+                    i + 1
+                ))
             }
         }
     }
@@ -316,7 +316,7 @@ fn parse_lines(path: &Path, text: &str, scan: &mut PartialScan) -> Result<(), St
 }
 
 /// Read every `*.jsonl` partial in `dir` (sorted by file name, so scans
-/// are deterministic), tolerating one torn trailing line per file, and
+/// are deterministic), dropping each file's torn tail, and
 /// check internal consistency: every manifest must carry the same spec
 /// hash, and each hash must match its embedded spec. A missing
 /// directory scans as empty.
@@ -476,39 +476,13 @@ pub fn run_shard(
         .collect();
     let skipped = assigned.len() - todo.len();
 
-    // A kill can tear the line that was in flight. `scan_dir` tolerates
-    // a torn *last* line, but appending this incarnation's manifest
-    // right after one would glue the two into mid-file corruption — so
-    // drop the torn tail (everything past the final newline) first.
-    if let Ok(existing) = std::fs::metadata(&path) {
-        if existing.len() > 0 {
-            let bytes = std::fs::read(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-            if bytes.last() != Some(&b'\n') {
-                let keep = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
-                let truncate = std::fs::OpenOptions::new()
-                    .write(true)
-                    .open(&path)
-                    .map_err(|e| format!("{}: {e}", path.display()))?;
-                truncate
-                    .set_len(keep as u64)
-                    .map_err(|e| format!("{}: {e}", path.display()))?;
-            }
-        }
-    }
-
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .map_err(|e| format!("{}: {e}", path.display()))?;
+    // A kill can tear the line that was in flight: `scan_dir` dropped
+    // it, and reopening truncates it, so this incarnation's manifest
+    // starts on a line boundary.
+    let mut file = append_log::reopen(&path).map_err(|e| format!("{}: {e}", path.display()))?;
     let write_line = |file: &mut std::fs::File, line: &ShardLine| -> Result<(), String> {
-        let mut text = serde_json::to_string(line).map_err(|e| e.to_string())?;
-        text.push('\n');
-        // One write per line keeps partials prefix-valid: a kill can
-        // tear at most the line in flight.
-        file.write_all(text.as_bytes())
-            .and_then(|()| file.flush())
-            .map_err(|e| format!("{}: {e}", path.display()))
+        let text = serde_json::to_string(line).map_err(|e| e.to_string())?;
+        append_log::append(file, text).map_err(|e| format!("{}: {e}", path.display()))
     };
 
     write_line(
@@ -689,6 +663,7 @@ mod tests {
     use super::*;
     use crate::campaign::run_campaign;
     use crate::scenario::PolicySpec;
+    use iosched_model::{AppSpec, Bytes, Time};
     use iosched_workload::WorkloadSpec;
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -895,6 +870,37 @@ mod tests {
             merge_dir(&dir).unwrap().result,
             run_campaign(&spec, &runner).unwrap()
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A kill can cut a partial at any byte. Resuming once from whatever
+    /// survives recomputes exactly the blocks that did not survive
+    /// whole: the merge equals the single-process run and no block is
+    /// simulated twice.
+    #[test]
+    fn resume_after_a_cut_at_every_offset_merges_exactly() {
+        // A tiny literal roster keeps each of the many resumes cheap.
+        let spec = CampaignSpec {
+            workloads: vec![WorkloadSpec::Explicit(vec![
+                AppSpec::periodic(0, Time::ZERO, 64, Time::secs(10.0), Bytes::gib(40.0), 2),
+                AppSpec::periodic(1, Time::ZERO, 64, Time::secs(5.0), Bytes::gib(40.0), 2),
+            ])],
+            ..small_campaign()
+        };
+        let runner = ScenarioRunner::with_threads(1);
+        let single = run_campaign(&spec, &runner).unwrap();
+        let dir = tmp_dir("cut");
+        run_shard(&spec, 0, 1, &dir, &runner, |_, _, _| {}).unwrap();
+        let path = partial_path(&dir, 0, 1);
+        let full = std::fs::read(&path).unwrap();
+        for cut in 0..full.len() {
+            std::fs::write(&path, &full[..cut]).unwrap();
+            run_shard(&spec, 0, 1, &dir, &runner, |_, _, _| {}).unwrap();
+            assert_eq!(merge_dir(&dir).unwrap().result, single, "cut at {cut}");
+            let scan = scan_dir(&dir).unwrap();
+            assert_eq!(scan.duplicates, 0, "cut at {cut}");
+            assert_eq!(scan.torn, 0, "cut at {cut}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

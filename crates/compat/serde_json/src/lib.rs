@@ -324,13 +324,18 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 _ => {
-                    // Consume one UTF-8 character (input is a &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the whole run up to the next quote or escape:
+                    // both delimiters are ASCII, so the run is whole UTF-8
+                    // characters, and each byte is validated once.
+                    let rest = &self.bytes[self.pos..];
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len])
                         .map_err(|_| Error::custom("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -376,6 +381,9 @@ mod tests {
         let v = parse(r#"{"a": [1, 2.5, -3e2], "b": null, "c": "x\ny", "d": true}"#).unwrap();
         let s = to_string(&v).unwrap();
         assert_eq!(parse(&s).unwrap(), v);
+        // Multi-byte characters around escapes.
+        let v = parse(r#""é\"✓\u00e9x""#).unwrap();
+        assert_eq!(v, Value::Str("é\"✓éx".into()));
     }
 
     #[test]

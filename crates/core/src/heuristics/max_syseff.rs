@@ -12,8 +12,8 @@
 //! Tables 1–2 show the highest SysEfficiency together with the worst
 //! Dilation.
 //!
-//! Deviation note (also in DESIGN.md): the research report's §3.1 phrasing
-//! says "low values of β(k)ρ̃(k)(t)", but that ordering starves exactly the
+//! Deviation note: the research report's §3.1 phrasing says "low values
+//! of β(k)ρ̃(k)(t)", but that ordering starves exactly the
 //! applications that dominate the weighted objective and contradicts the
 //! Fig. 16 per-application measurements; we implement the reading
 //! consistent with the reported results.

@@ -10,7 +10,7 @@
 //!   research report prints this rule as "non-increasing n_per(w + vol_io),
 //!   pick the largest"; picking the *largest* would starve never-scheduled
 //!   applications forever, so we implement the only reading consistent
-//!   with the Dilation objective (see DESIGN.md §3).
+//!   with the Dilation objective.
 
 use super::builder::{PeriodicAppSpec, ScheduleBuilder};
 use super::schedule::PeriodicSchedule;

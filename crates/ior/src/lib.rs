@@ -28,7 +28,7 @@
 //! (Fig. 14, via [`overhead::measure_overhead`]).
 //!
 //! The substitution (real GPFS → fluid rate allocator on a scaled clock)
-//! is documented in DESIGN.md §1: the scheduling *protocol* and its costs
+//! keeps what Fig. 14 measures: the scheduling *protocol* and its costs
 //! are real; only the disk is simulated.
 
 pub mod app_thread;

@@ -21,7 +21,9 @@
 //!   `ρ(k)(t)`,
 //! * the two optimization objectives of §2.2
 //!   ([`objectives::ObjectiveReport`]),
-//! * descriptive statistics used by every experiment ([`stats::Summary`]).
+//! * descriptive statistics used by every experiment ([`stats::Summary`]),
+//! * the JSONL plumbing shared by the on-disk formats: lossless floats
+//!   ([`lossless`]) and the append-only log framing ([`append_log`]).
 //!
 //! ## Quick example
 //!
@@ -37,6 +39,7 @@
 //! ```
 
 pub mod app;
+pub mod append_log;
 pub mod error;
 pub mod interference;
 pub mod lossless;

@@ -77,10 +77,10 @@ impl Platform {
 
     /// Argonne's Intrepid (BlueGene/P, 40 racks, 2008-2014).
     ///
-    /// Calibration (documented in DESIGN.md §1): `b = 0.05 GiB/s/node`,
-    /// `B = 64 GiB/s`, chosen so the paper's small/large application
-    /// boundary (1,284/1,285 nodes, §4.1) coincides with the point where a
-    /// single application saturates the PFS (`β·b = B` at β = 1,280).
+    /// Calibration: `b = 0.05 GiB/s/node`, `B = 64 GiB/s`, chosen so the
+    /// paper's small/large application boundary (1,284/1,285 nodes, §4.1)
+    /// coincides with the point where a single application saturates the
+    /// PFS (`β·b = B` at β = 1,280).
     #[must_use]
     pub fn intrepid() -> Self {
         Self::new(
@@ -196,7 +196,7 @@ mod tests {
 
     #[test]
     fn intrepid_saturation_matches_category_boundary() {
-        // DESIGN.md: the small/large boundary of §4.1 (1,284/1,285 nodes)
+        // Calibration: the small/large boundary of §4.1 (1,284/1,285 nodes)
         // should sit at the PFS saturation point.
         let p = Platform::intrepid();
         assert_eq!(p.saturation_procs(), 1_280);

@@ -25,18 +25,23 @@
 //! resume refuses a journal recorded under a different one. `drain`
 //! lines are informational markers (they advance the resumed virtual
 //! clock past everything already served); arrivals after a drain line
-//! are legal — they belong to a later pass of the same journal. The
-//! scanner tolerates a torn final line (a crash mid-`write`) exactly
-//! like the shard partials of the campaign layer: a line either ends in
-//! `\n` and parses, or it — and everything after it — is dropped.
+//! are legal — they belong to a later pass of the same journal.
+//!
+//! The framing is the one the shard partials of the campaign layer use
+//! ([`iosched_model::append_log`]): a record is a line ending in `\n`.
+//! A crash mid-`write` can leave a torn tail (the bytes after the last
+//! `\n`): [`Journal::load`] drops it and [`Journal::reopen`] truncates
+//! it, so the next acknowledged arrival starts on a line boundary. A
+//! whole line that does not parse is corruption, and the load refuses
+//! to resume from it.
 
 use iosched_core::registry::PolicyFactory;
+use iosched_model::append_log;
 use iosched_model::lossless::{float_from_value, float_to_value};
 use iosched_model::{AppSpec, Platform};
 use iosched_sim::SimConfig;
 use serde::{Deserialize, Serialize};
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::fs::File;
 use std::path::{Path, PathBuf};
 
 /// The engine recipe a journal is bound to: everything that — together
@@ -134,20 +139,13 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Create a fresh journal (manifest line written immediately) or
-    /// re-open an existing one for appending. `existing_arrivals` is the
-    /// count recovered by [`Journal::load`] when resuming (0 for fresh).
+    /// Create a fresh journal, manifest line written immediately.
+    /// Refuses to overwrite an existing file.
     pub fn create(path: &Path, spec: &ServeSpec) -> Result<Self, String> {
-        let mut file = OpenOptions::new()
-            .create_new(true)
-            .append(true)
-            .open(path)
-            .map_err(|e| format!("{}: {e}", path.display()))?;
         let manifest = serde::Value::Map(vec![("serve".into(), spec.to_value())]);
-        let line = serde_json::to_string(&manifest).map_err(|e| e.to_string())? + "\n";
-        file.write_all(line.as_bytes())
-            .and_then(|()| file.flush())
-            .map_err(|e| format!("{}: {e}", path.display()))?;
+        let line = serde_json::to_string(&manifest).map_err(|e| e.to_string())?;
+        let file =
+            append_log::create(path, line).map_err(|e| format!("{}: {e}", path.display()))?;
         Ok(Self {
             file,
             path: path.to_path_buf(),
@@ -156,12 +154,9 @@ impl Journal {
     }
 
     /// Re-open an existing journal for appending after a
-    /// [`Journal::load`].
+    /// [`Journal::load`], truncating the torn tail the load dropped.
     pub fn reopen(path: &Path, recovered: &JournalContents) -> Result<Self, String> {
-        let file = OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|e| format!("{}: {e}", path.display()))?;
+        let file = append_log::reopen(path).map_err(|e| format!("{}: {e}", path.display()))?;
         Ok(Self {
             file,
             path: path.to_path_buf(),
@@ -211,50 +206,29 @@ impl Journal {
     }
 
     fn write_line(&mut self, record: &serde::Value) -> Result<(), String> {
-        let line = serde_json::to_string(record).map_err(|e| e.to_string())? + "\n";
-        self.file
-            .write_all(line.as_bytes())
-            .and_then(|()| self.file.flush())
+        let line = serde_json::to_string(record).map_err(|e| e.to_string())?;
+        append_log::append(&mut self.file, line)
             .map_err(|e| format!("{}: {e}", self.path.display()))
     }
 
-    /// Scan a journal: manifest, intact arrivals, drain markers. A
-    /// final line that is torn (no `\n`) or unparseable is dropped along
-    /// with everything after it; a malformed line *followed by intact
-    /// lines* is corruption and errors out (flushed whole lines never
-    /// tear in the middle of the file).
+    /// Scan a journal: manifest, intact arrivals, drain markers. A torn
+    /// tail (no final `\n`) is dropped; a whole line that does not parse
+    /// is corruption and errors out.
     pub fn load(path: &Path) -> Result<JournalContents, String> {
-        let mut text = String::new();
-        File::open(path)
-            .and_then(|mut f| f.read_to_string(&mut text))
-            .map_err(|e| format!("{}: {e}", path.display()))?;
-        let mut lines: Vec<&str> = Vec::new();
-        let mut rest = text.as_str();
-        while let Some(pos) = rest.find('\n') {
-            lines.push(&rest[..pos]);
-            rest = &rest[pos + 1..];
-        }
-        // `rest` now holds a torn tail (no newline) — dropped.
-        let mut parsed: Vec<serde::Value> = Vec::with_capacity(lines.len());
-        for (k, line) in lines.iter().enumerate() {
-            match serde_json::parse(line) {
-                Ok(v) => parsed.push(v),
-                Err(e) if k + 1 == lines.len() => {
-                    // Torn tail: newline made it out but the payload is
-                    // incomplete. Drop it.
-                    let _ = e;
-                    break;
-                }
-                Err(e) => {
-                    return Err(format!(
-                        "{}: line {} is corrupt ({e}) but intact lines follow; \
-                         refusing to resume from a damaged journal",
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+        let (lines, _torn) = append_log::split(&text);
+        let parsed = lines
+            .enumerate()
+            .map(|(k, line)| {
+                serde_json::parse(line).map_err(|e| {
+                    format!(
+                        "{}: line {} is corrupt ({e}); refusing to resume from a damaged journal",
                         path.display(),
                         k + 1
-                    ))
-                }
-            }
-        }
+                    )
+                })
+            })
+            .collect::<Result<Vec<serde::Value>, String>>()?;
         let Some(first) = parsed.first() else {
             return Err(format!(
                 "{}: journal holds no intact manifest line",
@@ -309,6 +283,8 @@ impl Journal {
 mod tests {
     use super::*;
     use iosched_model::{Bytes, Time};
+    use std::fs::OpenOptions;
+    use std::io::Write;
 
     fn spec() -> ServeSpec {
         ServeSpec {
@@ -388,6 +364,51 @@ mod tests {
         drop(f);
         let err = Journal::load(&path).unwrap_err();
         assert!(err.contains("corrupt"), "{err}");
+    }
+
+    /// A crash can cut the journal at any byte past its manifest.
+    /// Whatever survives, `load` recovers exactly the whole lines, and a
+    /// resumed writer appends after them: every earlier arrival and the
+    /// new one load back.
+    #[test]
+    fn resume_after_a_cut_at_every_offset_keeps_every_whole_line() {
+        let path = tmp("cut.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let mut journal = Journal::create(&path, &spec()).unwrap();
+        let manifest_end = std::fs::metadata(&path).unwrap().len() as usize;
+        let apps = [arrival(0, 1.0), arrival(1, 2.5), arrival(2, 4.0)];
+        for app in &apps {
+            journal.append(app).unwrap();
+        }
+        journal.mark_drain(50.0).unwrap();
+        drop(journal);
+        let full = std::fs::read(&path).unwrap();
+        let next = arrival(3, 100.0);
+        for cut in manifest_end + 1..=full.len() {
+            std::fs::write(&path, &full[..cut]).unwrap();
+            // Whole lines past the manifest: the arrivals, then the drain.
+            let whole = full[manifest_end..cut]
+                .iter()
+                .filter(|&&b| b == b'\n')
+                .count();
+            let kept = whole.min(apps.len());
+            let contents = Journal::load(&path).unwrap();
+            assert_eq!(contents.arrivals, apps[..kept], "cut at {cut}");
+            assert_eq!(
+                contents.drained_at_secs.is_some(),
+                whole > apps.len(),
+                "cut at {cut}"
+            );
+
+            let mut journal = Journal::reopen(&path, &contents).unwrap();
+            journal.append(&next).unwrap();
+            drop(journal);
+            let resumed = Journal::load(&path).unwrap();
+            let mut expected = apps[..kept].to_vec();
+            expected.push(next.clone());
+            assert_eq!(resumed.arrivals, expected, "cut at {cut}");
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -17,14 +17,20 @@
 //!
 //! ## Lifecycle
 //!
-//! The engine is an explicit state machine: [`Simulation::new`] validates
-//! the scenario and performs the initial allocation,
-//! [`Simulation::step`] advances to exactly one next event, and
-//! [`Simulation::run_to_completion`] drives steps until every application
-//! finished and assembles the [`SimOutcome`]. The free function
-//! [`simulate`] wraps the three for the common one-shot case; steppable
-//! use (debuggers, the IOR harness, future checkpointing) talks to the
-//! struct directly:
+//! The engine is an explicit state machine with one way in: a
+//! release-ordered arrival queue. The three constructors differ only in
+//! how they fill it. [`Simulation::new`] validates a closed roster as a
+//! whole (dense ids, `Σβ ≤ N`), queues it sorted by `(release, AppId)`
+//! and closes admission; [`Simulation::from_stream`] refills the queue
+//! from a lazy source one lookahead at a time; [`Simulation::open`]
+//! starts it empty and takes [`Simulation::offer`]s. Every arrival is
+//! validated where it enters the queue, so admitting one when the clock
+//! reaches its release cannot fail. [`Simulation::step`] advances to
+//! exactly one next event, and [`Simulation::run_to_completion`] drives
+//! steps until every application finished and assembles the
+//! [`SimOutcome`]. The free function [`simulate`] wraps the three for
+//! the common one-shot case; steppable use (debuggers, the IOR harness,
+//! the daemon) talks to the struct directly:
 //!
 //! ```
 //! use iosched_model::{AppSpec, Bytes, Platform, Time};
@@ -48,8 +54,9 @@
 //! The steady-state step path performs no per-event heap allocation on
 //! the engine side: the pending set (indices of applications that
 //! currently want I/O) is maintained incrementally across events instead
-//! of rescanned, releases live in a pre-sorted stack, compute completions
-//! in a binary heap, and the predicted-completion scratch plus the
+//! of rescanned, arrivals wait in the release-ordered queue, compute
+//! completions in a calendar queue, retired slots are recycled, and the
+//! predicted-completion scratch plus the
 //! [`StateBuffer`] policy snapshot are reused across events. The
 //! predicted completions themselves are cached as absolute times behind a
 //! dirty flag — a transfer at constant rate finishes at the same instant
@@ -58,8 +65,12 @@
 //! that confirm the running allocation, external-load boundaries) skip
 //! the per-event rescan of the pending set entirely. (Policies
 //! themselves return a fresh [`iosched_core::policy::Allocation`] per
-//! event — a handful of grant pairs.) Trace segments are only
-//! materialized when [`SimConfig::record_trace`] asks for them.
+//! event — a handful of grant pairs.) Each inter-event interval is
+//! closed in one place: the [`TelemetrySample`] the last allocation
+//! opened is the single record of its start, end and capacity, and the
+//! telemetry tap, the steady-state window and the trace segment are all
+//! fed from it. Trace segments are only materialized when
+//! [`SimConfig::record_trace`] asks for them.
 //!
 //! ## Numerical discipline
 //!
@@ -371,30 +382,24 @@ impl PendingSet {
     }
 }
 
-/// Where applications come from: the closed roster installed at
-/// construction, or open admission fed by a queue.
-enum Admission<'a> {
-    /// Every application was installed up-front; future releases sit on
-    /// the pre-sorted stack.
-    Roster,
-    /// Open admission: arrivals wait in release order on `queue` until
-    /// the clock reaches them. The queue has two writers — an optional
-    /// `feeder` iterator auto-refilled after every admission (the
-    /// stream mode: the engine never holds more than the live set plus
-    /// one lookahead), and external [`Simulation::offer`] calls (the
-    /// daemon mode). Admission is *exhausted* once `closed` is set, the
-    /// feeder is drained and the queue is empty.
-    Open {
-        queue: VecDeque<AppSpec>,
-        /// Auto-refill source (`None` when drained or never installed).
-        /// Installed by [`Simulation::from_stream`]; mutually exclusive
-        /// with external offers.
-        feeder: Option<Box<dyn Iterator<Item = AppSpec> + 'a>>,
-        /// No further arrivals can appear: set at construction by the
-        /// stream mode (the feeder is the only source) and by
-        /// [`Simulation::close_admission`] in daemon mode.
-        closed: bool,
-    },
+/// Where applications come from: arrivals wait in release order on
+/// `queue` until the clock reaches them. The queue has three writers —
+/// a closed roster queued whole at construction, an optional `feeder`
+/// iterator refilled after every admission (the stream mode: the engine
+/// never holds more than the live set plus one lookahead), and external
+/// [`Simulation::offer`] calls (the daemon mode). Admission is
+/// *exhausted* once `closed` is set, the feeder is drained and the queue
+/// is empty.
+struct Admission<'a> {
+    queue: VecDeque<AppSpec>,
+    /// Auto-refill source (`None` when drained or never installed).
+    /// Installed by [`Simulation::from_stream`]; mutually exclusive with
+    /// external offers.
+    feeder: Option<Box<dyn Iterator<Item = AppSpec> + 'a>>,
+    /// No external arrival can appear: set at construction for rosters
+    /// and streams, and by [`Simulation::close_admission`] in daemon
+    /// mode.
+    closed: bool,
 }
 
 /// One in-flight fluid simulation: the explicit state machine behind
@@ -408,24 +413,22 @@ pub struct Simulation<'a> {
     config: &'a SimConfig,
     /// Cold slot arena of live (and recently finished) application
     /// records (spec, ρ̃/ρ bookkeeping, instance counter) — touched at
-    /// instance boundaries only. In closed-roster mode slots are the
-    /// input positions; in stream mode finished slots are recycled
-    /// through `free`, so the arena size tracks peak *concurrency*, not
-    /// total admissions.
+    /// instance boundaries only. Finished slots are recycled through
+    /// `free`, so the arena size tracks peak *concurrency*, not total
+    /// admissions.
     rts: Vec<AppRuntime>,
     /// Dense struct-of-arrays hot state, parallel to `rts`: everything
     /// the per-event passes (decay, completion scan, policy snapshot,
     /// grant application) read or write.
     hot: HotState,
-    /// Recycled slots of retired applications (stream mode).
+    /// Recycled slots of retired applications.
     free: Vec<usize>,
     /// Where new applications come from.
     admission: Admission<'a>,
-    /// Applications admitted so far (stream mode validates dense ids
-    /// against this; closed mode admits everything at construction).
+    /// Applications released off the queue into a slot so far.
     admitted: usize,
-    /// Release time of the last admitted application (stream-order
-    /// validation).
+    /// Release time of the last open arrival that entered the queue
+    /// (stream-order validation of the next one).
     last_release: Time,
     /// Compact per-application results, drained out of the slots at
     /// retirement (kept iff [`SimConfig::per_app_detail`]).
@@ -452,10 +455,6 @@ pub struct Simulation<'a> {
     /// Applications currently in the `Io` phase. Maintained
     /// incrementally by the transition handlers.
     pending: PendingSet,
-    /// Future releases of the closed roster, sorted descending by
-    /// `(release, id)` so `pop()` yields the earliest; empty in stream
-    /// mode.
-    releases: Vec<(Time, AppId, usize)>,
     /// Outstanding compute completions (bucket queue with a far-future
     /// heap fallback; pop order is identical to the former binary
     /// heap's).
@@ -495,10 +494,10 @@ pub struct Simulation<'a> {
     /// either side of the policy boundary.
     scratch: AllocScratch,
     trace: Option<BandwidthTrace>,
-    seg_start: Time,
+    /// Grants and effective rates of the open interval, captured for
+    /// its trace segment (filled only when a trace is recorded).
     seg_grants: Vec<(AppId, Bw)>,
     seg_effective: Vec<(AppId, Bw)>,
-    seg_capacity: Bw,
     /// Always-on congestion tap (see [`crate::telemetry`]): ring buffer
     /// of closed inter-event intervals, whose derived signal is handed
     /// to the policy at every allocation. Kept (with its open interval)
@@ -506,7 +505,8 @@ pub struct Simulation<'a> {
     /// densely packed.
     telemetry: Telemetry,
     /// The interval opened by the last allocation, closed at the next
-    /// event.
+    /// event (or the horizon halt) by [`Simulation::close_interval`]:
+    /// the one record of its start, end and capacity.
     tel_open: TelemetrySample,
     /// Runtime-attached decision trace (see
     /// [`Simulation::enable_decision_trace`]): a bounded ring of
@@ -566,7 +566,8 @@ impl StepTiming {
 }
 
 impl<'a> Simulation<'a> {
-    /// Validate the closed scenario, install every application and
+    /// Validate the closed scenario as a whole (dense ids, `Σβ ≤ N`),
+    /// queue it in `(release, AppId)` order with admission closed, and
     /// perform the initial allocation at `t = 0`.
     pub fn new(
         platform: &'a Platform,
@@ -575,37 +576,25 @@ impl<'a> Simulation<'a> {
         config: &'a SimConfig,
     ) -> Result<Self, SimError> {
         validate_scenario(platform, apps).map_err(|e| SimError::InvalidScenario(e.to_string()))?;
-        if apps.is_empty() {
-            return Err(SimError::InvalidScenario(
-                "simulation needs at least one application".into(),
-            ));
-        }
-        let rts: Vec<AppRuntime> = apps
-            .iter()
-            .map(|a| AppRuntime::new(a.clone(), platform))
-            .collect();
-        let mut releases: Vec<(Time, AppId, usize)> = rts
-            .iter()
-            .enumerate()
-            .map(|(i, rt)| (rt.spec.release(), rt.spec.id(), i))
-            .collect();
-        releases.sort_by(|a, b| b.0.get().total_cmp(&a.0.get()).then(b.1.cmp(&a.1)));
-        let admitted = rts.len();
-        Self::start(
-            platform,
-            policy,
-            config,
-            rts,
-            releases,
-            Admission::Roster,
-            admitted,
-        )
+        let mut roster = apps.to_vec();
+        roster.sort_by(|a, b| {
+            a.release()
+                .get()
+                .total_cmp(&b.release().get())
+                .then(a.id().cmp(&b.id()))
+        });
+        let admission = Admission {
+            queue: roster.into(),
+            feeder: None,
+            closed: true,
+        };
+        Self::start(platform, policy, config, admission, false)
     }
 
     /// Open-system construction: pull applications from a release-sorted
     /// `source` as the clock reaches them. The engine holds the live set
     /// plus one lookahead — peak memory tracks *concurrency*, not the
-    /// stream length. Each admitted application is validated on arrival
+    /// stream length. Each arrival is validated as it is pulled
     /// (individually feasible, ids dense in release order); the closed
     /// `Σβ ≤ N` budget deliberately does not apply.
     pub fn from_stream(
@@ -614,32 +603,12 @@ impl<'a> Simulation<'a> {
         policy: &'a mut dyn OnlinePolicy,
         config: &'a SimConfig,
     ) -> Result<Self, SimError> {
-        platform
-            .validate()
-            .map_err(|e| SimError::InvalidScenario(e.to_string()))?;
-        let mut source: Box<dyn Iterator<Item = AppSpec> + 'a> = Box::new(source);
-        let mut queue = VecDeque::new();
-        match source.next() {
-            Some(first) => queue.push_back(first),
-            None => {
-                return Err(SimError::InvalidScenario(
-                    "application stream produced no applications".into(),
-                ))
-            }
-        }
-        Self::start(
-            platform,
-            policy,
-            config,
-            Vec::new(),
-            Vec::new(),
-            Admission::Open {
-                queue,
-                feeder: Some(source),
-                closed: true, // the feeder is the only source
-            },
-            0,
-        )
+        let admission = Admission {
+            queue: VecDeque::new(),
+            feeder: Some(Box::new(source)),
+            closed: true, // the feeder is the only source
+        };
+        Self::start(platform, policy, config, admission, true)
     }
 
     /// Reentrant open-system construction: the engine starts empty with
@@ -659,36 +628,28 @@ impl<'a> Simulation<'a> {
         policy: &'a mut dyn OnlinePolicy,
         config: &'a SimConfig,
     ) -> Result<Self, SimError> {
-        platform
-            .validate()
-            .map_err(|e| SimError::InvalidScenario(e.to_string()))?;
-        Self::start(
-            platform,
-            policy,
-            config,
-            Vec::new(),
-            Vec::new(),
-            Admission::Open {
-                queue: VecDeque::new(),
-                feeder: None,
-                closed: false,
-            },
-            0,
-        )
+        let admission = Admission {
+            queue: VecDeque::new(),
+            feeder: None,
+            closed: false,
+        };
+        Self::start(platform, policy, config, admission, true)
     }
 
-    /// Shared second half of the constructors: engine-config validation,
-    /// initial transitions and the `t = 0` allocation.
-    #[allow(clippy::too_many_arguments)]
+    /// Shared second half of the constructors: platform and engine-config
+    /// validation, the first feeder pull, initial transitions and the
+    /// `t = 0` allocation. Streams and open engines pass `always_steady`
+    /// (they carry a steady-state summary whatever the window knobs say).
     fn start(
         platform: &'a Platform,
         policy: &'a mut dyn OnlinePolicy,
         config: &'a SimConfig,
-        rts: Vec<AppRuntime>,
-        releases: Vec<(Time, AppId, usize)>,
         admission: Admission<'a>,
-        admitted: usize,
+        always_steady: bool,
     ) -> Result<Self, SimError> {
+        platform
+            .validate()
+            .map_err(|e| SimError::InvalidScenario(e.to_string()))?;
         config.validate().map_err(SimError::InvalidScenario)?;
         let bb = if config.use_burst_buffer {
             let spec = platform.burst_buffer.ok_or_else(|| {
@@ -709,28 +670,23 @@ impl<'a> Simulation<'a> {
                 ));
             }
         }
-        let streamed = matches!(admission, Admission::Open { .. });
-        let n = rts.len();
-        let mut hot = HotState::with_capacity(n);
-        for rt in &rts {
-            hot.push_app(rt, platform);
-        }
+        // Pre-sized to the roster (a stream or open engine starts at 0
+        // and grows with its concurrency).
+        let n = admission.queue.len();
         let mut sim = Self {
             platform,
             policy,
             config,
-            rts,
-            hot,
+            rts: Vec::with_capacity(n),
+            hot: HotState::with_capacity(n),
             free: Vec::new(),
             admission,
-            admitted,
+            admitted: 0,
             last_release: Time::ZERO,
-            // Pre-sized so a closed roster never reallocates mid-run
-            // (`retire` debug-asserts this); streams grow with the flag
-            // on, but the bounded-memory campaigns run with it off.
             retired: Vec::with_capacity(if config.per_app_detail { n } else { 0 }),
             agg: ObjectiveAccumulator::default(),
-            steady: (streamed || config.wants_steady()).then(|| SteadyAccum::new(config.warmup)),
+            steady: (always_steady || config.wants_steady())
+                .then(|| SteadyAccum::new(config.warmup)),
             halted: false,
             bb,
             now: Time::ZERO,
@@ -739,7 +695,6 @@ impl<'a> Simulation<'a> {
             drain_bw: platform.total_bw,
             inflow: Bw::ZERO,
             pending: PendingSet::with_capacity(n),
-            releases,
             compute: CalendarQueue::new(),
             predicted: Vec::with_capacity(n),
             predicted_next: Vec::with_capacity(n),
@@ -749,10 +704,8 @@ impl<'a> Simulation<'a> {
             snapshot: StateBuffer::new(),
             scratch: AllocScratch::new(),
             trace: config.record_trace.then(BandwidthTrace::default),
-            seg_start: Time::ZERO,
             seg_grants: Vec::with_capacity(if config.record_trace { n } else { 0 }),
             seg_effective: Vec::with_capacity(if config.record_trace { n } else { 0 }),
-            seg_capacity: platform.total_bw,
             telemetry: Telemetry::new(config.telemetry),
             tel_open: TelemetrySample::idle(Time::ZERO, platform.total_bw),
             dtrace: None,
@@ -760,6 +713,12 @@ impl<'a> Simulation<'a> {
             #[cfg(feature = "obs-timing")]
             timing: StepTiming::new(),
         };
+        sim.refill()?;
+        if sim.admission.closed && sim.admission.queue.is_empty() {
+            return Err(SimError::InvalidScenario(
+                "simulation needs at least one application".into(),
+            ));
+        }
         sim.settle_transitions()?;
         sim.allocate()?;
         sim.snapshot_segment();
@@ -783,14 +742,8 @@ impl<'a> Simulation<'a> {
     /// run.
     #[must_use]
     pub fn is_finished(&self) -> bool {
-        let exhausted = match &self.admission {
-            Admission::Roster => true, // everything admitted at construction
-            Admission::Open {
-                queue,
-                feeder,
-                closed,
-            } => *closed && feeder.is_none() && queue.is_empty(),
-        };
+        let a = &self.admission;
+        let exhausted = a.closed && a.feeder.is_none() && a.queue.is_empty();
         self.halted || (exhausted && self.finished == self.admitted)
     }
 
@@ -799,20 +752,15 @@ impl<'a> Simulation<'a> {
     /// closed-roster and stream modes.
     #[must_use]
     pub fn admission_open(&self) -> bool {
-        matches!(
-            &self.admission,
-            Admission::Open { closed: false, .. } if !self.halted
-        )
+        !self.admission.closed && !self.halted
     }
 
     /// Arrivals accepted but not yet admitted (their releases lie ahead
-    /// of the clock). At most 1 in stream mode (the lookahead).
+    /// of the clock): a roster's unreleased applications, a stream's
+    /// one-app lookahead, or an open engine's pending offers.
     #[must_use]
     pub fn queued(&self) -> usize {
-        match &self.admission {
-            Admission::Roster => 0,
-            Admission::Open { queue, .. } => queue.len(),
-        }
+        self.admission.queue.len()
     }
 
     /// Push one external arrival into open admission. The accepted offer
@@ -842,38 +790,18 @@ impl<'a> Simulation<'a> {
                 "admission is closed: the horizon already halted this run".into(),
             ));
         }
-        let (queue, position, last) = match &mut self.admission {
-            Admission::Roster => {
-                return Err(SimError::InvalidScenario(
-                    "this engine was built from a closed roster; \
-                     external submissions need Simulation::open"
-                        .into(),
-                ))
-            }
-            Admission::Open {
-                feeder: Some(_), ..
-            } => {
-                return Err(SimError::InvalidScenario(
-                    "admission is fed by a stream source; \
-                     external submissions need Simulation::open"
-                        .into(),
-                ))
-            }
-            Admission::Open { closed: true, .. } => {
-                return Err(SimError::InvalidScenario(
-                    "admission has been closed; no further submissions are accepted".into(),
-                ))
-            }
-            Admission::Open {
-                queue,
-                feeder: None,
-                closed: false,
-            } => {
-                let last = queue.back().map_or(self.last_release, AppSpec::release);
-                let position = self.admitted + queue.len();
-                (queue, position, last)
-            }
-        };
+        if self.admission.feeder.is_some() {
+            return Err(SimError::InvalidScenario(
+                "admission is fed by a stream source; \
+                 external submissions need Simulation::open"
+                    .into(),
+            ));
+        }
+        if self.admission.closed {
+            return Err(SimError::InvalidScenario(
+                "admission has been closed; no further submissions are accepted".into(),
+            ));
+        }
         if !app.release().approx_gt(self.now) {
             return Err(SimError::InvalidScenario(format!(
                 "submission release {} is not after the engine clock {}; \
@@ -882,10 +810,7 @@ impl<'a> Simulation<'a> {
                 self.now
             )));
         }
-        validate_open_arrival(self.platform, &app, position, last)
-            .map_err(|e| SimError::InvalidScenario(e.to_string()))?;
-        queue.push_back(app);
-        Ok(())
+        self.enqueue(app)
     }
 
     /// Declare the external arrival sequence complete: no further
@@ -894,12 +819,44 @@ impl<'a> Simulation<'a> {
     /// [`Simulation::is_finished`]. Idempotent; a no-op for the
     /// closed-roster and stream modes (they are born closed).
     pub fn close_admission(&mut self) {
-        if let Admission::Open { closed, .. } = &mut self.admission {
-            *closed = true;
+        self.admission.closed = true;
+    }
+
+    /// Validate `app` as the next open arrival — the per-arrival slice
+    /// of the open-system contract ([`validate_open_arrival`]:
+    /// individually feasible, id dense at its queue position, release no
+    /// earlier than the last queued one) — and queue it.
+    fn enqueue(&mut self, app: AppSpec) -> Result<(), SimError> {
+        let position = self.admitted + self.admission.queue.len();
+        validate_open_arrival(self.platform, &app, position, self.last_release)
+            .map_err(|e| SimError::InvalidScenario(e.to_string()))?;
+        self.last_release = app.release();
+        self.admission.queue.push_back(app);
+        Ok(())
+    }
+
+    /// The stream mode's lookahead discipline: once the queue runs dry,
+    /// pull the feeder's next arrival through [`Simulation::enqueue`],
+    /// or drop the feeder when the stream ends — so exhaustion (and thus
+    /// `is_finished`) is decided the moment the last arrival is
+    /// admitted, never a step later. A no-op without a feeder.
+    fn refill(&mut self) -> Result<(), SimError> {
+        if !self.admission.queue.is_empty() {
+            return Ok(());
+        }
+        let Some(feeder) = &mut self.admission.feeder else {
+            return Ok(());
+        };
+        match feeder.next() {
+            Some(app) => self.enqueue(app),
+            None => {
+                self.admission.feeder = None;
+                Ok(())
+            }
         }
     }
 
-    /// Applications admitted so far (the full roster for a closed run).
+    /// Applications admitted so far (released off the arrival queue).
     #[must_use]
     pub fn admitted(&self) -> usize {
         self.admitted
@@ -920,9 +877,9 @@ impl<'a> Simulation<'a> {
     /// Slot indices of applications currently wanting I/O, in ascending
     /// `AppId` order, materialized into a fresh vector (the membership
     /// itself lives in a dense id-keyed structure; see
-    /// [`Simulation::pending_len`] for the allocation-free count). For a
-    /// closed release-sorted roster, slots equal positions in the input
-    /// `apps` slice.
+    /// [`Simulation::pending_len`] for the allocation-free count). Slots
+    /// are recycled, so a slot names an application only while it is
+    /// live: read its id from [`HotState::id`].
     #[must_use]
     pub fn pending_apps(&self) -> Vec<usize> {
         self.pending.entries().iter().map(|&(_, i)| i).collect()
@@ -935,9 +892,9 @@ impl<'a> Simulation<'a> {
     }
 
     /// Cold per-application runtime slots (inspection hook for
-    /// steppable use). For a closed roster, indices match the input
-    /// `apps` slice; in stream mode a slot may hold a *retired* runtime
-    /// until a later admission recycles it.
+    /// steppable use), sized by peak concurrency: slots are assigned at
+    /// admission, not by roster position, and a slot may hold a
+    /// *retired* runtime until a later admission recycles it.
     #[must_use]
     pub fn runtimes(&self) -> &[AppRuntime] {
         &self.rts
@@ -971,13 +928,8 @@ impl<'a> Simulation<'a> {
     /// bit-identical to stepping directly.
     fn peek_next_event(&mut self) -> Time {
         let mut t_next = Time::INFINITY;
-        if let Some(&(t, _, _)) = self.releases.last() {
-            t_next = t_next.min(t);
-        }
-        if let Admission::Open { queue, .. } = &self.admission {
-            if let Some(app) = queue.front() {
-                t_next = t_next.min(app.release());
-            }
+        if let Some(app) = self.admission.queue.front() {
+            t_next = t_next.min(app.release());
         }
         if let Some(at) = self.compute.peek_min_at() {
             t_next = t_next.min(at);
@@ -1114,21 +1066,7 @@ impl<'a> Simulation<'a> {
                 let h = h.max(self.now);
                 self.advance_to(h, false);
                 self.now = h;
-                self.tel_open.end = self.now;
-                let closed = self.tel_open;
-                self.telemetry.record(closed);
-                if let Some(steady) = &mut self.steady {
-                    steady.record_interval(&closed);
-                }
-                if let Some(t) = &mut self.trace {
-                    t.push(TraceSegment {
-                        start: self.seg_start,
-                        end: self.now,
-                        capacity: self.seg_capacity,
-                        grants: self.seg_grants.clone(),
-                        effective: self.seg_effective.clone(),
-                    });
-                }
+                self.close_interval();
                 self.halted = true;
                 return Ok(StepStatus::Advanced);
             }
@@ -1164,28 +1102,12 @@ impl<'a> Simulation<'a> {
         // --- Advance the fluid state to t_next. -----------------------
         self.advance_to(t_next, true);
         self.now = t_next;
-        // Close the telemetry interval the last allocation opened (the
-        // installed rates were constant across it — the fluid model).
-        self.tel_open.end = self.now;
-        let closed = self.tel_open;
-        self.telemetry.record(closed);
-        if let Some(steady) = &mut self.steady {
-            steady.record_interval(&closed);
-        }
+        self.close_interval();
         #[cfg(feature = "obs-timing")]
         self.timing.lap(StepTiming::ADVANCE, &mut watch);
 
         // --- State transitions and re-allocation. ---------------------
         self.settle_transitions()?;
-        if let Some(t) = &mut self.trace {
-            t.push(TraceSegment {
-                start: self.seg_start,
-                end: self.now,
-                capacity: self.seg_capacity,
-                grants: self.seg_grants.clone(),
-                effective: self.seg_effective.clone(),
-            });
-        }
         #[cfg(feature = "obs-timing")]
         self.timing.lap(StepTiming::SETTLE, &mut watch);
         self.allocate()?;
@@ -1234,16 +1156,13 @@ impl<'a> Simulation<'a> {
             .telemetry
             .then(|| self.telemetry.summary())
             .flatten();
-        // `admitted` for the summary counts applications that actually
-        // entered the system: a closed roster cut by a horizon still
-        // holds its never-released applications on the release stack,
-        // and they must not inflate `left_in_system` (the stream path
-        // admits on release, so the two modes agree).
-        let entered = self.admitted - self.releases.len();
+        // `admitted` counts only applications released into the system:
+        // arrivals a horizon left on the queue never inflate
+        // `left_in_system`.
         let steady = self
             .steady
             .as_ref()
-            .map(|acc| acc.summary(entered, self.finished));
+            .map(|acc| acc.summary(self.admitted, self.finished));
         let (report, per_app_bytes) = if self.config.per_app_detail {
             let mut retired = self.retired;
             retired.sort_by_key(|(o, _)| o.id);
@@ -1378,54 +1297,23 @@ impl<'a> Simulation<'a> {
     /// the clock), so each source is drained once — no global fixpoint
     /// loop over all applications:
     ///
-    /// * due releases pop off the release stack (closed roster) or are
-    ///   admitted from the stream source (open system),
+    /// * due arrivals are admitted off the front of the queue,
     /// * due compute completions pop off the compute heap,
     /// * pending applications whose residual volume reached zero complete
     ///   their instance (and may chain through zero-work/zero-volume
     ///   instances within [`Simulation::settle_app`]).
     ///
-    /// Only stream admission can fail (a malformed source application).
+    /// Only the feeder refill can fail (a malformed stream arrival).
     fn settle_transitions(&mut self) -> Result<(), SimError> {
-        while let Some(&(t, _, i)) = self.releases.last() {
-            if !t.approx_le(self.now) {
-                break;
-            }
-            self.releases.pop();
-            self.begin_instance(i, t.max(Time::ZERO));
-        }
-        loop {
-            let due = match &self.admission {
-                Admission::Open { queue, .. } => queue
-                    .front()
-                    .is_some_and(|app| app.release().approx_le(self.now)),
-                Admission::Roster => false,
-            };
-            if !due {
-                break;
-            }
-            let app = match &mut self.admission {
-                Admission::Open { queue, .. } => queue.pop_front().expect("checked above"),
-                Admission::Roster => unreachable!("due implies open admission"),
-            };
-            self.admit_streamed(app)?;
-            // Eager feeder refill right after the admission — the
-            // stream mode's lookahead discipline: exhaustion (and thus
-            // `is_finished`) is decided the moment the last arrival is
-            // admitted, never a step later.
-            if let Admission::Open {
-                queue,
-                feeder: feeder @ Some(_),
-                ..
-            } = &mut self.admission
-            {
-                if queue.is_empty() {
-                    match feeder.as_mut().expect("matched above").next() {
-                        Some(next) => queue.push_back(next),
-                        None => *feeder = None,
-                    }
-                }
-            }
+        while self
+            .admission
+            .queue
+            .front()
+            .is_some_and(|app| app.release().approx_le(self.now))
+        {
+            let app = self.admission.queue.pop_front().expect("checked above");
+            self.admit(app);
+            self.refill()?;
         }
         while let Some(at) = self.compute.peek_min_at() {
             if !at.approx_le(self.now) {
@@ -1456,15 +1344,10 @@ impl<'a> Simulation<'a> {
         Ok(())
     }
 
-    /// Admit one application from the stream source: validate it in
-    /// isolation (the per-arrival slice of the open-system contract —
-    /// the same [`validate_open_arrival`] rules `simulate_open` checks
-    /// over whole slices), install it into a recycled or fresh slot and
-    /// start its first instance.
-    fn admit_streamed(&mut self, app: AppSpec) -> Result<(), SimError> {
-        validate_open_arrival(self.platform, &app, self.admitted, self.last_release)
-            .map_err(|e| SimError::InvalidScenario(e.to_string()))?;
-        self.last_release = app.release();
+    /// Admit one due arrival (validated when it entered the queue):
+    /// install it into a recycled or fresh slot and start its first
+    /// instance.
+    fn admit(&mut self, app: AppSpec) {
         let release = app.release().max(Time::ZERO);
         let rt = AppRuntime::new(app, self.platform);
         let slot = match self.free.pop() {
@@ -1485,7 +1368,6 @@ impl<'a> Simulation<'a> {
         };
         self.admitted += 1;
         self.begin_instance(slot, release);
-        Ok(())
     }
 
     /// Start application `i`'s current instance at `at` and register it
@@ -1557,10 +1439,9 @@ impl<'a> Simulation<'a> {
     }
 
     /// Compact a just-finished application out of its slot: its objective
-    /// contribution is extracted now (a handful of scalars), and in
-    /// stream mode the slot goes back on the free list for the next
-    /// admission to recycle — peak memory tracks concurrency, not the
-    /// total application count.
+    /// contribution is extracted now (a handful of scalars), and the slot
+    /// goes back on the free list for the next admission to recycle —
+    /// peak memory tracks concurrency, not the total application count.
     fn retire(&mut self, i: usize) {
         let rt = &self.rts[i];
         let d = self.now;
@@ -1576,20 +1457,11 @@ impl<'a> Simulation<'a> {
             steady.record_finish(&outcome);
         }
         if self.config.per_app_detail {
-            #[cfg(debug_assertions)]
-            if matches!(self.admission, Admission::Roster) {
-                debug_assert!(
-                    self.retired.len() < self.retired.capacity(),
-                    "closed-roster retirements must fit the pre-sized buffer"
-                );
-            }
             self.retired.push((outcome, self.hot.bytes_moved[i]));
         } else {
             self.agg.fold(&outcome);
         }
-        if matches!(self.admission, Admission::Open { .. }) {
-            self.free.push(i);
-        }
+        self.free.push(i);
         if self.dtrace.is_some() {
             self.trace_push(TraceEvent::Retirement {
                 id: self.rts[i].spec.id().0 as u64,
@@ -1821,10 +1693,32 @@ impl<'a> Simulation<'a> {
         Ok(())
     }
 
-    /// Capture the current allocation for the trace segment being built
-    /// (skipped entirely when no trace was requested).
+    /// Close the interval the last allocation opened, at `self.now` (the
+    /// installed rates were constant across it — the fluid model). The
+    /// open [`TelemetrySample`] is the interval's one record: the
+    /// telemetry tap, the steady-state window and the trace segment are
+    /// all fed from it.
+    fn close_interval(&mut self) {
+        self.tel_open.end = self.now;
+        let closed = self.tel_open;
+        self.telemetry.record(closed);
+        if let Some(steady) = &mut self.steady {
+            steady.record_interval(&closed);
+        }
+        if let Some(t) = &mut self.trace {
+            t.push(TraceSegment {
+                start: closed.start,
+                end: closed.end,
+                capacity: closed.capacity,
+                grants: self.seg_grants.clone(),
+                effective: self.seg_effective.clone(),
+            });
+        }
+    }
+
+    /// Capture the current allocation's grants for the trace segment
+    /// being built (skipped entirely when no trace was requested).
     fn snapshot_segment(&mut self) {
-        self.seg_start = self.now;
         if self.trace.is_none() {
             return;
         }
@@ -1837,15 +1731,6 @@ impl<'a> Simulation<'a> {
         self.seg_effective.reserve(need);
         #[cfg(debug_assertions)]
         let caps = (self.seg_grants.capacity(), self.seg_effective.capacity());
-        let load_factor = self
-            .config
-            .external_load
-            .as_ref()
-            .map_or(1.0, |l| l.capacity_factor(self.now));
-        self.seg_capacity = match &self.bb {
-            Some(b) => b.ingest_capacity(self.platform.total_bw),
-            None => self.platform.total_bw * load_factor,
-        };
         for &(id, i) in self.pending.entries() {
             if self.hot.rate[i].get() > 0.0 {
                 self.seg_grants.push((id, self.hot.rate[i]));
@@ -2437,8 +2322,9 @@ mod tests {
     }
 
     /// A release-sorted closed roster fed through the stream path must
-    /// reproduce the closed engine bit-for-bit: admission timing is the
-    /// only difference, and releases are events either way.
+    /// reproduce the closed engine bit-for-bit: both admit through the
+    /// same queue, and only validation (whole roster vs. per arrival)
+    /// differs.
     #[test]
     fn stream_path_matches_closed_path_on_a_closed_roster() {
         let p = platform();
@@ -2904,7 +2790,7 @@ mod tests {
         let mut pol = MinDilation;
         let mut sim = Simulation::new(&p, &[app(0, 1)], &mut pol, &config).unwrap();
         let err = sim.offer(app(1, 1)).unwrap_err();
-        assert!(err.to_string().contains("closed roster"), "{err}");
+        assert!(err.to_string().contains("has been closed"), "{err}");
 
         // Stream engines take no offers either.
         let apps = staggered(2);

@@ -9,7 +9,7 @@
 //! and reports (Fig. 5) how much of the machine each class occupies per
 //! day and what fraction of its runtime each class spends in I/O. The
 //! figures themselves are images; the constants below are our calibration
-//! of their shape (documented substitution, DESIGN.md §1): large jobs
+//! of their shape (a substitution for the unpublished numbers): large jobs
 //! dominate machine usage, small jobs dominate job *count*, and the I/O
 //! time fraction grows with size class.
 

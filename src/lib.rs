@@ -6,8 +6,7 @@
 //!
 //! This crate re-exports the workspace members under short names and hosts
 //! the runnable examples (`examples/`) and the cross-crate integration
-//! tests (`tests/`). See `README.md` for the architecture overview and
-//! `EXPERIMENTS.md` for the paper-vs-measured record.
+//! tests (`tests/`). See `README.md` for the architecture overview.
 
 pub use iosched_baselines as baselines;
 pub use iosched_core as core;
