@@ -9,7 +9,10 @@
 //! Since `0 ≤ ρ̃/ρ ≤ 1`, MinMax-γ degenerates to MinDilation at `γ = 1`
 //! and to MaxSysEff at `γ = 0` (no ratio can sit strictly below 0).
 
-use crate::policy::{greedy_allocate_into, AllocScratch, AppState, OnlinePolicy, SchedContext};
+use crate::policy::{
+    greedy_allocate_into, order_into_by, AllocScratch, AppState, OnlinePolicy, SchedContext,
+};
+use std::cmp::Ordering;
 
 /// Threshold strategy: rescue applications whose dilation ratio fell below
 /// `gamma`, otherwise optimize system efficiency.
@@ -39,8 +42,20 @@ impl MinMax {
         self.gamma
     }
 
-    fn below_threshold(&self, a: &AppState) -> bool {
-        a.dilation_ratio < self.gamma
+    /// The preference between two pending applications: those below the
+    /// dilation threshold are rescued first (most dilated first); the
+    /// rest follow in MaxSysEff order (descending β·ρ̃ — see the deviation
+    /// note on [`crate::heuristics::MaxSysEff`]). The `AppId` tie-break
+    /// makes it strict on distinct applications, so every sort yields
+    /// the same permutation.
+    fn prefer(&self, x: &AppState, y: &AppState) -> Ordering {
+        let (bx, by) = (x.dilation_ratio < self.gamma, y.dilation_ratio < self.gamma);
+        by.cmp(&bx) // below-threshold group first
+            .then_with(|| match (bx, by) {
+                (true, true) => x.dilation_ratio.total_cmp(&y.dilation_ratio),
+                _ => y.syseff_key.total_cmp(&x.syseff_key),
+            })
+            .then_with(|| x.id.cmp(&y.id))
     }
 }
 
@@ -50,42 +65,13 @@ impl OnlinePolicy for MinMax {
     }
 
     fn order(&mut self, ctx: &SchedContext<'_>) -> Vec<usize> {
-        // Applications below the dilation threshold are rescued first
-        // (most dilated first); the rest follow in MaxSysEff order
-        // (descending β·ρ̃ — see the deviation note on
-        // [`crate::heuristics::MaxSysEff`]).
         let mut order: Vec<usize> = (0..ctx.pending.len()).collect();
-        order.sort_by(|&x, &y| {
-            let (ax, ay) = (&ctx.pending[x], &ctx.pending[y]);
-            let (bx, by) = (self.below_threshold(ax), self.below_threshold(ay));
-            by.cmp(&bx) // below-threshold group first
-                .then_with(|| match (bx, by) {
-                    (true, true) => ax.dilation_ratio.total_cmp(&ay.dilation_ratio),
-                    _ => ay.syseff_key.total_cmp(&ax.syseff_key),
-                })
-                .then_with(|| ax.id.cmp(&ay.id))
-        });
+        order.sort_by(|&x, &y| self.prefer(&ctx.pending[x], &ctx.pending[y]));
         order
     }
 
     fn order_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
-        // Same comparator as `order`, sorting the reused index buffer in
-        // place. The comparator is strict on distinct applications (the
-        // AppId tie-break), so the unstable sort yields the identical
-        // permutation.
-        scratch.order.clear();
-        scratch.order.extend(0..ctx.pending.len());
-        let gamma = self.gamma;
-        scratch.order.sort_unstable_by(|&x, &y| {
-            let (ax, ay) = (&ctx.pending[x], &ctx.pending[y]);
-            let (bx, by) = (ax.dilation_ratio < gamma, ay.dilation_ratio < gamma);
-            by.cmp(&bx)
-                .then_with(|| match (bx, by) {
-                    (true, true) => ax.dilation_ratio.total_cmp(&ay.dilation_ratio),
-                    _ => ay.syseff_key.total_cmp(&ax.syseff_key),
-                })
-                .then_with(|| ax.id.cmp(&ay.id))
-        });
+        order_into_by(ctx, scratch, |x, y| self.prefer(x, y));
     }
 
     fn allocate_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {

@@ -17,6 +17,7 @@
 
 use iosched_model::{AppId, Bw, Time};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 /// Scheduler-visible snapshot of one application that currently wants to
 /// perform I/O (it is either stalled waiting for a grant or mid-transfer).
@@ -231,7 +232,8 @@ impl StateBuffer {
 
 /// Reusable workspace for the in-place allocation path
 /// ([`OnlinePolicy::allocate_into`]): the output [`Allocation`] plus the
-/// keyed/order scratch the sorting helpers fill.
+/// keyed/order scratch the sorting helpers fill, and the last ranking
+/// they produced.
 ///
 /// Rebuilding a preference order allocates a `Vec<usize>` per event and
 /// recomputes every ordering key once per *comparison*; at millions of
@@ -241,6 +243,19 @@ impl StateBuffer {
 /// decision without touching the heap: keys are computed once per
 /// application into `keyed`, the permutation lands in `order`, and the
 /// grants in `alloc.grants` — all retaining their capacity.
+///
+/// **Warm start.** Two consecutive events rank almost the same
+/// applications almost the same way: the keys drift a little, and one or
+/// two applications join or leave. So when more than 20 applications are
+/// pending, the sorting helpers ([`order_into_by_key_asc`] and MinMax-γ's
+/// comparator sort) start from the ranking the previous call left here
+/// and repair it with a bounded insertion sort, in `O(n + inversions)`,
+/// instead of sorting from scratch. The remembered ranking is only a
+/// hint. Every order they sort by is strict on distinct applications
+/// (ties break by `AppId`), so it picks how much work the repair does,
+/// never the resulting permutation: a fresh scratch, one carried across
+/// calls, or one shared by several policies all yield the same order.
+/// One scratch per run is enough.
 #[derive(Debug, Default)]
 pub struct AllocScratch {
     /// The allocation decided by the last [`OnlinePolicy::allocate_into`].
@@ -259,7 +274,23 @@ pub struct AllocScratch {
     /// Per-pending-index grant workspace of [`greedy_allocate_into`]
     /// (lets the grant list come out in pending order without a sort).
     pub(crate) grant_buf: Vec<Bw>,
+    /// The ranking the last sort produced, as `(id, rank)` pairs in that
+    /// call's pending order (so `AppId`-ascending under the
+    /// [`StateBuffer`] contract); empty after a call at or below the
+    /// cutoff.
+    warm: Vec<(AppId, usize)>,
 }
+
+/// Pending sizes up to which the sorting helpers always sort from scratch
+/// and keep no warm state. Up to 20 elements the standard library's
+/// unstable sort is itself an insertion sort, so a warm start would save
+/// few shifts and add two `O(n)` passes.
+const COLD_SORT_MAX_PENDING: usize = 20;
+
+/// The warm repair gives up after this many shifts per pending
+/// application and hands the partly repaired slice to the cold sort, so a
+/// reversed or scrambled start still costs `O(n log n)`.
+const REPAIR_SHIFTS_PER_APP: usize = 4;
 
 impl AllocScratch {
     /// A fresh, empty workspace.
@@ -274,6 +305,76 @@ impl AllocScratch {
     pub fn order(&self) -> &[usize] {
         &self.order
     }
+
+    /// Seed `order` for a sort over `pending` with the remembered ranking:
+    /// surviving applications in their previous relative order, then the
+    /// newcomers in pending order. Returns `false`, leaving `order` as it
+    /// was, when the call sorts cold instead (at or below the cutoff, or
+    /// nothing remembered).
+    fn warm_start(&mut self, pending: &[AppState]) -> bool {
+        if pending.len() <= COLD_SORT_MAX_PENDING || self.warm.is_empty() {
+            return false;
+        }
+        // One merge walk over two AppId-ascending lists drops each
+        // survivor into its previous rank's slot; departed applications
+        // leave their slot at the sentinel, and newcomers queue behind the
+        // slots. A pending slice out of AppId order only misses matches,
+        // so the start is always a permutation.
+        let order = &mut self.order;
+        order.clear();
+        order.resize(self.warm.len(), usize::MAX);
+        let mut w = 0;
+        for (i, a) in pending.iter().enumerate() {
+            while w < self.warm.len() && self.warm[w].0 < a.id {
+                w += 1;
+            }
+            match self.warm.get(w) {
+                Some(&(id, rank)) if id == a.id => {
+                    order[rank] = i;
+                    w += 1;
+                }
+                _ => order.push(i),
+            }
+        }
+        order.retain(|&i| i != usize::MAX);
+        true
+    }
+
+    /// Remember the ranking just written to `order` for the next call's
+    /// warm start, or forget it after a call at or below the cutoff.
+    fn remember(&mut self, pending: &[AppState]) {
+        self.warm.clear();
+        if pending.len() <= COLD_SORT_MAX_PENDING {
+            return;
+        }
+        self.warm.resize(pending.len(), (AppId(0), 0));
+        for (rank, &i) in self.order.iter().enumerate() {
+            self.warm[i] = (pending[i].id, rank);
+        }
+    }
+}
+
+/// Insertion-sort `v` by `less` (a strict total order) from its current
+/// order, in `O(len + inversions)`. Returns `false` once
+/// `REPAIR_SHIFTS_PER_APP · len` shifts are spent, leaving `v` a partly
+/// repaired permutation for the cold sort to finish.
+fn repair<T: Copy>(v: &mut [T], mut less: impl FnMut(&T, &T) -> bool) -> bool {
+    let mut budget = REPAIR_SHIFTS_PER_APP * v.len();
+    for i in 1..v.len() {
+        let x = v[i];
+        let mut j = i;
+        while j > 0 && less(&x, &v[j - 1]) {
+            if budget == 0 {
+                v[j] = x;
+                return false;
+            }
+            budget -= 1;
+            v[j] = v[j - 1];
+            j -= 1;
+        }
+        v[j] = x;
+    }
+    true
 }
 
 /// An online scheduling strategy (§3.1).
@@ -426,7 +527,12 @@ pub fn greedy_allocate_into(ctx: &SchedContext<'_>, scratch: &mut AllocScratch) 
 /// key is a pure function of the [`AppState`], so computing it once per
 /// application (instead of once per comparison) cannot change it, and
 /// the comparator is strict on distinct applications (ids are unique),
-/// so the unstable sort is deterministic.
+/// so any sort yields the same permutation.
+///
+/// Above 20 pending applications the sort starts from the ranking the
+/// previous call left in `scratch` and repairs it (the warm start on
+/// [`AllocScratch`]); that state is a hint that can never change an
+/// order, so one scratch per run is enough.
 pub fn order_into_by_key_asc<F: FnMut(&AppState) -> f64>(
     ctx: &SchedContext<'_>,
     scratch: &mut AllocScratch,
@@ -441,19 +547,52 @@ pub fn order_into_by_key_asc<F: FnMut(&AppState) -> f64>(
     // `dilation_ratio` saturates at exactly 1.0 for every undelayed
     // application), and the old closure resolved every tie with two
     // random-access `pending[·].id` lookups.
+    let mut entry = |i: usize, a: &AppState| {
+        let b = key(a).to_bits();
+        let image = if b >> 63 == 1 { !b } else { b | (1 << 63) };
+        (image, a.id.0 as u64, i)
+    };
+    let pending = ctx.pending;
+    let warm = scratch.warm_start(pending);
     scratch.keyed.clear();
-    scratch
-        .keyed
-        .extend(ctx.pending.iter().enumerate().map(|(i, a)| {
-            let b = key(a).to_bits();
-            let image = if b >> 63 == 1 { !b } else { b | (1 << 63) };
-            (image, a.id.0 as u64, i)
-        }));
-    scratch.keyed.sort_unstable_by_key(|&(k, id, _)| (k, id));
+    if warm {
+        let start = scratch.order.iter().map(|&i| entry(i, &pending[i]));
+        scratch.keyed.extend(start);
+    } else {
+        let start = pending.iter().enumerate().map(|(i, a)| entry(i, a));
+        scratch.keyed.extend(start);
+    }
+    if !(warm && repair(&mut scratch.keyed, |x, y| (x.0, x.1) < (y.0, y.1))) {
+        scratch.keyed.sort_unstable_by_key(|&(k, id, _)| (k, id));
+    }
     scratch.order.clear();
     scratch
         .order
         .extend(scratch.keyed.iter().map(|&(_, _, i)| i));
+    scratch.remember(pending);
+}
+
+/// Comparator twin of [`order_into_by_key_asc`], for orders that do not
+/// fit one key image (MinMax-γ's two groups): the same warm start, repair
+/// and cold fallback, comparing [`AppState`]s with `cmp`. `cmp` must be
+/// strict on distinct applications (end in an `AppId` tie-break), so that
+/// every sort yields the same permutation.
+pub(crate) fn order_into_by<F: FnMut(&AppState, &AppState) -> Ordering>(
+    ctx: &SchedContext<'_>,
+    scratch: &mut AllocScratch,
+    mut cmp: F,
+) {
+    let pending = ctx.pending;
+    let mut by_index = |x: &usize, y: &usize| cmp(&pending[*x], &pending[*y]);
+    let warm = scratch.warm_start(pending);
+    if !warm {
+        scratch.order.clear();
+        scratch.order.extend(0..pending.len());
+    }
+    if !(warm && repair(&mut scratch.order, |x, y| by_index(x, y).is_lt())) {
+        scratch.order.sort_unstable_by(&mut by_index);
+    }
+    scratch.remember(pending);
 }
 
 /// Sort helper: returns pending-app indices ordered by `key` ascending,
@@ -638,6 +777,79 @@ mod tests {
         let mut scratch = AllocScratch::new();
         order_into_by_key_asc(&c, &mut scratch, |a| a.dilation_ratio);
         assert_eq!(scratch.order(), order_by_key_asc(&c, |a| a.dilation_ratio));
+
+        // The same above the warm-start cutoff, on the same scratch: 24
+        // unsorted applications leave a warm ranking behind, and the
+        // next call starts from it over a permuted slice with one
+        // application gone (id 1) and one new (id 40).
+        let mut pending: Vec<AppState> = (0..24).map(keyed_app).collect();
+        pending.rotate_left(5);
+        let c = ctx(10.0, &pending);
+        order_into_by_key_asc(&c, &mut scratch, |a| a.dilation_ratio);
+        assert_eq!(scratch.order(), order_by_key_asc(&c, |a| a.dilation_ratio));
+        pending.retain(|a| a.id != AppId(1));
+        pending.reverse();
+        pending.insert(7, keyed_app(40));
+        let c = ctx(10.0, &pending);
+        order_into_by_key_asc(&c, &mut scratch, |a| a.dilation_ratio);
+        assert_eq!(scratch.order(), order_by_key_asc(&c, |a| a.dilation_ratio));
+    }
+
+    /// Application `id` with a dilation ratio from four values, so keys
+    /// tie often.
+    fn keyed_app(id: usize) -> AppState {
+        let mut a = app(id, 1.0);
+        a.dilation_ratio = ((id * 7) % 11 / 3) as f64 / 4.0;
+        a
+    }
+
+    /// The `(key bits, id)` pairs of `pending` in the scratch's warm-start
+    /// order (non-negative keys, whose bits order like their values).
+    fn warm_images(scratch: &mut AllocScratch, pending: &[AppState]) -> Vec<(u64, AppId)> {
+        assert!(scratch.warm_start(pending));
+        let start = scratch.order.iter().map(|&i| &pending[i]);
+        start.map(|a| (a.dilation_ratio.to_bits(), a.id)).collect()
+    }
+
+    #[test]
+    fn a_reversal_exhausts_the_repair_and_falls_back_to_the_cold_order() {
+        let mut pending: Vec<AppState> = (0..64).map(keyed_app).collect();
+        for a in &mut pending {
+            a.dilation_ratio = a.id.0 as f64 / 64.0;
+        }
+        let mut scratch = AllocScratch::new();
+        order_into_by_key_asc(&ctx(10.0, &pending), &mut scratch, |a| a.dilation_ratio);
+        // Reversing the keys makes the warm start exactly backwards:
+        // 2,016 inversions against a budget of 256 shifts.
+        for a in &mut pending {
+            a.dilation_ratio = 1.0 - a.dilation_ratio;
+        }
+        let mut start = warm_images(&mut scratch, &pending);
+        assert!(!repair(&mut start, |x, y| x < y));
+        let c = ctx(10.0, &pending);
+        order_into_by_key_asc(&c, &mut scratch, |a| a.dilation_ratio);
+        assert_eq!(scratch.order(), order_by_key_asc(&c, |a| a.dilation_ratio));
+    }
+
+    #[test]
+    fn a_repeated_call_repairs_without_falling_back() {
+        let pending: Vec<AppState> = (0..32).map(keyed_app).collect();
+        let c = ctx(10.0, &pending);
+        let mut scratch = AllocScratch::new();
+        order_into_by_key_asc(&c, &mut scratch, |a| a.dilation_ratio);
+        let first = scratch.order.clone();
+        // The second identical call starts from the answer: the repair
+        // makes one comparison per neighbour pair and no shift.
+        let mut start = warm_images(&mut scratch, &pending);
+        let mut comparisons = 0;
+        assert!(repair(&mut start, |x, y| {
+            comparisons += 1;
+            x < y
+        }));
+        assert_eq!(comparisons, 31);
+        order_into_by_key_asc(&c, &mut scratch, |a| a.dilation_ratio);
+        assert_eq!(scratch.order(), first);
+        assert_eq!(first, order_by_key_asc(&c, |a| a.dilation_ratio));
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Property tests for the scheduling core: every policy's allocation
 //! always satisfies the §2.1 capacity rules, the Priority wrapper is a
-//! stable partition of its inner order, the bandwidth profile never
-//! overcommits, and random 3-Partition instances round-trip.
+//! stable partition of its inner order, a scratch kept across calls never
+//! changes an order, the bandwidth profile never overcommits, and random
+//! 3-Partition instances round-trip.
 
 use iosched_core::heuristics::PolicyKind;
 use iosched_core::periodic::BandwidthProfile;
-use iosched_core::policy::{AppState, OnlinePolicy, SchedContext};
+use iosched_core::policy::{AllocScratch, AppState, OnlinePolicy, SchedContext};
+use iosched_core::registry::PolicyFactory;
 use iosched_core::three_partition::ThreePartition;
-use iosched_model::{AppId, Bw, Time};
+use iosched_model::{AppId, Bw, Platform, Time};
 use proptest::prelude::*;
 
 fn arb_app_state(id: usize) -> impl Strategy<Value = AppState> {
@@ -36,6 +38,83 @@ fn arb_app_state(id: usize) -> impl Strategy<Value = AppState> {
 
 fn arb_pending() -> impl Strategy<Value = Vec<AppState>> {
     (1usize..20).prop_flat_map(|n| (0..n).map(arb_app_state).collect::<Vec<_>>())
+}
+
+/// Every online policy whose in-place path sorts into the scratch: the
+/// eight Fig. 6 heuristics, both baselines and the PI controller.
+const SCRATCH_ROSTER: [&str; 11] = [
+    "roundrobin",
+    "priority-roundrobin",
+    "mindilation",
+    "priority-mindilation",
+    "maxsyseff",
+    "priority-maxsyseff",
+    "minmax-0.50",
+    "priority-minmax-0.50",
+    "fairshare",
+    "fcfs",
+    "control:pi",
+];
+
+/// One event of a pending-set sequence: `(size the pending set moves
+/// toward, applications swapped out and in, key change, noise seed,
+/// total bandwidth in GiB/s)`. Key change 0 reverses every key, 1–4
+/// redraws them, 5–19 lets them drift; 19 also hands the policies the
+/// pending slice out of `AppId` order.
+fn arb_event() -> impl Strategy<Value = (usize, usize, u32, u64, f64)> {
+    (0usize..48, 0usize..3, 0u32..20, any::<u64>(), 1.0f64..256.0)
+}
+
+/// Uniform `[0, 1)` noise for draw `k` of seed `seed` (splitmix64).
+fn unit(seed: u64, k: u64) -> f64 {
+    let mut z = seed.wrapping_add(k.wrapping_add(1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    (z ^ (z >> 31)) as f64 / 2f64.powi(64)
+}
+
+/// Application `id` with keys drawn from `seed` on coarse grids, so ties
+/// are common: a third of the dilation ratios sit at exactly 1.0, and I/O
+/// instants fall on 10 s steps.
+fn drawn_app(id: usize, seed: u64) -> AppState {
+    let u = |k| unit(seed, k);
+    AppState {
+        id: AppId(id),
+        procs: 64 + (id as u64 % 7) * 128,
+        dilation_ratio: if u(0) < 0.3 { 1.0 } else { u(1) },
+        syseff_key: (u(2) * 50.0).floor() * 10.0,
+        last_io_end: Time::secs((u(3) * 30.0).floor() * 10.0),
+        io_requested_at: Time::secs((u(4) * 30.0).floor() * 10.0),
+        started_io: u(5) < 0.5,
+        max_bw: Bw::gib_per_sec(0.5 + (u(6) * 16.0).floor() * 4.0),
+    }
+}
+
+/// A small move between two events: ratios drift and saturate at 1.0,
+/// efficiency keys drift, and now and then an application finishes or
+/// starts a transfer.
+fn drift(a: &mut AppState, seed: u64, now: Time) {
+    let u = |k| unit(seed, k);
+    a.dilation_ratio = (a.dilation_ratio + (u(0) - 0.5) * 0.05).clamp(0.0, 1.0);
+    a.syseff_key = (a.syseff_key + (u(1) - 0.5) * 20.0).max(0.0);
+    if u(2) < 0.1 {
+        a.last_io_end = now;
+    }
+    if u(3) < 0.1 {
+        a.io_requested_at = now;
+    }
+    if u(4) < 0.1 {
+        a.started_io = !a.started_io;
+    }
+}
+
+/// Reverse every key's order (ties stay tied).
+fn reverse(a: &mut AppState) {
+    a.dilation_ratio = 1.0 - a.dilation_ratio;
+    a.syseff_key = 5_000.0 - a.syseff_key;
+    a.last_io_end = Time::secs(10_000.0 - a.last_io_end.as_secs());
+    a.io_requested_at = Time::secs(10_000.0 - a.io_requested_at.as_secs());
+    a.max_bw = Bw::gib_per_sec(70.0 - a.max_bw.as_gib_per_sec());
 }
 
 proptest! {
@@ -110,6 +189,79 @@ proptest! {
         for grp in [&prio_order[..first_fresh], &prio_order[first_fresh..]] {
             for w in grp.windows(2) {
                 prop_assert!(rank(w[0]) < rank(w[1]));
+            }
+        }
+    }
+
+    /// One scratch kept for a whole sequence of events never changes an
+    /// order: at every event the in-place entry points, whose sorts start
+    /// from the ranking the scratch remembers, match the allocating ones
+    /// bit for bit. Between events applications leave and arrive, the
+    /// pending size crosses the warm-start cutoff (20) both ways, keys
+    /// drift, get redrawn or reverse (exhausting the repair budget), and
+    /// now and then the pending slice breaks `AppId` order. Each entry
+    /// point drives its own policy instance, so the stateful `control:*`
+    /// policy stays in lockstep.
+    #[test]
+    fn a_scratch_kept_across_calls_never_changes_an_order(
+        events in prop::collection::vec(arb_event(), 30),
+    ) {
+        let platform = Platform::intrepid();
+        let mut lanes = Vec::new();
+        for name in SCRATCH_ROSTER {
+            let spec = PolicyFactory::parse(name).map_err(TestCaseError::fail)?;
+            let reference = spec.build_online(&platform).map_err(TestCaseError::fail)?;
+            let in_place = spec.build_online(&platform).map_err(TestCaseError::fail)?;
+            lanes.push((name, reference, in_place, AllocScratch::new()));
+        }
+        let mut apps: Vec<AppState> = Vec::new();
+        let mut next_id = 0;
+        for (step, &(target, swap, change, seed, total)) in events.iter().enumerate() {
+            let now = Time::secs(10.0 * (step + 1) as f64);
+            let leave = swap + apps.len().saturating_sub(target).min(8);
+            for k in 0..leave.min(apps.len()) {
+                let at = (unit(seed, 100 + k as u64) * apps.len() as f64) as usize;
+                apps.remove(at);
+            }
+            let arrive = swap + target.saturating_sub(apps.len()).min(8);
+            for _ in 0..arrive {
+                apps.push(drawn_app(next_id, seed ^ next_id as u64));
+                next_id += 1;
+            }
+            for (k, a) in apps.iter_mut().enumerate() {
+                match change {
+                    0 => reverse(a),
+                    1..=4 => *a = drawn_app(a.id.0, seed.wrapping_add(k as u64)),
+                    _ => drift(a, seed.wrapping_add(k as u64), now),
+                }
+            }
+            let mut pending = apps.clone();
+            if change == 19 {
+                let third = pending.len() / 3;
+                pending.rotate_left(third);
+            }
+            let ctx = SchedContext {
+                now,
+                total_bw: Bw::gib_per_sec(total),
+                pending: &pending,
+                signal: None,
+            };
+            for (name, reference, in_place, scratch) in &mut lanes {
+                in_place.order_into(&ctx, scratch);
+                let order = reference.order(&ctx);
+                prop_assert_eq!(scratch.order(), &order[..], "{} order at event {}", name, step);
+                in_place.allocate_into(&ctx, scratch);
+                let bits = |grants: &[(AppId, Bw)]| -> Vec<(AppId, u64)> {
+                    grants.iter().map(|&(id, bw)| (id, bw.get().to_bits())).collect()
+                };
+                let alloc = reference.allocate(&ctx);
+                prop_assert_eq!(
+                    bits(&scratch.alloc.grants),
+                    bits(&alloc.grants),
+                    "{} grants at event {}",
+                    name,
+                    step
+                );
             }
         }
     }
