@@ -15,6 +15,12 @@
 //! three times (a longer, thinner transfer often fits where a full-rate one
 //! does not); this ladder is an implementation choice the paper leaves
 //! open ("a constant bandwidth").
+//!
+//! Applications with bit-identical `(procs, work, vol)` share a *shape*;
+//! once an insertion of a shape fails from some cursor, the builder
+//! refuses every later insertion of that shape from a cursor at least as
+//! late without scanning the profile again (see
+//! [`ScheduleBuilder::try_insert`]).
 
 use super::profile::BandwidthProfile;
 use super::schedule::{AppPlan, PeriodicSchedule, PlannedInstance};
@@ -23,7 +29,7 @@ use serde::{Deserialize, Serialize};
 
 /// Safety cap on instances of one application per period; prevents
 /// pathological periods from degenerating into unbounded insertion loops.
-const MAX_INSTANCES_PER_APP: usize = 100_000;
+pub(super) const MAX_INSTANCES_PER_APP: usize = 100_000;
 
 /// How many times the bandwidth ladder halves the request.
 const BW_LADDER_STEPS: u32 = 3;
@@ -96,6 +102,47 @@ pub struct ScheduleBuilder {
     max_bw: Vec<Bw>,
     cursors: Vec<Time>,
     plans: Vec<AppPlan>,
+    failed: FailedFits,
+}
+
+/// The earliest cursor each application shape has failed to fit from.
+#[derive(Debug, Clone)]
+struct FailedFits {
+    /// Per application: its shape's slot in `from`.
+    shape: Vec<usize>,
+    /// Per shape: the smallest cursor an insertion failed from (`+∞`
+    /// until one does).
+    from: Vec<f64>,
+}
+
+impl FailedFits {
+    /// Group `apps` by the bits of `(procs, work, vol)`.
+    fn new(apps: &[PeriodicAppSpec]) -> Self {
+        let key = |a: &PeriodicAppSpec| (a.procs, a.work.get().to_bits(), a.vol.get().to_bits());
+        let mut order: Vec<usize> = (0..apps.len()).collect();
+        order.sort_unstable_by_key(|&i| key(&apps[i]));
+        let mut shape = vec![0; apps.len()];
+        let mut from = Vec::new();
+        for (k, &i) in order.iter().enumerate() {
+            if k == 0 || key(&apps[order[k - 1]]) != key(&apps[i]) {
+                from.push(f64::INFINITY);
+            }
+            shape[i] = from.len() - 1;
+        }
+        Self { shape, from }
+    }
+
+    /// True when application `idx`'s shape already failed from a cursor
+    /// no later than `cursor`.
+    fn known(&self, idx: usize, cursor: Time) -> bool {
+        cursor.get() >= self.from[self.shape[idx]]
+    }
+
+    /// Record that application `idx` failed to fit from `cursor`.
+    fn record(&mut self, idx: usize, cursor: Time) {
+        let from = &mut self.from[self.shape[idx]];
+        *from = from.min(cursor.get());
+    }
 }
 
 impl ScheduleBuilder {
@@ -125,6 +172,7 @@ impl ScheduleBuilder {
             max_bw,
             cursors: vec![Time::ZERO; apps.len()],
             plans,
+            failed: FailedFits::new(apps),
         }
     }
 
@@ -143,11 +191,36 @@ impl ScheduleBuilder {
     /// Try to insert the next instance of application index `idx`.
     /// Returns `true` on success; `false` when nothing fits in the
     /// remaining period (the application is *saturated* for this period).
+    ///
+    /// A failure is remembered per application shape — the bits of
+    /// `(procs, work, vol)` — with the cursor it failed from; a later
+    /// call for an application of the same shape whose cursor is at
+    /// least that late returns `false` without scanning. This is exact:
+    /// within one builder availability only shrinks (reservations
+    /// subtract, splits keep values), a later earliest start only removes
+    /// windows, and the ladder rungs, the transfer durations and the
+    /// compute-end check depend only on the shape and the cursor. Hitting
+    /// the per-application instance cap is not remembered: it depends on
+    /// the application's own `n_per`, not on its shape.
     pub fn try_insert(&mut self, idx: usize) -> bool {
-        let app = self.apps[idx];
         if self.plans[idx].instances.len() >= MAX_INSTANCES_PER_APP {
             return false;
         }
+        let cursor = self.cursors[idx];
+        if self.failed.known(idx, cursor) {
+            return false;
+        }
+        let fitted = self.fit(idx);
+        if !fitted {
+            self.failed.record(idx, cursor);
+        }
+        fitted
+    }
+
+    /// Place the next instance of application index `idx` from its
+    /// cursor, scanning the profile for its transfer.
+    fn fit(&mut self, idx: usize) -> bool {
+        let app = self.apps[idx];
         let compute_start = self.cursors[idx];
         let compute_end = compute_start + app.work;
         if compute_end.approx_gt(self.period) {
@@ -200,6 +273,14 @@ impl ScheduleBuilder {
             return true;
         }
         false
+    }
+
+    /// [`ScheduleBuilder::try_insert`] with every remembered failure
+    /// forgotten first: the unmemoized reference the tests compare with.
+    #[cfg(test)]
+    pub(super) fn try_insert_unmemoized(&mut self, idx: usize) -> bool {
+        self.failed.from.fill(f64::INFINITY);
+        self.try_insert(idx)
     }
 
     /// Finish and return the schedule.

@@ -147,6 +147,11 @@ impl BandwidthProfile {
     /// no such window exists.
     ///
     /// A zero-duration request fits at `earliest` itself (if in range).
+    ///
+    /// The scan walks segments from the one holding `earliest` and stops
+    /// with `None` as soon as the current candidate's window would end
+    /// past the period, instead of walking the rest of the profile: no
+    /// later segment could accept a window (see the comment in the loop).
     #[must_use]
     pub fn first_fit(&self, earliest: Time, dur: Time, bw: Bw) -> Option<Time> {
         let earliest = earliest.max(Time::ZERO);
@@ -167,8 +172,19 @@ impl BandwidthProfile {
             if self.avail[i].approx_ge(bw) {
                 let rs = *run_start.get_or_insert(self.times[i]);
                 let candidate = rs.max(earliest);
-                if (candidate + dur).approx_le(seg_end) {
+                let end = candidate + dur;
+                if end.approx_le(seg_end) {
                     return Some(candidate);
+                }
+                // Exact early exit. Candidates never decrease along the
+                // scan (a run only restarts at a later boundary), so no
+                // later window ends before `end`; every segment ends at
+                // or before the period; and `approx_le` is monotone — a
+                // larger left side or a smaller right side never turns
+                // false into true. If `end` overruns the period, no later
+                // segment can pass the test above.
+                if !end.approx_le(self.period) {
+                    return None;
                 }
             } else {
                 run_start = None;

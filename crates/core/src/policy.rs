@@ -538,20 +538,13 @@ pub fn order_into_by_key_asc<F: FnMut(&AppState) -> f64>(
     scratch: &mut AllocScratch,
     mut key: F,
 ) {
-    // Map each key through the IEEE-754 total-order bijection (flip all
-    // bits of negatives, set the sign bit of non-negatives): `u64` order
-    // on the images is exactly `f64::total_cmp` on the keys. Sorting
-    // `(image, id)` pairs as integers therefore yields precisely the
-    // comparator-based permutation — and keeps the hot comparison free of
-    // indirect loads. That matters because keys tie *often* (e.g.
-    // `dilation_ratio` saturates at exactly 1.0 for every undelayed
-    // application), and the old closure resolved every tie with two
-    // random-access `pending[·].id` lookups.
-    let mut entry = |i: usize, a: &AppState| {
-        let b = key(a).to_bits();
-        let image = if b >> 63 == 1 { !b } else { b | (1 << 63) };
-        (image, a.id.0 as u64, i)
-    };
+    // Sorting `(total_order_image(key), id)` pairs as integers yields
+    // precisely the comparator-based permutation — and keeps the hot
+    // comparison free of indirect loads. That matters because keys tie
+    // *often* (e.g. `dilation_ratio` saturates at exactly 1.0 for every
+    // undelayed application), and the old closure resolved every tie
+    // with two random-access `pending[·].id` lookups.
+    let mut entry = |i: usize, a: &AppState| (total_order_image(key(a)), a.id.0 as u64, i);
     let pending = ctx.pending;
     let warm = scratch.warm_start(pending);
     scratch.keyed.clear();
@@ -570,6 +563,19 @@ pub fn order_into_by_key_asc<F: FnMut(&AppState) -> f64>(
         .order
         .extend(scratch.keyed.iter().map(|&(_, _, i)| i));
     scratch.remember(pending);
+}
+
+/// The IEEE-754 total-order bijection (flip every bit of a negative, set
+/// the sign bit of a non-negative): `u64` order on the images is exactly
+/// `f64::total_cmp` order on the values.
+#[inline]
+pub(crate) fn total_order_image(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | (1 << 63)
+    }
 }
 
 /// Comparator twin of [`order_into_by_key_asc`], for orders that do not

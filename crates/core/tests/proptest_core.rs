@@ -1,8 +1,9 @@
 //! Property tests for the scheduling core: every policy's allocation
 //! always satisfies the §2.1 capacity rules, the Priority wrapper is a
 //! stable partition of its inner order, a scratch kept across calls never
-//! changes an order, the bandwidth profile never overcommits, and random
-//! 3-Partition instances round-trip.
+//! changes an order, the bandwidth profile never overcommits and its
+//! early-exit first fit agrees with a full scan, and random 3-Partition
+//! instances round-trip.
 
 use iosched_core::heuristics::PolicyKind;
 use iosched_core::periodic::BandwidthProfile;
@@ -115,6 +116,35 @@ fn reverse(a: &mut AppState) {
     a.last_io_end = Time::secs(10_000.0 - a.last_io_end.as_secs());
     a.io_requested_at = Time::secs(10_000.0 - a.io_requested_at.as_secs());
     a.max_bw = Bw::gib_per_sec(70.0 - a.max_bw.as_gib_per_sec());
+}
+
+/// `BandwidthProfile::first_fit` without its early exit: the same walk
+/// over every segment from the one holding `earliest` to the period end,
+/// through the public `segments()` view.
+fn naive_first_fit(profile: &BandwidthProfile, earliest: Time, dur: Time, bw: Bw) -> Option<Time> {
+    let period = profile.period();
+    let earliest = earliest.max(Time::ZERO);
+    if dur.is_zero() {
+        return earliest.approx_le(period).then(|| earliest.min(period));
+    }
+    if earliest.approx_ge(period) {
+        return None;
+    }
+    let mut run_start: Option<Time> = None;
+    for (start, end, avail) in profile.segments() {
+        if end.get() <= earliest.get() {
+            continue;
+        }
+        if avail.approx_ge(bw) {
+            let candidate = run_start.get_or_insert(start).max(earliest);
+            if (candidate + dur).approx_le(end) {
+                return Some(candidate);
+            }
+        } else {
+            run_start = None;
+        }
+    }
+    None
 }
 
 proptest! {
@@ -299,6 +329,37 @@ proptest! {
                 min.approx_ge(Bw::gib_per_sec(bw)),
                 "window at {s} has only {min}"
             );
+        }
+    }
+
+    /// The early exit in `first_fit` is exact: on profiles built by
+    /// random reservations, it returns the same bits as a scan of every
+    /// segment, including zero durations and starts at or past the
+    /// period.
+    #[test]
+    fn profile_first_fit_matches_a_full_scan(
+        reservations in prop::collection::vec(
+            (0.0f64..100.0, 0.1f64..40.0, 0.1f64..10.0), 0..40),
+        queries in prop::collection::vec(
+            (0.0f64..130.0, 0u32..4, 0.0f64..60.0, 0.1f64..10.0), 1..16),
+    ) {
+        let period = Time::secs(100.0);
+        let mut profile = BandwidthProfile::new(period, Bw::gib_per_sec(10.0));
+        for (start, dur, bw) in reservations {
+            let end = (start + dur).min(100.0);
+            if end > start {
+                let _ = profile.reserve(Time::secs(start), Time::secs(end), Bw::gib_per_sec(bw));
+            }
+        }
+        for (from, kind, dur, bw) in queries {
+            // Kind 0: a zero duration; kind 1: a start exactly at the
+            // period; otherwise a random start and duration.
+            let dur = if kind == 0 { Time::ZERO } else { Time::secs(dur) };
+            let from = if kind == 1 { period } else { Time::secs(from) };
+            let bw = Bw::gib_per_sec(bw);
+            let fast = profile.first_fit(from, dur, bw).map(|t| t.as_secs().to_bits());
+            let naive = naive_first_fit(&profile, from, dur, bw).map(|t| t.as_secs().to_bits());
+            prop_assert_eq!(fast, naive, "first_fit({from}, {dur}, {bw})");
         }
     }
 

@@ -71,15 +71,22 @@ impl ClientWriter {
     /// false when the client is gone.
     fn send(&mut self, line: &str) -> bool {
         match self {
-            Self::Stdout => {
-                let mut out = std::io::stdout().lock();
-                writeln!(out, "{line}").and_then(|()| out.flush()).is_ok()
-            }
-            Self::Socket(stream) => writeln!(stream, "{line}")
-                .and_then(|()| stream.flush())
-                .is_ok(),
+            Self::Stdout => write_line(&mut std::io::stdout().lock(), line).is_ok(),
+            Self::Socket(stream) => write_line(stream, line).is_ok(),
         }
     }
+}
+
+/// Write `line` and its newline as one framed buffer, then flush. On an
+/// unbuffered socket `writeln!` issues two writes — the line, then the
+/// newline — so a reader blocked on the socket could wake for a line
+/// without its newline and have to wake again.
+fn write_line(out: &mut impl Write, line: &str) -> std::io::Result<()> {
+    let mut framed = String::with_capacity(line.len() + 1);
+    framed.push_str(line);
+    framed.push('\n');
+    out.write_all(framed.as_bytes())?;
+    out.flush()
 }
 
 fn spawn_reader(
@@ -374,7 +381,7 @@ pub fn connect(socket: &Path) -> Result<(), String> {
         let mut out = std::io::stdout();
         for line in BufReader::new(reader).lines() {
             let Ok(line) = line else { break };
-            if writeln!(out, "{line}").and_then(|()| out.flush()).is_err() {
+            if write_line(&mut out, &line).is_err() {
                 break;
             }
         }
@@ -383,14 +390,46 @@ pub fn connect(socket: &Path) -> Result<(), String> {
     let stdin = std::io::stdin();
     for line in stdin.lock().lines() {
         let Ok(line) = line else { break };
-        if writeln!(stream_w, "{line}")
-            .and_then(|()| stream_w.flush())
-            .is_err()
-        {
+        if write_line(&mut stream_w, &line).is_err() {
             break;
         }
     }
     let _ = stream_w.shutdown(std::net::Shutdown::Write);
     let _ = pump.join();
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::write_line;
+    use std::io::Write;
+
+    /// A sink that keeps the bytes of every `write` call separately.
+    #[derive(Default)]
+    struct Calls(Vec<Vec<u8>>);
+
+    impl Write for Calls {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_protocol_line_is_one_write() {
+        let mut sink = Calls::default();
+        for line in [r#"{"cmd":"status"}"#, "", "x"] {
+            write_line(&mut sink, line).unwrap();
+        }
+        let want: Vec<Vec<u8>> = vec![
+            b"{\"cmd\":\"status\"}\n".to_vec(),
+            b"\n".to_vec(),
+            b"x\n".to_vec(),
+        ];
+        assert_eq!(sink.0, want);
+    }
 }

@@ -1,18 +1,23 @@
 //! Cross-crate checks of the §3.2 periodic machinery: schedules built by
 //! the insertion heuristics stay valid on random inputs, steady state
 //! agrees with the unrolled finite-horizon execution, the fluid engine
-//! replaying a timetable agrees with the analytic unrolling, and the
-//! Theorem 1 reduction round-trips through the scheduler types.
+//! replaying a timetable agrees with the analytic unrolling, the Theorem 1
+//! reduction round-trips through the scheduler types, and the period
+//! search's output matches recorded digests bit for bit.
 
+use iosched_bench::campaign::CampaignSpec;
+use iosched_bench::experiments::fig04;
 use iosched_core::periodic::{
     build_schedule, InsertionHeuristic, PeriodSearch, PeriodicAppSpec, PeriodicObjective,
-    TimetablePolicy,
+    SearchResult, TimetablePolicy,
 };
+use iosched_core::registry::PeriodicFactory;
 use iosched_core::three_partition::ThreePartition;
 use iosched_model::{Bw, Bytes, Platform, Time};
 use iosched_sim::periodic_exec::{replay_apps, unroll_report};
 use iosched_sim::{simulate, SimConfig};
 use iosched_workload::congestion::congested_moment;
+use iosched_workload::WorkloadSpec;
 use proptest::prelude::*;
 
 fn arb_periodic_apps() -> impl Strategy<Value = Vec<PeriodicAppSpec>> {
@@ -190,4 +195,200 @@ fn theorem1_reduction_end_to_end() {
 fn theorem1_infeasible_instance() {
     let instance = ThreePartition::new(20, vec![10, 10, 10, 4, 3, 3]).unwrap();
     assert!(instance.brute_force().is_none());
+}
+
+/// FNV-1a, 64-bit: a dependency-free digest of a search's output bits.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn u64(&mut self, v: u64) {
+        for byte in v.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+
+    /// Every bit of one search outcome: the period, the candidate count,
+    /// each plan's id and instances, and the steady-state report.
+    fn result(&mut self, result: Option<&SearchResult>) {
+        let Some(r) = result else {
+            self.u64(0);
+            return;
+        };
+        self.u64(1);
+        self.f64(r.schedule.period.as_secs());
+        self.u64(r.candidates_tried as u64);
+        for plan in &r.schedule.plans {
+            self.u64(plan.app.0 as u64);
+            self.u64(plan.instances.len() as u64);
+            for inst in &plan.instances {
+                self.u64(inst.index as u64);
+                self.f64(inst.compute_start.as_secs());
+                self.f64(inst.compute_end.as_secs());
+                self.f64(inst.io_start.as_secs());
+                self.f64(inst.io_end.as_secs());
+                self.f64(inst.io_bw.get());
+            }
+        }
+        let report = &r.report;
+        self.f64(report.sys_efficiency);
+        self.f64(report.upper_limit);
+        self.f64(report.dilation);
+        for app in &report.per_app {
+            self.u64(app.app.0 as u64);
+            self.u64(app.procs);
+            self.u64(app.n_per as u64);
+            self.f64(app.rho);
+            self.f64(app.rho_tilde);
+        }
+    }
+}
+
+/// Hex digest of `run` followed by `run_complete` on one roster.
+fn search_digest(
+    search: &PeriodSearch,
+    platform: &Platform,
+    apps: &[PeriodicAppSpec],
+    heuristic: InsertionHeuristic,
+) -> String {
+    let mut h = Fnv::new();
+    h.result(search.run(platform, apps, heuristic).as_ref());
+    h.result(search.run_complete(platform, apps, heuristic).as_ref());
+    format!("{:016x}", h.0)
+}
+
+fn periodic_specs(apps: &[iosched_model::AppSpec]) -> Vec<PeriodicAppSpec> {
+    apps.iter()
+        .map(|a| PeriodicAppSpec::from_app(a).unwrap())
+        .collect()
+}
+
+/// The 120-application roster of `examples/campaign_stream.json`'s first
+/// block, with its congested-moment template frozen to the roster it
+/// generates (as the load-sweep benchmark does), so the seed binds only
+/// the arrival process.
+fn stream_roster(platform: &Platform) -> Vec<PeriodicAppSpec> {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/campaign_stream.json");
+    let text = std::fs::read_to_string(path).expect("examples/campaign_stream.json is checked in");
+    let mut spec = CampaignSpec::from_json(&text).expect("example parses");
+    if let WorkloadSpec::Stream { template, .. } = &mut spec.workloads[0] {
+        let roster = template.materialize(platform).unwrap();
+        **template = WorkloadSpec::Explicit(roster);
+    }
+    let apps = spec.bound_workload(0, 0).materialize(platform).unwrap();
+    assert_eq!(apps.len(), 120);
+    periodic_specs(&apps)
+}
+
+/// The period search's output, pinned bit for bit: any change to the
+/// insertion heuristics, the builder, the bandwidth profile or the
+/// search loop that moves one instance, one period or one report float
+/// shows up here. Digests cover `run` and `run_complete` together.
+#[test]
+fn period_search_output_matches_recorded_digests() {
+    const GOLDEN: &[(&str, &str)] = &[
+        ("fig4", "5d4096e627a04bfd"),
+        ("moment0/cong/dilation", "d7dc726f7ed56cfd"),
+        ("moment0/cong/syseff", "4d99ed71d8b930d5"),
+        ("moment0/throu/dilation", "d8a09a6afd2b131d"),
+        ("moment0/throu/syseff", "fc82a8c1be1aa727"),
+        ("moment1/cong/dilation", "4fa87b30b742f905"),
+        ("moment1/cong/syseff", "4fa87b30b742f905"),
+        ("moment1/throu/dilation", "38346298bf80ca21"),
+        ("moment1/throu/syseff", "89be9d25f467c0b5"),
+        ("moment2/cong/dilation", "0b166c3215e15b09"),
+        ("moment2/cong/syseff", "3bc6f2c59bd61741"),
+        ("moment2/throu/dilation", "da8ee33a89335f34"),
+        ("moment2/throu/syseff", "9cfc00e90c115109"),
+        ("moment3/cong/dilation", "397522e1f4ca1625"),
+        ("moment3/cong/syseff", "64a2eeb0e36e77d5"),
+        ("moment3/throu/dilation", "2fa1eb56c83a3185"),
+        ("moment3/throu/syseff", "88ccdd801d38a5a3"),
+        ("moment4/cong/dilation", "1c648f8f7faee2f9"),
+        ("moment4/cong/syseff", "1c648f8f7faee2f9"),
+        ("moment4/throu/dilation", "f1d6b48b0cd07005"),
+        ("moment4/throu/syseff", "062ec8e1da38c7a6"),
+        ("moment5/cong/dilation", "ff4537bf7753e64d"),
+        ("moment5/cong/syseff", "439361ac84edf825"),
+        ("moment5/throu/dilation", "489818022ef8e2cd"),
+        ("moment5/throu/syseff", "760d35dfb34c86d5"),
+        ("moment6/cong/dilation", "e69fa440f8183d75"),
+        ("moment6/cong/syseff", "c925405c4455d9b0"),
+        ("moment6/throu/dilation", "c099758fd16fdef5"),
+        ("moment6/throu/syseff", "e6b2270d116ee40a"),
+        ("moment7/cong/dilation", "f04a8648dd39c18d"),
+        ("moment7/cong/syseff", "6940bbbea4847225"),
+        ("moment7/throu/dilation", "e5fec5a951f6f3c8"),
+        ("moment7/throu/syseff", "6457f51bd67a756a"),
+        ("stream120/cong/tmax=32", "9c1f6b7ce7bbf211"),
+        ("stream120/throu/tmax=32", "f32b7e904a05e5ee"),
+        ("moment0/cong/dilation/eps=0.01", "4f37d591256f8931"),
+    ];
+    let mut got: Vec<(String, String)> = Vec::new();
+
+    let fig4 = fig04::periodic_factory();
+    got.push((
+        "fig4".into(),
+        search_digest(
+            &fig4.search().unwrap(),
+            &fig04::paper_platform(),
+            &fig04::paper_apps(),
+            fig4.heuristic,
+        ),
+    ));
+
+    let intrepid = Platform::intrepid();
+    let heuristics = [
+        ("cong", InsertionHeuristic::Congestion),
+        ("throu", InsertionHeuristic::Throughput),
+    ];
+    let objectives = [
+        ("dilation", PeriodicObjective::Dilation),
+        ("syseff", PeriodicObjective::SysEfficiency),
+    ];
+    for seed in 0..8 {
+        let apps = periodic_specs(&congested_moment(&intrepid, seed));
+        for (h_name, heuristic) in heuristics {
+            for (o_name, objective) in objectives {
+                got.push((
+                    format!("moment{seed}/{h_name}/{o_name}"),
+                    search_digest(&PeriodSearch::new(objective), &intrepid, &apps, heuristic),
+                ));
+            }
+        }
+    }
+
+    let stream = stream_roster(&intrepid);
+    for (h_name, heuristic) in heuristics {
+        let search =
+            PeriodSearch::new(PeriodicFactory::paired_objective(heuristic)).with_max_factor(32.0);
+        got.push((
+            format!("stream120/{h_name}/tmax=32"),
+            search_digest(&search, &intrepid, &stream, heuristic),
+        ));
+    }
+
+    let fine = PeriodSearch::new(PeriodicObjective::Dilation).with_epsilon(0.01);
+    let moment = periodic_specs(&congested_moment(&intrepid, 0));
+    got.push((
+        "moment0/cong/dilation/eps=0.01".into(),
+        search_digest(&fine, &intrepid, &moment, InsertionHeuristic::Congestion),
+    ));
+
+    let want: Vec<(String, String)> = GOLDEN
+        .iter()
+        .map(|&(l, d)| (l.to_string(), d.to_string()))
+        .collect();
+    assert_eq!(
+        got, want,
+        "period search output drifted from the recorded digests"
+    );
 }
