@@ -1,9 +1,13 @@
 //! Criterion bench: per-event decision latency of every online policy —
 //! the cost the scheduler thread pays at each I/O event (§5.1 overhead).
+//! Each policy decides through `allocate_into` on one reused
+//! `AllocScratch`, the in-place entry point the engine and the IOR
+//! scheduler drive; above 20 pending applications that includes the warm
+//! start from the previous call's ranking.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use iosched_core::heuristics::PolicyKind;
-use iosched_core::policy::{AppState, SchedContext};
+use iosched_core::policy::{AllocScratch, AppState, SchedContext};
 use iosched_model::{AppId, Bw, Time};
 use std::hint::black_box;
 
@@ -34,8 +38,12 @@ fn bench_policies(c: &mut Criterion) {
         };
         for kind in PolicyKind::fig6_roster() {
             let mut policy = kind.build();
+            let mut scratch = AllocScratch::new();
             group.bench_with_input(BenchmarkId::new(kind.name(), n), &ctx, |b, ctx| {
-                b.iter(|| black_box(policy.allocate(black_box(ctx))))
+                b.iter(|| {
+                    policy.allocate_into(black_box(ctx), &mut scratch);
+                    black_box(scratch.alloc.grants.len())
+                })
             });
         }
     }

@@ -1,5 +1,6 @@
-//! Criterion bench: fluid-simulator event throughput on a congested
-//! moment (events/second of simulator work).
+//! Criterion bench: fluid-simulator event throughput (events/second of
+//! simulator work) on a congested moment under each policy family, a
+//! timetable replay, and the `stream_10k` open stream.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use iosched_baselines::FairShare;
@@ -114,7 +115,7 @@ fn bench_sim(c: &mut Criterion) {
     // the lazy workload synthesis riding along in the source iterator:
     // `stream_10k_gen` drains the generator alone, `stream_10k_sim`
     // replays a pre-materialized arrival list through the slot-recycling
-    // arena (`bench_stream_mem` measures the allocation side).
+    // arena (`tests/perf_bars.rs` measures the allocation side).
     group.bench_function(BenchmarkId::new("stream_10k_gen", 10_000), |b| {
         let spec = load_sweep::stream_10k();
         b.iter(|| {

@@ -82,10 +82,12 @@ pub fn policies() -> Vec<PolicySpec> {
 /// arrivals at ~90 % of the saturation rate, so the system stays
 /// *stable* with ~10–50 congested-moment shapes in flight at any
 /// instant (mean I/O queue ≈ 8, peak live ≈ 52), 80× longer than the
-/// sweep streams. Driven lazily
-/// (`WorkloadSpec::app_source` + `simulate_stream`) by the
-/// `bench_stream_mem` binary and the `sim_throughput` `stream_10k`
-/// case; never materialized by either.
+/// sweep streams. `tests/perf_bars.rs` runs it both lazily
+/// (`WorkloadSpec::app_source` + `simulate_stream`) and fully
+/// materialized to hold the bounded-memory bar; the `sim_throughput`
+/// `stream_10k_sim` case and the decision-trace overhead bar in
+/// `tests/obs_identity.rs` replay a pre-collected arrival list, so they
+/// time the engine without the workload synthesis.
 #[must_use]
 pub fn stream_10k() -> WorkloadSpec {
     WorkloadSpec::Stream {

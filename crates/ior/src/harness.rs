@@ -65,12 +65,17 @@ pub fn run_ior(
             "use_burst_buffer requires a platform burst buffer".into(),
         ));
     }
+    // The scheduler keys requests by `AppId`, so every per-application
+    // table (progress, completion channels) runs in `AppId` order;
+    // `validate_scenario` accepts any permutation of the dense ids.
+    let mut apps = config.apps.clone();
+    apps.sort_by_key(AppSpec::id);
     let started = Instant::now();
     let clock = SimClock::start(config.speedup);
     let (to_sched, sched_rx) = unbounded::<ToScheduler>();
-    let mut complete_txs = Vec::with_capacity(config.apps.len());
-    let mut complete_rxs = Vec::with_capacity(config.apps.len());
-    for _ in &config.apps {
+    let mut complete_txs = Vec::with_capacity(apps.len());
+    let mut complete_rxs = Vec::with_capacity(apps.len());
+    for _ in &apps {
         let (tx, rx) = unbounded::<ToApp>();
         complete_txs.push(tx);
         complete_rxs.push(rx);
@@ -78,14 +83,14 @@ pub fn run_ior(
 
     let scheduler = Scheduler::new(
         &config.platform,
-        &config.apps,
+        &apps,
         clock,
         config.use_burst_buffer,
         config.allow_all,
     );
 
     let (progress, stats) = std::thread::scope(|scope| {
-        for (spec, rx) in config.apps.iter().zip(complete_rxs) {
+        for (spec, rx) in apps.iter().zip(complete_rxs) {
             let to_sched = to_sched.clone();
             scope.spawn(move || run_app(spec, clock, &to_sched, &rx));
         }
@@ -191,6 +196,35 @@ mod tests {
         cfg.platform = cfg.platform.with_default_burst_buffer();
         let out = run_ior(&cfg, &mut RoundRobin).unwrap();
         assert_eq!(out.stats.completions, 6);
+    }
+
+    /// `validate_scenario` accepts any permutation of dense ids, so the
+    /// harness must run one too. Tables indexed by roster position would
+    /// send an out-of-order roster's completions to the wrong application
+    /// thread, and the run would never return; the watchdog turns that
+    /// into a failure instead of a stuck suite.
+    #[test]
+    fn roster_out_of_id_order_runs_to_completion() {
+        let apps = vec![
+            AppSpec::periodic(1, Time::ZERO, 512, Time::secs(20.0), Bytes::gib(60.0), 1),
+            AppSpec::periodic(0, Time::ZERO, 256, Time::secs(20.0), Bytes::gib(60.0), 3),
+        ];
+        let cfg = fast_config(apps);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let _ = tx.send(run_ior(&cfg, &mut RoundRobin));
+        });
+        let out = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("run_ior hung or panicked")
+            .unwrap();
+        worker.join().expect("harness thread exits cleanly");
+        assert_eq!(out.stats.requests, 4);
+        assert_eq!(out.stats.completions, 4);
+        assert_eq!(out.report.per_app.len(), 2);
+        for o in &out.report.per_app {
+            assert!(o.rho_tilde > 0.0, "{}: no progress", o.id);
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use crate::clock::SimClock;
 use crate::protocol::{ToApp, ToScheduler};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
-use iosched_core::policy::{AppState, OnlinePolicy, StateBuffer};
+use iosched_core::policy::{AllocScratch, AppState, OnlinePolicy, StateBuffer};
 use iosched_model::{AppProgress, AppSpec, Bw, Bytes, Platform, Time};
 use iosched_sim::burst_buffer::BurstBufferState;
 use std::time::Duration;
@@ -59,6 +59,8 @@ pub struct Scheduler<'a> {
     /// Reused policy-snapshot arena (same discipline as the fluid
     /// simulator's engine: refilled in place at every re-allocation).
     snapshot: StateBuffer,
+    /// Reused decision workspace of `OnlinePolicy::allocate_into`.
+    scratch: AllocScratch,
     /// Reused scratch: indices with an outstanding request.
     pending: Vec<usize>,
 }
@@ -68,8 +70,9 @@ impl<'a> Scheduler<'a> {
     ///
     /// # Panics
     /// Panics when `use_burst_buffer` is set without a platform burst
-    /// buffer, or an application has a zero-volume instance (IOR groups
-    /// always write).
+    /// buffer, when `specs` is not in `AppId` order (`specs[k]` must be
+    /// `App(k)`: requests are routed by id), or when an application has
+    /// a zero-volume instance (IOR groups always write).
     #[must_use]
     pub fn new(
         platform: &'a Platform,
@@ -78,7 +81,8 @@ impl<'a> Scheduler<'a> {
         use_burst_buffer: bool,
         allow_all: bool,
     ) -> Self {
-        for spec in specs {
+        for (k, spec) in specs.iter().enumerate() {
+            assert_eq!(spec.id().0, k, "IOR rosters must be in AppId order");
             assert!(
                 spec.pattern().iter().all(|i| i.vol.get() > 0.0),
                 "{}: IOR applications must write in every iteration",
@@ -107,6 +111,7 @@ impl<'a> Scheduler<'a> {
             allow_all,
             stats: SchedulerStats::default(),
             snapshot: StateBuffer::new(),
+            scratch: AllocScratch::new(),
             pending: Vec::with_capacity(specs.len()),
         }
     }
@@ -229,23 +234,24 @@ impl<'a> Scheduler<'a> {
                 max_bw: (self.platform.proc_bw * self.progress[i].procs() as f64).min(capacity),
             });
         }
-        let grants: Vec<(iosched_model::AppId, Bw)> = if self.allow_all {
+        let ctx = self.snapshot.context(now, capacity);
+        if self.allow_all {
             // Overhead-measurement mode (§5.1): "the scheduler always
             // allows all requests to I/O" — everyone gets its card limit.
-            self.snapshot
-                .states()
-                .iter()
-                .map(|s| (s.id, s.max_bw))
-                .collect()
+            let grants = &mut self.scratch.alloc.grants;
+            grants.clear();
+            grants.extend(ctx.pending.iter().map(|s| (s.id, s.max_bw)));
         } else {
-            let ctx = self.snapshot.context(now, capacity);
-            let alloc = policy.allocate(&ctx);
-            debug_assert!(alloc.validate(&ctx).is_ok(), "invalid allocation");
-            alloc.grants
-        };
+            policy.allocate_into(&ctx, &mut self.scratch);
+            debug_assert!(
+                self.scratch.alloc.validate(&ctx).is_ok(),
+                "invalid allocation"
+            );
+        }
+        let alloc = &self.scratch.alloc;
         self.stats.reallocations += 1;
 
-        let active = grants.iter().filter(|(_, b)| b.get() > 0.0).count();
+        let active = alloc.grants.iter().filter(|(_, b)| b.get() > 0.0).count();
         let contended = self.platform.interference.factor(active);
         let ingest_factor = match &self.bb {
             Some(b) if !b.is_throttled() => 1.0,
@@ -258,14 +264,9 @@ impl<'a> Scheduler<'a> {
             }
             None => self.platform.total_bw,
         };
-        for (rank, &i) in self.pending.iter().enumerate() {
-            let id = self.snapshot.states()[rank].id;
-            let granted = grants
-                .iter()
-                .find(|(a, _)| *a == id)
-                .map_or(Bw::ZERO, |(_, b)| *b);
+        for (state, &i) in ctx.pending.iter().zip(&self.pending) {
             if let Some(o) = self.outstanding[i].as_mut() {
-                o.rate = granted * ingest_factor;
+                o.rate = alloc.granted(state.id) * ingest_factor;
             }
         }
     }

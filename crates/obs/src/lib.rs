@@ -1,22 +1,19 @@
 //! Workspace-wide observability layer.
 //!
-//! Three facilities, one crate, shared by every layer of the stack
-//! (engine, serve daemon, campaign shards, bench binaries):
+//! Three facilities, one crate, shared by the engine, the serve daemon
+//! and the campaign shards:
 //!
 //! * [`registry`] — a lock-free metrics registry: monotonic
 //!   [`Counter`]s, [`Gauge`]s and fixed log-bucketed [`Histogram`]s.
 //!   Registration takes a `Mutex` once; every subsequent observation is
-//!   a relaxed atomic op on a pre-registered handle, so the engine hot
-//!   loop and the daemon request path can record without allocating or
-//!   blocking. [`Registry::snapshot`] freezes the whole catalog into a
+//!   a relaxed atomic op on a pre-registered handle, so the daemon
+//!   request path can record without allocating or blocking.
+//!   [`Registry::snapshot`] freezes the whole catalog into a
 //!   serializable [`MetricsSnapshot`] (text or JSON rendering).
 //!
-//! * [`timing`] — span/section timing on top of the registry: a
-//!   [`Stopwatch`] records elapsed nanoseconds into a histogram, and
-//!   [`Sections`] names a fixed set of code regions (the engine's
-//!   `step()` phases, the daemon's request kinds). Consumers gate the
-//!   instrumentation behind their own compile-time feature (the engine
-//!   uses `obs-timing`) so the hot path carries no cost when off.
+//! * [`timing`] — a [`Stopwatch`] that records elapsed nanoseconds into
+//!   a histogram: the serve daemon's per-request and journal latencies
+//!   and the shards' per-block wall time.
 //!
 //! * [`trace`] — a bounded, deterministic *decision trace*: a ring of
 //!   structured scheduling events ([`TraceEvent`]: admission, grant
@@ -26,16 +23,15 @@
 //!   [`iosched_model::lossless`] encoding). Observation-only by
 //!   contract: attaching a trace never changes simulation results.
 //!
-//! [`export`] rounds it out with [`BenchReport`], the provenance-stamped
-//! (`bench_id`, `pr`) JSON envelope the `bench_*` binaries emit so the
-//! checked-in `BENCH_*.json` artifacts say which code produced them.
+//! The repository's speed is measured elsewhere: `perfbench/` holds the
+//! end-to-end and per-layer benchmark, and the allocation, latency and
+//! overhead bars are `#[ignore]`d tests (`tests/perf_bars.rs`,
+//! `tests/obs_identity.rs`) run in release mode.
 
-pub mod export;
 pub mod registry;
 pub mod timing;
 pub mod trace;
 
-pub use export::BenchReport;
 pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry};
-pub use timing::{Sections, Stopwatch};
+pub use timing::Stopwatch;
 pub use trace::{DecisionTrace, TraceEvent, TraceRecord};

@@ -1,23 +1,16 @@
-//! Span/section timing on top of the metrics registry.
+//! Span timing on top of the metrics registry.
 //!
-//! Replaces ad-hoc instrumentation (the engine's former rdtsc section
-//! counters and `sim-debug` eprintln ticks): time a region with a
-//! [`Stopwatch`], record the elapsed nanoseconds into a registered
-//! histogram, and read the distribution back through
-//! [`crate::Registry::snapshot`]. [`Sections`] packages the common case
-//! of a fixed set of named regions (the engine's `step()` phases, the
-//! daemon's request kinds) registered once up front.
-//!
-//! Timing is observation-only by construction — nothing here feeds back
-//! into what it measures — so consumers may leave it attached in
-//! bit-identity-pinned paths. Cost when attached is one `Instant` pair
-//! plus a handful of relaxed atomics per region; consumers that cannot
-//! afford even that gate the call sites behind a compile-time feature
-//! (the engine uses `obs-timing`).
+//! Time a region with a [`Stopwatch`], record the elapsed nanoseconds
+//! into a registered histogram, and read the distribution back through
+//! [`crate::Registry::snapshot`]. Timing is observation-only by
+//! construction — nothing here feeds back into what it measures — so
+//! consumers may leave it attached in bit-identity-pinned paths. Cost
+//! when attached is one `Instant` pair plus a handful of relaxed atomics
+//! per region.
 
 use std::time::Instant;
 
-use crate::registry::{Histogram, Registry};
+use crate::registry::Histogram;
 
 /// A started wall-clock span.
 #[derive(Debug, Clone, Copy)]
@@ -55,48 +48,6 @@ impl Stopwatch {
     }
 }
 
-/// A fixed set of named timing sections registered under a common
-/// prefix: section `i` of `Sections::new(reg, "sim.step", &["peek",
-/// "advance"])` records into the histogram `sim.step.peek.ns` etc.
-#[derive(Debug)]
-pub struct Sections {
-    hists: Vec<Histogram>,
-}
-
-impl Sections {
-    /// Register `prefix.<name>.ns` histograms for every section name.
-    #[must_use]
-    pub fn new(registry: &Registry, prefix: &str, names: &[&str]) -> Self {
-        Self {
-            hists: names
-                .iter()
-                .map(|n| registry.histogram(&format!("{prefix}.{n}.ns")))
-                .collect(),
-        }
-    }
-
-    /// Record `ns` into section `i`.
-    ///
-    /// # Panics
-    /// Panics when `i` is out of range (programmer error — the section
-    /// list is fixed at construction).
-    pub fn record(&self, i: usize, ns: u64) {
-        self.hists[i].record(ns);
-    }
-
-    /// Number of sections.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.hists.len()
-    }
-
-    /// True when no sections were registered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.hists.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,17 +60,5 @@ mod tests {
         let b = w.record(&h);
         assert_eq!(h.count(), 2);
         assert!(a > 0 || b > 0 || cfg!(miri)); // monotonic clocks tick
-    }
-
-    #[test]
-    fn sections_register_under_prefix() {
-        let r = Registry::new();
-        let s = Sections::new(&r, "sim.step", &["peek", "advance"]);
-        assert_eq!(s.len(), 2);
-        s.record(0, 10);
-        s.record(1, 20);
-        let snap = r.snapshot();
-        assert_eq!(snap.histogram("sim.step.peek.ns").unwrap().count, 1);
-        assert_eq!(snap.histogram("sim.step.advance.ns").unwrap().sum, 20);
     }
 }

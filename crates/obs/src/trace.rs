@@ -209,8 +209,9 @@ impl Deserialize for TraceRecord {
 /// The storage is a flat `Vec` with a wrapping overwrite cursor rather
 /// than a `VecDeque`: a full ring replaces the oldest record with one
 /// assignment instead of a pop/push pair. The push sits on the engine's
-/// per-event path (the `bench_obs_overhead` bar holds it to a few
-/// percent of a ~350 ns event), so the cheap shape matters.
+/// per-event path (the decision-trace overhead bar in
+/// `tests/obs_identity.rs` holds it to a few percent of a ~350 ns
+/// event), so the cheap shape matters.
 #[derive(Debug, Clone)]
 pub struct DecisionTrace {
     cap: usize,

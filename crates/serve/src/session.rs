@@ -542,4 +542,26 @@ mod tests {
         }
         session.finish().unwrap();
     }
+
+    /// A release past `64 · 2^64` s is accepted and journaled like any
+    /// other, so `finish` must return on it, although such an event
+    /// saturates the engine calendar queue's bucket index.
+    #[test]
+    fn far_future_release_finishes() {
+        let spec = spec();
+        let path = tmp("far.jsonl");
+        let mut policy = spec.policy.build_online(&spec.platform).unwrap();
+        let sim = Simulation::open(&spec.platform, policy.as_mut(), &spec.config).unwrap();
+        let journal = Journal::create(&path, &spec).unwrap();
+        let mut session = Session::new(sim, journal, &[]).unwrap();
+        let release = Time::secs(1e22);
+        let (id, stamped) = session
+            .submit(submission(0), Some(release), Time::ZERO)
+            .unwrap()
+            .unwrap();
+        assert_eq!((id, stamped), (0, release));
+        let (outcome, accepted) = session.finish().unwrap();
+        assert_eq!(accepted, 1);
+        assert!(outcome.end_time >= release, "end {}", outcome.end_time);
+    }
 }

@@ -99,8 +99,18 @@ pub(crate) struct CalendarQueue {
 
 fn bucket_of(at: Time) -> u64 {
     // Event times are finite and non-negative (`now + work`); the `as`
-    // cast saturates rather than wrapping if that ever changes.
+    // cast saturates rather than wrapping if that ever changes. Every
+    // event at or past `WIDTH · 2^64` s (≈1.18e21 s) saturates into the
+    // last bucket, `u64::MAX`.
     (at.as_secs() / WIDTH) as u64
+}
+
+/// Whether absolute bucket `b ≥ cur` lies inside the ring window that
+/// starts at `cur`. Written as a difference: `cur + BUCKETS` wraps once
+/// the cursor reaches the saturated buckets near `u64::MAX`, which would
+/// strand far events outside the ring and spin `settle` forever.
+fn in_window(b: u64, cur: u64) -> bool {
+    b - cur < BUCKETS as u64
 }
 
 impl CalendarQueue {
@@ -127,7 +137,7 @@ impl CalendarQueue {
     pub(crate) fn push(&mut self, ev: ComputeEvent) {
         self.cached_min = None;
         let b = bucket_of(ev.at).max(self.cur);
-        if b < self.cur + BUCKETS as u64 {
+        if in_window(b, self.cur) {
             self.near[(b % BUCKETS as u64) as usize].push(ev);
         } else {
             self.far.push(ev);
@@ -145,7 +155,7 @@ impl CalendarQueue {
             // Pull far events the window now covers into the ring.
             while let Some(f) = self.far.peek() {
                 let b = bucket_of(f.at).max(self.cur);
-                if b < self.cur + BUCKETS as u64 {
+                if in_window(b, self.cur) {
                     let ev = self.far.pop().expect("peeked");
                     self.near[(b % BUCKETS as u64) as usize].push(ev);
                 } else {
@@ -243,6 +253,12 @@ mod tests {
             ev(5.0, 4),
             ev(20_000.0, 5), // beyond the near window
             ev(20_000.0, 6), // far tie
+            // Past `WIDTH · 2^64` s: these saturate into the last bucket.
+            ev(2e21, 10),
+            ev(f64::MAX, 11),
+            ev(1e300, 12),
+            ev(2e21, 8), // saturated tie
+            ev(f64::MAX, 13),
         ];
         let mut heap = BinaryHeap::new();
         let mut cal = CalendarQueue::new();
@@ -277,7 +293,13 @@ mod tests {
             // bursts of pops; times span several windows and collide
             // often (quantized to 0.5 s).
             if r % 3 != 0 || heap.is_empty() {
-                let at = (next() % 80_000) as f64 / 2.0;
+                // One push in 64 lands past `WIDTH · 2^64` s, in the
+                // saturated last bucket; the final drain walks the
+                // cursor onto it.
+                let at = match next() % 64 {
+                    0 => [2e21, 1e300, f64::MAX][round % 3],
+                    _ => (next() % 80_000) as f64 / 2.0,
+                };
                 let e = ev(at, round);
                 heap.push(e);
                 cal.push(e);
@@ -309,6 +331,13 @@ mod tests {
             vec![(1.0, 1), (10_500.0, 2)],
             "clamped event must still pop first"
         );
+        // The same at the saturated last bucket: the cursor jumps onto
+        // `u64::MAX`, and later pushes clamp onto it.
+        cal.push(ev(f64::MAX, 3));
+        assert_eq!(cal.pop_min().unwrap().id, AppId(3));
+        cal.push(ev(2e21, 4));
+        cal.push(ev(5.0, 5));
+        assert_eq!(drain(&mut cal), vec![(5.0, 5), (2e21, 4)]);
     }
 
     #[test]

@@ -519,50 +519,6 @@ pub struct Simulation<'a> {
     /// step can attribute wakeup-won events without a second
     /// `next_wakeup` call.
     wakeup_candidate: Time,
-    /// Per-phase wall-clock timing of the step path, recorded into an
-    /// engine-owned obs registry (compiled out unless the `obs-timing`
-    /// feature is on; read back via [`Simulation::timing_snapshot`]).
-    #[cfg(feature = "obs-timing")]
-    timing: StepTiming,
-}
-
-/// The `obs-timing` section set: one histogram per `step()` phase plus
-/// a step counter, registered in an engine-owned registry under
-/// `sim.step.*`.
-#[cfg(feature = "obs-timing")]
-#[derive(Debug)]
-struct StepTiming {
-    registry: iosched_obs::Registry,
-    sections: iosched_obs::Sections,
-    steps: iosched_obs::Counter,
-}
-
-#[cfg(feature = "obs-timing")]
-impl StepTiming {
-    const PEEK: usize = 0;
-    const ADVANCE: usize = 1;
-    const SETTLE: usize = 2;
-    const ALLOCATE: usize = 3;
-
-    fn new() -> Self {
-        let registry = iosched_obs::Registry::new();
-        let sections = iosched_obs::Sections::new(
-            &registry,
-            "sim.step",
-            &["peek", "advance", "settle", "allocate"],
-        );
-        let steps = registry.counter("sim.steps");
-        Self {
-            registry,
-            sections,
-            steps,
-        }
-    }
-
-    fn lap(&self, section: usize, watch: &mut iosched_obs::Stopwatch) {
-        self.sections.record(section, watch.elapsed_ns());
-        *watch = iosched_obs::Stopwatch::start();
-    }
 }
 
 impl<'a> Simulation<'a> {
@@ -710,8 +666,6 @@ impl<'a> Simulation<'a> {
             tel_open: TelemetrySample::idle(Time::ZERO, platform.total_bw),
             dtrace: None,
             wakeup_candidate: Time::INFINITY,
-            #[cfg(feature = "obs-timing")]
-            timing: StepTiming::new(),
         };
         sim.refill()?;
         if sim.admission.closed && sim.admission.queue.is_empty() {
@@ -1038,15 +992,9 @@ impl<'a> Simulation<'a> {
                 limit: self.config.max_events,
             });
         }
-        #[cfg(feature = "obs-timing")]
-        self.timing.steps.inc();
-        #[cfg(feature = "obs-timing")]
-        let mut watch = iosched_obs::Stopwatch::start();
 
         // --- Find the next event. ------------------------------------
         let t_next = self.peek_next_event();
-        #[cfg(feature = "obs-timing")]
-        self.timing.lap(StepTiming::PEEK, &mut watch);
         // The horizon halts the run before the next event would land
         // past it: advance the fluid state to exactly the horizon (so
         // the windowed integrals cover it) and stop. No transition is
@@ -1103,17 +1051,11 @@ impl<'a> Simulation<'a> {
         self.advance_to(t_next, true);
         self.now = t_next;
         self.close_interval();
-        #[cfg(feature = "obs-timing")]
-        self.timing.lap(StepTiming::ADVANCE, &mut watch);
 
         // --- State transitions and re-allocation. ---------------------
         self.settle_transitions()?;
-        #[cfg(feature = "obs-timing")]
-        self.timing.lap(StepTiming::SETTLE, &mut watch);
         self.allocate()?;
         self.snapshot_segment();
-        #[cfg(feature = "obs-timing")]
-        self.timing.lap(StepTiming::ALLOCATE, &mut watch);
         Ok(StepStatus::Advanced)
     }
 
@@ -1220,15 +1162,6 @@ impl<'a> Simulation<'a> {
         if let Some(t) = &mut self.dtrace {
             t.push(event);
         }
-    }
-
-    /// Snapshot of the engine-owned `obs-timing` registry: `sim.steps`
-    /// counter plus `sim.step.{peek,advance,settle,allocate}.ns`
-    /// histograms.
-    #[cfg(feature = "obs-timing")]
-    #[must_use]
-    pub fn timing_snapshot(&self) -> iosched_obs::MetricsSnapshot {
-        self.timing.registry.snapshot()
     }
 
     /// Decay the transferring volumes (and the burst-buffer level) from
@@ -1861,6 +1794,31 @@ mod tests {
         let o = out.report.app(AppId(1)).unwrap();
         assert!(o.finish.approx_ge(Time::secs(110.0)));
         assert!((o.rho_tilde - 0.8).abs() < 1e-9, "late app ran dedicated");
+    }
+
+    /// Compute completions at or past `64 · 2^64` s saturate the
+    /// calendar queue's bucket index, where a window test written as
+    /// `cur + BUCKETS` wraps and `settle` never returns. Each such run
+    /// must terminate, alone and together.
+    #[test]
+    fn far_future_releases_terminate() {
+        let p = platform();
+        for releases in [&[1e22][..], &[1e308], &[1e22, 1e308]] {
+            let apps: Vec<AppSpec> = releases
+                .iter()
+                .enumerate()
+                .map(|(id, &release)| {
+                    let mut a = app(id, 1);
+                    a.set_release(Time::secs(release));
+                    a
+                })
+                .collect();
+            let out = simulate(&p, &apps, &mut RoundRobin, &SimConfig::default()).unwrap();
+            for (spec, &release) in apps.iter().zip(releases) {
+                let o = out.report.app(spec.id()).unwrap();
+                assert!(o.finish.as_secs() >= release, "{}: {}", spec.id(), o.finish);
+            }
+        }
     }
 
     #[test]
