@@ -15,8 +15,8 @@
 //!   by server-side HPC I/O schedulers).
 
 use crate::policy::{
-    greedy_allocate_into, order_by_key_asc, order_into_by_key_asc, AllocScratch, Allocation,
-    OnlinePolicy, SchedContext,
+    allocate_into_by_rank, order_by_rank, order_into_by_key_asc, order_into_by_rank, rank_key,
+    AllocScratch, Allocation, AppState, OnlinePolicy, Ranked, SchedContext,
 };
 use iosched_model::Bw;
 
@@ -107,16 +107,21 @@ impl OnlinePolicy for Fcfs {
     }
 
     fn order(&mut self, ctx: &SchedContext<'_>) -> Vec<usize> {
-        order_by_key_asc(ctx, |a| a.io_requested_at.as_secs())
+        order_by_rank(self, ctx)
     }
 
     fn order_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
-        order_into_by_key_asc(ctx, scratch, |a| a.io_requested_at.as_secs());
+        order_into_by_rank(self, ctx, scratch);
     }
 
     fn allocate_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
-        self.order_into(ctx, scratch);
-        greedy_allocate_into(ctx, scratch);
+        allocate_into_by_rank(self, ctx, scratch);
+    }
+}
+
+impl Ranked for Fcfs {
+    fn rank(&self, a: &AppState) -> u128 {
+        rank_key(0, a.io_requested_at.as_secs())
     }
 }
 

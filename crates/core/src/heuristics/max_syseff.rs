@@ -19,8 +19,8 @@
 //! consistent with the reported results.
 
 use crate::policy::{
-    greedy_allocate_into, order_by_key_asc, order_into_by_key_asc, AllocScratch, OnlinePolicy,
-    SchedContext,
+    allocate_into_by_rank, order_by_rank, order_into_by_rank, rank_key, AllocScratch, AppState,
+    OnlinePolicy, Ranked, SchedContext,
 };
 
 /// Serve applications with the highest `β·ρ̃` first.
@@ -33,16 +33,21 @@ impl OnlinePolicy for MaxSysEff {
     }
 
     fn order(&mut self, ctx: &SchedContext<'_>) -> Vec<usize> {
-        order_by_key_asc(ctx, |a| -a.syseff_key)
+        order_by_rank(self, ctx)
     }
 
     fn order_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
-        order_into_by_key_asc(ctx, scratch, |a| -a.syseff_key);
+        order_into_by_rank(self, ctx, scratch);
     }
 
     fn allocate_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
-        self.order_into(ctx, scratch);
-        greedy_allocate_into(ctx, scratch);
+        allocate_into_by_rank(self, ctx, scratch);
+    }
+}
+
+impl Ranked for MaxSysEff {
+    fn rank(&self, a: &AppState) -> u128 {
+        rank_key(0, -a.syseff_key)
     }
 }
 

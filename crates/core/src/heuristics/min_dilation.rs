@@ -4,8 +4,8 @@
 //! (fairness / user-oriented).
 
 use crate::policy::{
-    greedy_allocate_into, order_by_key_asc, order_into_by_key_asc, AllocScratch, OnlinePolicy,
-    SchedContext,
+    allocate_into_by_rank, order_by_rank, order_into_by_rank, rank_key, AllocScratch, AppState,
+    OnlinePolicy, Ranked, SchedContext,
 };
 
 /// Serve the most-slowed-down applications first.
@@ -18,16 +18,21 @@ impl OnlinePolicy for MinDilation {
     }
 
     fn order(&mut self, ctx: &SchedContext<'_>) -> Vec<usize> {
-        order_by_key_asc(ctx, |a| a.dilation_ratio)
+        order_by_rank(self, ctx)
     }
 
     fn order_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
-        order_into_by_key_asc(ctx, scratch, |a| a.dilation_ratio);
+        order_into_by_rank(self, ctx, scratch);
     }
 
     fn allocate_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
-        self.order_into(ctx, scratch);
-        greedy_allocate_into(ctx, scratch);
+        allocate_into_by_rank(self, ctx, scratch);
+    }
+}
+
+impl Ranked for MinDilation {
+    fn rank(&self, a: &AppState) -> u128 {
+        rank_key(0, a.dilation_ratio)
     }
 }
 

@@ -10,9 +10,9 @@
 //! and to MaxSysEff at `γ = 0` (no ratio can sit strictly below 0).
 
 use crate::policy::{
-    greedy_allocate_into, order_into_by, AllocScratch, AppState, OnlinePolicy, SchedContext,
+    allocate_into_by_rank, order_by_rank, order_into_by_rank, rank_key, AllocScratch, AppState,
+    OnlinePolicy, Ranked, SchedContext,
 };
-use std::cmp::Ordering;
 
 /// Threshold strategy: rescue applications whose dilation ratio fell below
 /// `gamma`, otherwise optimize system efficiency.
@@ -41,22 +41,6 @@ impl MinMax {
     pub fn gamma(&self) -> f64 {
         self.gamma
     }
-
-    /// The preference between two pending applications: those below the
-    /// dilation threshold are rescued first (most dilated first); the
-    /// rest follow in MaxSysEff order (descending β·ρ̃ — see the deviation
-    /// note on [`crate::heuristics::MaxSysEff`]). The `AppId` tie-break
-    /// makes it strict on distinct applications, so every sort yields
-    /// the same permutation.
-    fn prefer(&self, x: &AppState, y: &AppState) -> Ordering {
-        let (bx, by) = (x.dilation_ratio < self.gamma, y.dilation_ratio < self.gamma);
-        by.cmp(&bx) // below-threshold group first
-            .then_with(|| match (bx, by) {
-                (true, true) => x.dilation_ratio.total_cmp(&y.dilation_ratio),
-                _ => y.syseff_key.total_cmp(&x.syseff_key),
-            })
-            .then_with(|| x.id.cmp(&y.id))
-    }
 }
 
 impl OnlinePolicy for MinMax {
@@ -65,18 +49,29 @@ impl OnlinePolicy for MinMax {
     }
 
     fn order(&mut self, ctx: &SchedContext<'_>) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..ctx.pending.len()).collect();
-        order.sort_by(|&x, &y| self.prefer(&ctx.pending[x], &ctx.pending[y]));
-        order
+        order_by_rank(self, ctx)
     }
 
     fn order_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
-        order_into_by(ctx, scratch, |x, y| self.prefer(x, y));
+        order_into_by_rank(self, ctx, scratch);
     }
 
     fn allocate_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
-        self.order_into(ctx, scratch);
-        greedy_allocate_into(ctx, scratch);
+        allocate_into_by_rank(self, ctx, scratch);
+    }
+}
+
+impl Ranked for MinMax {
+    /// Applications below the dilation threshold are rescued first (class
+    /// 0, most dilated first); the rest follow in MaxSysEff order (class
+    /// 1, descending β·ρ̃ — see the deviation note on
+    /// [`crate::heuristics::MaxSysEff`]).
+    fn rank(&self, a: &AppState) -> u128 {
+        if a.dilation_ratio < self.gamma {
+            rank_key(0, a.dilation_ratio)
+        } else {
+            rank_key(1, -a.syseff_key)
+        }
     }
 }
 

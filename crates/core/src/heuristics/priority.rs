@@ -6,11 +6,16 @@
 //! restarting the I/O of an application after an interruption, due to
 //! breaking disk locality."
 //!
-//! `Priority<P>` composes with any inner policy `P`: applications with
-//! `started_io == true` are ordered first (using `P`'s order among
-//! themselves), the rest follow, also in `P`'s order.
+//! `Priority<P>` composes with any [`Ranked`] policy `P`: applications
+//! with `started_io == true` are ordered first (using `P`'s order among
+//! themselves), the rest follow, also in `P`'s order. The wrapper sets the
+//! top bit of `P`'s rank for the applications that have not started, so
+//! the composition is itself a rank.
 
-use crate::policy::{greedy_allocate_into, AllocScratch, OnlinePolicy, SchedContext};
+use crate::policy::{
+    allocate_into_by_rank, order_by_rank, order_into_by_rank, AllocScratch, AppState, OnlinePolicy,
+    Ranked, SchedContext,
+};
 
 /// Never interrupt an application that already started its current I/O.
 #[derive(Debug, Clone, Copy, Default)]
@@ -18,7 +23,7 @@ pub struct Priority<P> {
     inner: P,
 }
 
-impl<P: OnlinePolicy> Priority<P> {
+impl<P: Ranked + OnlinePolicy> Priority<P> {
     /// Wrap `inner` with the Priority constraint.
     #[must_use]
     pub fn new(inner: P) -> Self {
@@ -32,49 +37,27 @@ impl<P: OnlinePolicy> Priority<P> {
     }
 }
 
-impl<P: OnlinePolicy> OnlinePolicy for Priority<P> {
+impl<P: Ranked + OnlinePolicy> OnlinePolicy for Priority<P> {
     fn name(&self) -> String {
         format!("priority-{}", self.inner.name())
     }
 
     fn order(&mut self, ctx: &SchedContext<'_>) -> Vec<usize> {
-        // Stable partition of the inner policy's order: applications that
-        // already started their I/O first, both groups keeping the inner
-        // policy's relative preferences.
-        let inner_order = self.inner.order(ctx);
-        let (started, fresh): (Vec<usize>, Vec<usize>) = inner_order
-            .into_iter()
-            .partition(|&i| ctx.pending[i].started_io);
-        let mut order = started;
-        order.extend(fresh);
-        order
+        order_by_rank(self, ctx)
     }
 
     fn order_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
-        self.inner.order_into(ctx, scratch);
-        // Stable in-place partition of the inner order by `started_io`:
-        // started entries are compacted to the front (the write cursor
-        // never overtakes the read cursor), the rest are staged in `tmp`
-        // and appended — both groups keep the inner policy's relative
-        // preferences, exactly like the allocating `partition` above.
-        scratch.tmp.clear();
-        let mut w = 0;
-        for r in 0..scratch.order.len() {
-            let i = scratch.order[r];
-            if ctx.pending[i].started_io {
-                scratch.order[w] = i;
-                w += 1;
-            } else {
-                scratch.tmp.push(i);
-            }
-        }
-        scratch.order.truncate(w);
-        scratch.order.extend_from_slice(&scratch.tmp);
+        order_into_by_rank(self, ctx, scratch);
     }
 
     fn allocate_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
-        self.order_into(ctx, scratch);
-        greedy_allocate_into(ctx, scratch);
+        allocate_into_by_rank(self, ctx, scratch);
+    }
+}
+
+impl<P: Ranked> Ranked for Priority<P> {
+    fn rank(&self, a: &AppState) -> u128 {
+        u128::from(!a.started_io) << 127 | self.inner.rank(a)
     }
 }
 

@@ -6,8 +6,8 @@
 //! longest time ago is favored."
 
 use crate::policy::{
-    greedy_allocate_into, order_by_key_asc, order_into_by_key_asc, AllocScratch, OnlinePolicy,
-    SchedContext,
+    allocate_into_by_rank, order_by_rank, order_into_by_rank, rank_key, AllocScratch, AppState,
+    OnlinePolicy, Ranked, SchedContext,
 };
 
 /// FCFS with fairness: least-recently-served application first.
@@ -20,18 +20,23 @@ impl OnlinePolicy for RoundRobin {
     }
 
     fn order(&mut self, ctx: &SchedContext<'_>) -> Vec<usize> {
-        // Oldest last-I/O-completion first; apps that never performed I/O
-        // carry their release time, so long-waiting newcomers win too.
-        order_by_key_asc(ctx, |a| a.last_io_end.as_secs())
+        order_by_rank(self, ctx)
     }
 
     fn order_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
-        order_into_by_key_asc(ctx, scratch, |a| a.last_io_end.as_secs());
+        order_into_by_rank(self, ctx, scratch);
     }
 
     fn allocate_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
-        self.order_into(ctx, scratch);
-        greedy_allocate_into(ctx, scratch);
+        allocate_into_by_rank(self, ctx, scratch);
+    }
+}
+
+impl Ranked for RoundRobin {
+    /// Oldest last-I/O-completion first; apps that never performed I/O
+    /// carry their release time, so long-waiting newcomers win too.
+    fn rank(&self, a: &AppState) -> u128 {
+        rank_key(0, a.last_io_end.as_secs())
     }
 }
 

@@ -14,10 +14,15 @@
 //! the shared greedy grant loop [`greedy_allocate`]; this keeps every
 //! heuristic of the paper a ~30-line module and guarantees they all enforce
 //! the two §2.1 capacity rules identically.
+//!
+//! The §3.1 heuristics and the FCFS baseline state their preference as a
+//! [`Ranked`] key. At an event the grant loop usually stops after two or
+//! three applications, so `allocate_into_by_rank` picks the favored
+//! applications one by one instead of ranking every pending application,
+//! and costs `O(pending × grants)` rather than a full sort.
 
 use iosched_model::{AppId, Bw, Time};
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
 
 /// Scheduler-visible snapshot of one application that currently wants to
 /// perform I/O (it is either stalled waiting for a grant or mid-transfer).
@@ -65,12 +70,13 @@ pub struct SchedContext<'a> {
 /// `β(k)·γ(k)`. Applications absent from `grants` are stalled (`γ = 0`).
 ///
 /// **Invariant:** `grants` is sorted by ascending [`AppId`] with at most
-/// one entry per application. [`greedy_allocate`] establishes it, the
-/// in-tree policies that build grants directly emit pending order (which
-/// is `AppId` order by the [`StateBuffer`] contract), and
-/// [`Allocation::validate`] enforces it — so lookups can binary-search
-/// and drivers can merge-walk grants against their own `AppId`-ordered
-/// application lists instead of scanning per application.
+/// one entry per application. [`greedy_allocate`] and
+/// `allocate_into_by_rank` establish it, the in-tree policies that
+/// build grants directly emit pending order (which is `AppId` order by
+/// the [`StateBuffer`] contract), and [`Allocation::validate`] enforces
+/// it — so lookups can binary-search and drivers can merge-walk grants
+/// against their own `AppId`-ordered lists instead of scanning per
+/// application.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Allocation {
     /// `(app, application-aggregate bandwidth)` pairs, sorted by `AppId`;
@@ -232,8 +238,8 @@ impl StateBuffer {
 
 /// Reusable workspace for the in-place allocation path
 /// ([`OnlinePolicy::allocate_into`]): the output [`Allocation`] plus the
-/// keyed/order scratch the sorting helpers fill, and the last ranking
-/// they produced.
+/// rank/key/order scratch the selection and sorting helpers fill, and the
+/// last ranking [`order_into_by_key_asc`] produced.
 ///
 /// Rebuilding a preference order allocates a `Vec<usize>` per event and
 /// recomputes every ordering key once per *comparison*; at millions of
@@ -241,25 +247,32 @@ impl StateBuffer {
 /// `AllocScratch` alive across events (next to their [`StateBuffer`]) so
 /// a policy that overrides `allocate_into`/`order_into` runs the whole
 /// decision without touching the heap: keys are computed once per
-/// application into `keyed`, the permutation lands in `order`, and the
-/// grants in `alloc.grants` — all retaining their capacity.
+/// application into `ranked` or `keyed`, a full permutation (when one is
+/// asked for) lands in `order`, and the grants in `alloc.grants` — all
+/// retaining their capacity.
 ///
 /// **Warm start.** Two consecutive events rank almost the same
 /// applications almost the same way: the keys drift a little, and one or
 /// two applications join or leave. So when more than 20 applications are
-/// pending, the sorting helpers ([`order_into_by_key_asc`] and MinMax-γ's
-/// comparator sort) start from the ranking the previous call left here
-/// and repair it with a bounded insertion sort, in `O(n + inversions)`,
-/// instead of sorting from scratch. The remembered ranking is only a
-/// hint. Every order they sort by is strict on distinct applications
-/// (ties break by `AppId`), so it picks how much work the repair does,
-/// never the resulting permutation: a fresh scratch, one carried across
-/// calls, or one shared by several policies all yield the same order.
-/// One scratch per run is enough.
+/// pending, [`order_into_by_key_asc`] (FairShare's water-filling order
+/// and the `control:*` family's) starts from the ranking the previous
+/// call left here and repairs it with a bounded insertion sort, in
+/// `O(n + inversions)`, instead of sorting from scratch. The remembered
+/// ranking is only a hint. Every order it sorts by is strict on distinct
+/// applications (ties break by `AppId`), so it picks how much work the
+/// repair does, never the resulting permutation: a fresh scratch, one
+/// carried across calls, or one shared by several policies all yield the
+/// same order. One scratch per run is enough. The [`Ranked`] policies
+/// need no warm start: their allocation selects only the applications
+/// the grant loop consumes.
 #[derive(Debug, Default)]
 pub struct AllocScratch {
     /// The allocation decided by the last [`OnlinePolicy::allocate_into`].
     pub alloc: Allocation,
+    /// `(rank, id, pending-index)` workspace of the [`Ranked`] helpers:
+    /// the candidates of [`allocate_into_by_rank`]'s selection, or the
+    /// entries [`order_into_by_rank`] sorts.
+    pub(crate) ranked: Vec<(u128, AppId, usize)>,
     /// `(key-image, id, pending-index)` sorting workspace of
     /// [`order_into_by_key_asc`]: the `f64` key mapped through the
     /// IEEE-754 total-order bijection so the sort compares plain
@@ -268,21 +281,15 @@ pub struct AllocScratch {
     /// Preference order: indices into the pending slice, most-favored
     /// first.
     pub(crate) order: Vec<usize>,
-    /// Secondary index workspace (stable partitions, e.g.
-    /// [`crate::heuristics::Priority`]).
-    pub(crate) tmp: Vec<usize>,
-    /// Per-pending-index grant workspace of [`greedy_allocate_into`]
-    /// (lets the grant list come out in pending order without a sort).
-    pub(crate) grant_buf: Vec<Bw>,
-    /// The ranking the last sort produced, as `(id, rank)` pairs in that
-    /// call's pending order (so `AppId`-ascending under the
-    /// [`StateBuffer`] contract); empty after a call at or below the
-    /// cutoff.
+    /// The ranking the last [`order_into_by_key_asc`] produced, as
+    /// `(id, rank)` pairs in that call's pending order (so
+    /// `AppId`-ascending under the [`StateBuffer`] contract); empty after
+    /// a call at or below the cutoff.
     warm: Vec<(AppId, usize)>,
 }
 
-/// Pending sizes up to which the sorting helpers always sort from scratch
-/// and keep no warm state. Up to 20 elements the standard library's
+/// Pending sizes up to which [`order_into_by_key_asc`] always sorts from
+/// scratch and keeps no warm state. Up to 20 elements the standard library's
 /// unstable sort is itself an insertion sort, so a warm start would save
 /// few shifts and add two `O(n)` passes.
 const COLD_SORT_MAX_PENDING: usize = 20;
@@ -401,9 +408,10 @@ pub trait OnlinePolicy: Send {
 
     /// Fill `scratch.order` with [`OnlinePolicy::order`]'s permutation.
     /// The default copies the allocating path's result; policies on hot
-    /// paths override it (typically via [`order_into_by_key_asc`]) so the
-    /// steady-state decision allocates nothing. Overrides must produce
-    /// exactly the permutation `order` would.
+    /// paths override it (via `order_into_by_rank` or
+    /// [`order_into_by_key_asc`]) so the steady-state decision allocates
+    /// nothing. Overrides must produce exactly the permutation `order`
+    /// would.
     fn order_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
         let order = self.order(ctx);
         scratch.order.clear();
@@ -467,58 +475,140 @@ pub fn greedy_allocate(ctx: &SchedContext<'_>, order: &[usize]) -> Allocation {
     let mut remaining = ctx.total_bw;
     let mut grants = Vec::with_capacity(order.len());
     for &idx in order {
-        if remaining.get() <= 0.0 || remaining.is_zero() {
+        if saturated(remaining) {
             break;
         }
-        let app = &ctx.pending[idx];
-        let bw = app.max_bw.min(remaining);
-        if bw.get() > 0.0 {
-            grants.push((app.id, bw));
-            remaining -= bw;
-            remaining = remaining.snap_zero();
-        }
+        grant_step(&ctx.pending[idx], &mut remaining, &mut grants);
     }
     grants.sort_unstable_by_key(|&(id, _)| id);
     Allocation { grants }
 }
 
-/// In-place twin of [`greedy_allocate`]: run the shared grant loop over
-/// `scratch.order` writing into `scratch.alloc`. Bit-identical to the
-/// allocating path — same operations on the same values in the same
-/// order; only the destination vector is reused.
-pub fn greedy_allocate_into(ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
-    // The grant loop runs in preference order (the budget consumption is
-    // sequential), but the grants are *scattered* into a per-pending-index
-    // buffer and then emitted in pending order. When the driver's pending
-    // slice is `AppId`-ascending — the fluid engine's `StateBuffer`
-    // contract — the emitted list is already sorted and the final sort is
-    // a no-op check; the grant values are identical either way (same
-    // `remaining` sequence in the same order).
-    scratch.grant_buf.clear();
-    scratch.grant_buf.resize(ctx.pending.len(), Bw::ZERO);
-    let mut remaining = ctx.total_bw;
-    for &idx in &scratch.order {
-        if remaining.get() <= 0.0 || remaining.is_zero() {
-            break;
-        }
-        let app = &ctx.pending[idx];
-        let bw = app.max_bw.min(remaining);
-        if bw.get() > 0.0 {
-            scratch.grant_buf[idx] = bw;
-            remaining -= bw;
-            remaining = remaining.snap_zero();
-        }
+/// The grant loop's stop test: nothing (within `EPS`) is left to grant.
+#[inline]
+fn saturated(remaining: Bw) -> bool {
+    remaining.get() <= 0.0 || remaining.is_zero()
+}
+
+/// One step of the grant loop: favor `app` with `min(max_bw, remaining)`.
+#[inline]
+fn grant_step(app: &AppState, remaining: &mut Bw, grants: &mut Vec<(AppId, Bw)>) {
+    let bw = app.max_bw.min(*remaining);
+    if bw.get() > 0.0 {
+        grants.push((app.id, bw));
+        *remaining -= bw;
+        *remaining = remaining.snap_zero();
     }
+}
+
+/// A preference stated once per application: the heuristic favors the
+/// pending application with the smallest `(rank, AppId)`.
+///
+/// A rank is a `u128`: the high 64 bits hold a class word (Priority's
+/// "not started" bit, MinMax-γ's "not below γ" group), the low 64 bits the
+/// IEEE-754 total-order image of an `f64` key (see `rank_key`); the
+/// class word's top bit belongs to [`crate::heuristics::Priority`]. Because
+/// the `AppId` tie-break makes the order strict on distinct applications,
+/// every way of finding it — a full sort (`order_into_by_rank`) or the
+/// selection of the consumed prefix (`allocate_into_by_rank`) — yields
+/// the same order and the same grants.
+pub trait Ranked {
+    /// The rank of `a`; smaller is more favored.
+    fn rank(&self, a: &AppState) -> u128;
+}
+
+/// A rank with class word `class` and `f64` key `key`: classes order
+/// first, then keys ascending in `f64::total_cmp` order.
+#[inline]
+#[must_use]
+pub(crate) fn rank_key(class: u64, key: f64) -> u128 {
+    u128::from(class) << 64 | u128::from(total_order_image(key))
+}
+
+/// Fill `out` with the `(rank, id, pending-index)` entry of every pending
+/// application.
+fn fill_ranks<R: Ranked + ?Sized>(
+    ranked: &R,
+    pending: &[AppState],
+    out: &mut Vec<(u128, AppId, usize)>,
+) {
+    out.clear();
+    out.extend(
+        pending
+            .iter()
+            .enumerate()
+            .map(|(i, a)| (ranked.rank(a), a.id, i)),
+    );
+}
+
+/// Picks [`allocate_into_by_rank`] makes by linear scan before it sorts
+/// what is left. Past it the grant is wide (an uncongested PFS), and the
+/// sort keeps the worst case at `O(n log n)`.
+const SCAN_PICKS: usize = 8;
+
+/// The shared grant loop over a [`Ranked`] order, into `scratch.alloc`:
+/// bit-identical to [`greedy_allocate`] over [`order_into_by_rank`]'s
+/// permutation, without ranking every pending application.
+///
+/// The loop stops as soon as the PFS is saturated, which under congestion
+/// is after two or three applications. So the ranks are computed once,
+/// and the next favored application is found by a linear scan for the
+/// minimum `(rank, id)`, until the loop stops or 8 applications were
+/// taken; then the rest is sorted and the loop goes on in order. Each
+/// step runs the same arithmetic on the same applications in the same
+/// order as [`greedy_allocate`]. The grants come out sorted by `AppId`.
+pub(crate) fn allocate_into_by_rank<R: Ranked + ?Sized>(
+    ranked: &R,
+    ctx: &SchedContext<'_>,
+    scratch: &mut AllocScratch,
+) {
+    let cands = &mut scratch.ranked;
+    fill_ranks(ranked, ctx.pending, cands);
     let grants = &mut scratch.alloc.grants;
     grants.clear();
-    for (idx, &bw) in scratch.grant_buf.iter().enumerate() {
-        if bw.get() > 0.0 {
-            grants.push((ctx.pending[idx].id, bw));
+    let mut remaining = ctx.total_bw;
+    for p in 0..cands.len() {
+        if saturated(remaining) {
+            break;
         }
+        // `cands[..p]` holds the picks so far, most-favored first.
+        if p < SCAN_PICKS {
+            let mut best = p;
+            for k in p + 1..cands.len() {
+                if cands[k] < cands[best] {
+                    best = k;
+                }
+            }
+            cands.swap(p, best);
+        } else if p == SCAN_PICKS {
+            cands[p..].sort_unstable();
+        }
+        grant_step(&ctx.pending[cands[p].2], &mut remaining, grants);
     }
-    if !grants.is_sorted_by_key(|&(id, _)| id) {
-        grants.sort_unstable_by_key(|&(id, _)| id);
-    }
+    grants.sort_unstable_by_key(|&(id, _)| id);
+}
+
+/// Fill `scratch.order` with the pending indices sorted by `(rank, id)`:
+/// the full preference order of a [`Ranked`] policy.
+pub(crate) fn order_into_by_rank<R: Ranked + ?Sized>(
+    ranked: &R,
+    ctx: &SchedContext<'_>,
+    scratch: &mut AllocScratch,
+) {
+    fill_ranks(ranked, ctx.pending, &mut scratch.ranked);
+    scratch.ranked.sort_unstable();
+    scratch.order.clear();
+    scratch
+        .order
+        .extend(scratch.ranked.iter().map(|&(_, _, i)| i));
+}
+
+/// Allocating twin of [`order_into_by_rank`].
+#[must_use]
+pub(crate) fn order_by_rank<R: Ranked + ?Sized>(ranked: &R, ctx: &SchedContext<'_>) -> Vec<usize> {
+    let mut scratch = AllocScratch::new();
+    order_into_by_rank(ranked, ctx, &mut scratch);
+    scratch.order
 }
 
 /// In-place twin of [`order_by_key_asc`]: fill `scratch.order` with the
@@ -576,29 +666,6 @@ pub(crate) fn total_order_image(x: f64) -> u64 {
     } else {
         bits | (1 << 63)
     }
-}
-
-/// Comparator twin of [`order_into_by_key_asc`], for orders that do not
-/// fit one key image (MinMax-γ's two groups): the same warm start, repair
-/// and cold fallback, comparing [`AppState`]s with `cmp`. `cmp` must be
-/// strict on distinct applications (end in an `AppId` tie-break), so that
-/// every sort yields the same permutation.
-pub(crate) fn order_into_by<F: FnMut(&AppState, &AppState) -> Ordering>(
-    ctx: &SchedContext<'_>,
-    scratch: &mut AllocScratch,
-    mut cmp: F,
-) {
-    let pending = ctx.pending;
-    let mut by_index = |x: &usize, y: &usize| cmp(&pending[*x], &pending[*y]);
-    let warm = scratch.warm_start(pending);
-    if !warm {
-        scratch.order.clear();
-        scratch.order.extend(0..pending.len());
-    }
-    if !(warm && repair(&mut scratch.order, |x, y| by_index(x, y).is_lt())) {
-        scratch.order.sort_unstable_by(&mut by_index);
-    }
-    scratch.remember(pending);
 }
 
 /// Sort helper: returns pending-app indices ordered by `key` ascending,
@@ -858,19 +925,49 @@ mod tests {
         assert_eq!(first, order_by_key_asc(&c, |a| a.dilation_ratio));
     }
 
+    /// MinDilation's preference, for the helper tests.
+    struct ByRatio;
+    impl Ranked for ByRatio {
+        fn rank(&self, a: &AppState) -> u128 {
+            rank_key(0, a.dilation_ratio)
+        }
+    }
+
     #[test]
     fn greedy_into_is_bit_identical_to_greedy() {
-        let pending = [app(0, 6.0), app(1, 6.0), app(2, 6.0)];
-        let c = ctx(10.0, &pending);
-        let mut scratch = AllocScratch::new();
-        scratch.order = vec![2, 0, 1];
-        greedy_allocate_into(&c, &mut scratch);
-        let reference = greedy_allocate(&c, &[2, 0, 1]);
-        assert_eq!(scratch.alloc.grants.len(), reference.grants.len());
-        for ((ia, ba), (ib, bb)) in scratch.alloc.grants.iter().zip(&reference.grants) {
-            assert_eq!(ia, ib);
-            assert_eq!(ba.get().to_bits(), bb.get().to_bits());
+        // Congested (two grants, within the scan), and uncongested with
+        // every application granted (past the scan cap, so the sort
+        // fallback serves the tail). Pending is out of `AppId` order and
+        // the keys tie, so both the tie-break and the final id sort count.
+        for (n, total) in [(3, 10.0), (40, 1e4)] {
+            let mut pending: Vec<AppState> = (0..n).map(keyed_app).collect();
+            pending.rotate_left(n / 3);
+            for (k, a) in pending.iter_mut().enumerate() {
+                a.max_bw = Bw::gib_per_sec(6.0 + (k % 5) as f64);
+            }
+            let c = ctx(total, &pending);
+            let mut scratch = AllocScratch::new();
+            allocate_into_by_rank(&ByRatio, &c, &mut scratch);
+            let reference = greedy_allocate(&c, &order_by_key_asc(&c, |a| a.dilation_ratio));
+            let bits = |g: &[(AppId, Bw)]| -> Vec<(AppId, u64)> {
+                g.iter().map(|&(id, bw)| (id, bw.get().to_bits())).collect()
+            };
+            assert_eq!(bits(&scratch.alloc.grants), bits(&reference.grants));
+            let granted = if n == 3 { 2 } else { n };
+            assert_eq!(scratch.alloc.grants.len(), granted);
         }
+    }
+
+    #[test]
+    fn rank_order_sorts_by_class_then_key_then_id() {
+        let pending = [app(2, 1.0), app(0, 1.0), app(1, 1.0), app(3, 1.0)];
+        let c = ctx(10.0, &pending);
+        let order = order_by_rank(&ByRatio, &c);
+        let ids: Vec<usize> = order.iter().map(|&i| pending[i].id.0).collect();
+        assert_eq!(ids, vec![0, 1, 2, 3]);
+        assert!(rank_key(0, f64::INFINITY) < rank_key(1, f64::NEG_INFINITY));
+        assert!(rank_key(0, -0.0) < rank_key(0, 0.0));
+        assert!(rank_key(0, -1.0) < rank_key(0, -0.0));
     }
 
     #[test]

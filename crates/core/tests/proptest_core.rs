@@ -1,17 +1,21 @@
 //! Property tests for the scheduling core: every policy's allocation
 //! always satisfies the §2.1 capacity rules, the Priority wrapper is a
-//! stable partition of its inner order, a scratch kept across calls never
-//! changes an order, the bandwidth profile never overcommits and its
-//! early-exit first fit agrees with a full scan, and random 3-Partition
-//! instances round-trip.
+//! stable partition of its inner order, MinMax-γ's rank orders like the
+//! §3.1 comparator, a scratch kept across calls never changes an order and
+//! the ranked selection grants what the greedy loop over a full sort
+//! grants, the bandwidth profile never overcommits and its early-exit
+//! first fit agrees with a full scan, and random 3-Partition instances
+//! round-trip.
 
-use iosched_core::heuristics::PolicyKind;
+use iosched_core::heuristics::{MinMax, PolicyKind, Priority};
 use iosched_core::periodic::BandwidthProfile;
-use iosched_core::policy::{AllocScratch, AppState, OnlinePolicy, SchedContext};
+use iosched_core::policy::{greedy_allocate, AllocScratch, AppState, OnlinePolicy, SchedContext};
 use iosched_core::registry::PolicyFactory;
 use iosched_core::three_partition::ThreePartition;
 use iosched_model::{AppId, Bw, Platform, Time};
 use proptest::prelude::*;
+use std::cmp::Ordering;
+use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 
 fn arb_app_state(id: usize) -> impl Strategy<Value = AppState> {
     (
@@ -41,29 +45,93 @@ fn arb_pending() -> impl Strategy<Value = Vec<AppState>> {
     (1usize..20).prop_flat_map(|n| (0..n).map(arb_app_state).collect::<Vec<_>>())
 }
 
-/// Every online policy whose in-place path sorts into the scratch: the
-/// eight Fig. 6 heuristics, both baselines and the PI controller.
-const SCRATCH_ROSTER: [&str; 11] = [
-    "roundrobin",
-    "priority-roundrobin",
-    "mindilation",
-    "priority-mindilation",
-    "maxsyseff",
-    "priority-maxsyseff",
-    "minmax-0.50",
-    "priority-minmax-0.50",
-    "fairshare",
-    "fcfs",
-    "control:pi",
+/// Every online policy with an in-place path, and whether it is ranked:
+/// the eight Fig. 6 heuristics and FCFS select the applications their
+/// grant loop consumes, FairShare and the PI controller sort into the
+/// scratch.
+const SCRATCH_ROSTER: [(&str, bool); 11] = [
+    ("roundrobin", true),
+    ("priority-roundrobin", true),
+    ("mindilation", true),
+    ("priority-mindilation", true),
+    ("maxsyseff", true),
+    ("priority-maxsyseff", true),
+    ("minmax-0.50", true),
+    ("priority-minmax-0.50", true),
+    ("fairshare", false),
+    ("fcfs", true),
+    ("control:pi", false),
 ];
+
+/// Picks the ranked selection makes by linear scan before it sorts the
+/// rest (private to `iosched_core::policy`; mirrored here so the tests
+/// can check that the sorted tail is exercised).
+const SCAN_PICKS: usize = 8;
+
+/// Ranked allocations, over every generated event sequence, that granted
+/// more applications than [`SCAN_PICKS`].
+static WIDE_GRANTS: AtomicUsize = AtomicUsize::new(0);
 
 /// One event of a pending-set sequence: `(size the pending set moves
 /// toward, applications swapped out and in, key change, noise seed,
-/// total bandwidth in GiB/s)`. Key change 0 reverses every key, 1–4
-/// redraws them, 5–19 lets them drift; 19 also hands the policies the
-/// pending slice out of `AppId` order.
-fn arb_event() -> impl Strategy<Value = (usize, usize, u32, u64, f64)> {
-    (0usize..48, 0usize..3, 0u32..20, any::<u64>(), 1.0f64..256.0)
+/// total bandwidth in GiB/s, bandwidth scale)`. Key change 0 reverses
+/// every key, 1–4 redraws them, 5–19 lets them drift; 19 also hands the
+/// policies the pending slice out of `AppId` order. Scale 0 multiplies
+/// the bandwidth by 16, which leaves the PFS uncongested.
+fn arb_event() -> impl Strategy<Value = (usize, usize, u32, u64, f64, u32)> {
+    (
+        0usize..48,
+        0usize..3,
+        0u32..20,
+        any::<u64>(),
+        1.0f64..256.0,
+        0u32..4,
+    )
+}
+
+/// MinMax-γ's preference as §3.1 states it, the oracle for its rank:
+/// applications below γ first, most dilated first; the rest by
+/// descending β·ρ̃; ties by `AppId`.
+fn minmax_prefer(gamma: f64, x: &AppState, y: &AppState) -> Ordering {
+    let (bx, by) = (x.dilation_ratio < gamma, y.dilation_ratio < gamma);
+    by.cmp(&bx)
+        .then_with(|| {
+            if bx && by {
+                x.dilation_ratio.total_cmp(&y.dilation_ratio)
+            } else {
+                y.syseff_key.total_cmp(&x.syseff_key)
+            }
+        })
+        .then_with(|| x.id.cmp(&y.id))
+}
+
+/// Pending applications whose MinMax keys come from small grids holding
+/// both zeros, so ties and `-0.0` keys are common; the slice is rotated
+/// out of `AppId` order.
+fn arb_tied_pending() -> impl Strategy<Value = Vec<AppState>> {
+    const RATIOS: [f64; 6] = [-0.0, 0.0, 0.25, 0.5, 0.5, 1.0];
+    const KEYS: [f64; 5] = [-0.0, 0.0, 10.0, 10.0, 500.0];
+    prop::collection::vec((0usize..6, 0usize..5, any::<bool>(), 0.5f64..8.0), 1..40).prop_map(
+        |draws| {
+            let mut pending: Vec<AppState> = draws
+                .iter()
+                .enumerate()
+                .map(|(id, &(r, k, started, max_bw))| AppState {
+                    id: AppId(id),
+                    procs: 64,
+                    dilation_ratio: RATIOS[r],
+                    syseff_key: KEYS[k],
+                    last_io_end: Time::ZERO,
+                    io_requested_at: Time::ZERO,
+                    started_io: started,
+                    max_bw: Bw::gib_per_sec(max_bw),
+                })
+                .collect();
+            let third = pending.len() / 3;
+            pending.rotate_left(third);
+            pending
+        },
+    )
 }
 
 /// Uniform `[0, 1)` noise for draw `k` of seed `seed` (splitmix64).
@@ -223,30 +291,84 @@ proptest! {
         }
     }
 
-    /// One scratch kept for a whole sequence of events never changes an
-    /// order: at every event the in-place entry points, whose sorts start
-    /// from the ranking the scratch remembers, match the allocating ones
-    /// bit for bit. Between events applications leave and arrive, the
-    /// pending size crosses the warm-start cutoff (20) both ways, keys
-    /// drift, get redrawn or reverse (exhausting the repair budget), and
-    /// now and then the pending slice breaks `AppId` order. Each entry
-    /// point drives its own policy instance, so the stateful `control:*`
-    /// policy stays in lockstep.
+    /// MinMax-γ's rank orders exactly like the §3.1 comparator, at both
+    /// degenerate thresholds and the paper's γ = 0.5, with tied keys and
+    /// `-0.0` keys on both sides of the threshold test; under Priority
+    /// the order is the comparator's stably partitioned by `started_io`.
+    /// The ranked selection grants what the greedy loop grants over the
+    /// comparator's order.
     #[test]
-    fn a_scratch_kept_across_calls_never_changes_an_order(
+    fn minmax_rank_orders_like_the_comparator(
+        pending in arb_tied_pending(),
+        total in 1.0f64..64.0,
+    ) {
+        let ctx = SchedContext {
+            now: Time::secs(10.0),
+            total_bw: Bw::gib_per_sec(total),
+            pending: &pending,
+            signal: None,
+        };
+        for gamma in [0.0, 0.5, 1.0] {
+            let mut expected: Vec<usize> = (0..pending.len()).collect();
+            expected.sort_by(|&x, &y| minmax_prefer(gamma, &pending[x], &pending[y]));
+            prop_assert_eq!(MinMax::new(gamma).order(&ctx), expected.clone(), "minmax-{}", gamma);
+            let mut scratch = AllocScratch::new();
+            MinMax::new(gamma).allocate_into(&ctx, &mut scratch);
+            prop_assert_eq!(&scratch.alloc, &greedy_allocate(&ctx, &expected), "minmax-{}", gamma);
+
+            let (started, fresh): (Vec<usize>, Vec<usize>) =
+                expected.iter().partition(|&&i| pending[i].started_io);
+            let expected = [started, fresh].concat();
+            let mut prio = Priority::new(MinMax::new(gamma));
+            prop_assert_eq!(prio.order(&ctx), expected.clone(), "priority-minmax-{}", gamma);
+            prio.allocate_into(&ctx, &mut scratch);
+            prop_assert_eq!(
+                &scratch.alloc,
+                &greedy_allocate(&ctx, &expected),
+                "priority-minmax-{}",
+                gamma
+            );
+        }
+    }
+}
+
+/// One scratch kept for a whole sequence of events never changes an
+/// order, and the in-place allocation matches an independent oracle bit
+/// for bit. A ranked policy's `allocate_into` selects only the prefix its
+/// grant loop consumes, so it is checked against the shared greedy loop
+/// over the full sorted `order`; FairShare and the PI controller against
+/// their allocating `allocate`. Between events applications leave and
+/// arrive, the pending size crosses the warm-start cutoff (20) both ways,
+/// keys drift, get redrawn or reverse (exhausting the repair budget), the
+/// PFS is now and then uncongested (so more than [`SCAN_PICKS`]
+/// applications are granted), and now and then the pending slice breaks
+/// `AppId` order. Each entry point drives its own policy instance, so
+/// the stateful `control:*` policy stays in lockstep.
+#[test]
+fn a_scratch_kept_across_calls_never_changes_an_order() {
+    scratch_sequences();
+    assert!(
+        WIDE_GRANTS.load(AtomicOrdering::Relaxed) > 0,
+        "no generated event granted more than {SCAN_PICKS} applications"
+    );
+}
+
+proptest! {
+    /// The cases of [`a_scratch_kept_across_calls_never_changes_an_order`].
+    fn scratch_sequences(
         events in prop::collection::vec(arb_event(), 30),
     ) {
         let platform = Platform::intrepid();
         let mut lanes = Vec::new();
-        for name in SCRATCH_ROSTER {
+        for (name, ranked) in SCRATCH_ROSTER {
             let spec = PolicyFactory::parse(name).map_err(TestCaseError::fail)?;
             let reference = spec.build_online(&platform).map_err(TestCaseError::fail)?;
             let in_place = spec.build_online(&platform).map_err(TestCaseError::fail)?;
-            lanes.push((name, reference, in_place, AllocScratch::new()));
+            lanes.push((name, ranked, reference, in_place, AllocScratch::new()));
         }
         let mut apps: Vec<AppState> = Vec::new();
         let mut next_id = 0;
-        for (step, &(target, swap, change, seed, total)) in events.iter().enumerate() {
+        for (step, &(target, swap, change, seed, total, scale)) in events.iter().enumerate() {
             let now = Time::secs(10.0 * (step + 1) as f64);
             let leave = swap + apps.len().saturating_sub(target).min(8);
             for k in 0..leave.min(apps.len()) {
@@ -270,13 +392,14 @@ proptest! {
                 let third = pending.len() / 3;
                 pending.rotate_left(third);
             }
+            let total = if scale == 0 { total * 16.0 } else { total };
             let ctx = SchedContext {
                 now,
                 total_bw: Bw::gib_per_sec(total),
                 pending: &pending,
                 signal: None,
             };
-            for (name, reference, in_place, scratch) in &mut lanes {
+            for (name, ranked, reference, in_place, scratch) in &mut lanes {
                 in_place.order_into(&ctx, scratch);
                 let order = reference.order(&ctx);
                 prop_assert_eq!(scratch.order(), &order[..], "{} order at event {}", name, step);
@@ -284,7 +407,14 @@ proptest! {
                 let bits = |grants: &[(AppId, Bw)]| -> Vec<(AppId, u64)> {
                     grants.iter().map(|&(id, bw)| (id, bw.get().to_bits())).collect()
                 };
-                let alloc = reference.allocate(&ctx);
+                let alloc = if *ranked {
+                    if scratch.alloc.grants.len() > SCAN_PICKS {
+                        WIDE_GRANTS.fetch_add(1, AtomicOrdering::Relaxed);
+                    }
+                    greedy_allocate(&ctx, &order)
+                } else {
+                    reference.allocate(&ctx)
+                };
                 prop_assert_eq!(
                     bits(&scratch.alloc.grants),
                     bits(&alloc.grants),

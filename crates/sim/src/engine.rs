@@ -52,25 +52,30 @@
 //! ## Performance discipline
 //!
 //! The steady-state step path performs no per-event heap allocation on
-//! the engine side: the pending set (indices of applications that
-//! currently want I/O) is maintained incrementally across events instead
-//! of rescanned, arrivals wait in the release-ordered queue, compute
-//! completions in a calendar queue, retired slots are recycled, and the
-//! predicted-completion scratch plus the
-//! [`StateBuffer`] policy snapshot are reused across events. The
-//! predicted completions themselves are cached as absolute times behind a
-//! dirty flag — a transfer at constant rate finishes at the same instant
-//! no matter when it is predicted — so events that change no grant,
+//! either side of the policy boundary: the pending set (indices of
+//! applications that currently want I/O) is maintained incrementally
+//! across events instead of rescanned, arrivals wait in the
+//! release-ordered queue, compute completions in a calendar queue,
+//! retired slots are recycled, and the predicted-completion scratch, the
+//! [`StateBuffer`] policy snapshot and the policy's [`AllocScratch`]
+//! (which receives the grants through
+//! [`OnlinePolicy::allocate_into`]) are reused across events. Installing
+//! an allocation costs `O(grants)`, not `O(pending)`: the engine keeps the
+//! last allocation's grants as `(AppId, slot)` pairs, a pending slot
+//! outside that list always has a zero rate, and each allocation walks
+//! only the previous and the new grant list — zeroing the applications
+//! that lost their grant and installing the new ones. The predicted
+//! completions themselves are cached as absolute times behind a dirty
+//! flag — a transfer at constant rate finishes at the same instant no
+//! matter when it is predicted — so events that change no grant,
 //! capacity or phase (burst-buffer level crossings, timetable wakeups
 //! that confirm the running allocation, external-load boundaries) skip
-//! the per-event rescan of the pending set entirely. (Policies
-//! themselves return a fresh [`iosched_core::policy::Allocation`] per
-//! event — a handful of grant pairs.) Each inter-event interval is
-//! closed in one place: the [`TelemetrySample`] the last allocation
-//! opened is the single record of its start, end and capacity, and the
-//! telemetry tap, the steady-state window and the trace segment are all
-//! fed from it. Trace segments are only materialized when
-//! [`SimConfig::record_trace`] asks for them.
+//! the per-event rescan entirely. Each inter-event interval is closed in
+//! one place: the [`TelemetrySample`] the last allocation opened is the
+//! single record of its start, end and capacity, and the telemetry tap,
+//! the steady-state window and the trace segment are all fed from it.
+//! Trace segments are only materialized when [`SimConfig::record_trace`]
+//! asks for them, and read the grant list too.
 //!
 //! ## Numerical discipline
 //!
@@ -447,10 +452,10 @@ pub struct Simulation<'a> {
     finished: usize,
     drain_bw: Bw,
     /// Aggregate effective inflow installed by the last allocation
-    /// (`Σ effective` over the pending set, accumulated during the
-    /// grant-application walk). Nothing mutates a rate between an
-    /// allocation and the next event scan, so the cache replaces the
-    /// per-scan rescan of the pending set bit-for-bit.
+    /// (`Σ effective` over the grants, accumulated during the apply
+    /// walk). Nothing mutates a rate between an allocation and the next
+    /// event scan, so the cache replaces a per-scan rescan of the pending
+    /// set bit-for-bit.
     inflow: Bw,
     /// Applications currently in the `Io` phase. Maintained
     /// incrementally by the transition handlers.
@@ -466,8 +471,8 @@ pub struct Simulation<'a> {
     /// rescan of all pending applications is skipped until
     /// `predicted_dirty` says otherwise.
     predicted: Vec<(usize, Time)>,
-    /// Double-buffer for the fused rebuild: the grant-merge walk in
-    /// [`Simulation::allocate`] computes every pending application's
+    /// Double-buffer for the fused rebuild: the apply walk in
+    /// [`Simulation::allocate`] computes every granted application's
     /// predicted completion *as it installs the rates* — same `now`, same
     /// residues, same effective rates as the event-scan rebuild would see
     /// one step later, hence bit-identical — and commits it by swap iff
@@ -493,6 +498,14 @@ pub struct Simulation<'a> {
     /// place plus its ordering scratch — no per-event allocation on
     /// either side of the policy boundary.
     scratch: AllocScratch,
+    /// The last allocation's grants as `(AppId, slot)` pairs, in `AppId`
+    /// order. **Invariant:** a pending slot outside this list has
+    /// `rate = effective = 0` — settling an instance zeroes both, a
+    /// recycled slot starts at zero, and [`Simulation::allocate`] zeroes
+    /// every application that drops out of the list. The apply walk and
+    /// the trace segment therefore visit only this list, never the whole
+    /// pending set.
+    granted: Vec<(AppId, usize)>,
     trace: Option<BandwidthTrace>,
     /// Grants and effective rates of the open interval, captured for
     /// its trace segment (filled only when a trace is recorded).
@@ -659,6 +672,7 @@ impl<'a> Simulation<'a> {
             completed: Vec::with_capacity(n),
             snapshot: StateBuffer::new(),
             scratch: AllocScratch::new(),
+            granted: Vec::new(),
             trace: config.record_trace.then(BandwidthTrace::default),
             seg_grants: Vec::with_capacity(if config.record_trace { n } else { 0 }),
             seg_effective: Vec::with_capacity(if config.record_trace { n } else { 0 }),
@@ -1432,6 +1446,9 @@ impl<'a> Simulation<'a> {
             };
             self.inflow = Bw::ZERO;
             self.tel_open = TelemetrySample::idle(now, capacity);
+            // Every application granted last time left the pending set,
+            // and settling zeroed its rates on the way out.
+            self.granted.clear();
             return Ok(());
         }
         self.snapshot.clear();
@@ -1499,21 +1516,46 @@ impl<'a> Simulation<'a> {
             Some(b) if !b.is_throttled() => 1.0,
             _ => contended,
         };
-        // Both `pending` and `alloc.grants` are in `AppId` order (the
-        // StateBuffer contract and the Allocation invariant), so one merge
-        // walk applies the grants in O(pending + grants) instead of a
-        // binary search per application. Every pending application is
-        // visited (non-granted ones install zero), so the walk doubles as
-        // the change detector for the predicted-completion cache, the
-        // telemetry aggregation pass, *and* the §2.1 capacity screen: the
-        // exact comparisons below over-approximate [`Allocation::validate`]
-        // (`approx_gt` implies `>`), and any hit drops to the cold path
-        // where `validate` produces its canonical first-violation message.
-        // A merge walk that matches every grant has, by construction,
-        // checked sortedness, uniqueness and pending-membership.
-        let states = ctx.pending;
+        // The apply walk visits only the grants, never the whole pending
+        // set: a pending application outside the last grant list already
+        // has rate and effective at zero (the invariant on `granted`), and
+        // installing another zero there would change no bit — not the
+        // rates, not the change detector below, and not the totals, since
+        // adding `+0.0` to a sum that is never `-0.0` leaves it as it is.
+        //
+        // First the applications that lost their grant: one merge walk
+        // over the previous and the new list, both in `AppId` order.
+        // Slots are recycled, so an entry whose slot now holds another
+        // application is skipped (the newcomer started at zero).
         let mut gi = 0;
-        let mut matched = 0usize;
+        for &(id, i) in &self.granted {
+            while gi < grants.len() && grants[gi].0 < id {
+                gi += 1;
+            }
+            let kept = grants.get(gi).is_some_and(|&(g, _)| g == id);
+            if kept || self.hot.id[i] != id {
+                continue;
+            }
+            if self.hot.effective[i].get().to_bits() != 0 {
+                self.predicted_dirty = true;
+            }
+            self.hot.rate[i] = Bw::ZERO;
+            self.hot.effective[i] = Bw::ZERO;
+        }
+        // Then the new grants. Each one finds its pending entry by binary
+        // search, which gives the slot and the snapshot entry whose
+        // `max_bw` the screen compares against. The walk doubles as the
+        // change detector for the predicted-completion cache, the
+        // telemetry aggregation pass, *and* the §2.1 capacity screen: the
+        // exact comparisons below over-approximate
+        // [`Allocation::validate`] (`approx_gt` implies `>`), and any hit
+        // drops to the cold path where `validate` produces its canonical
+        // first-violation message. A grant for a non-pending application,
+        // and any step that is not strictly `AppId`-ascending (a
+        // duplicate, or two grants out of order), trips the screen.
+        let states = ctx.pending;
+        let entries = self.pending.entries();
+        let mut last: Option<AppId> = None;
         let mut suspect = false;
         let mut total_granted = Bw::ZERO;
         let mut total_delivered = Bw::ZERO;
@@ -1521,43 +1563,45 @@ impl<'a> Simulation<'a> {
         // values the next event scan would (the clock and the residues
         // only move *after* that scan), so building the predictions here
         // and committing them iff the step ends dirty is bit-identical to
-        // rebuilding lazily — minus one full pass per event. On the rare
-        // clean step the speculative buffer is simply dropped.
+        // rebuilding lazily — minus one full pass per event. Ungranted
+        // applications predict nothing, so the grants in `AppId` order
+        // give the scan's entries in the scan's order. On the rare clean
+        // step the speculative buffer is simply dropped.
         self.predicted_next.clear();
         let mut pmin_next = Time::INFINITY;
-        for (k, &(id, i)) in self.pending.entries().iter().enumerate() {
-            while gi < grants.len() && grants[gi].0 < id {
-                gi += 1;
-            }
-            let granted = match grants.get(gi) {
-                Some(&(gid, bw)) if gid == id => {
-                    matched += 1;
-                    suspect |=
-                        !bw.is_finite() || bw.get() < 0.0 || bw.get() > states[k].max_bw.get();
-                    bw
-                }
-                _ => Bw::ZERO,
+        self.granted.clear();
+        for &(id, bw) in grants {
+            let Ok(k) = entries.binary_search_by_key(&id, |&(pid, _)| pid) else {
+                suspect = true;
+                continue;
             };
-            let effective = granted * ingest_factor;
+            suspect |= last >= Some(id)
+                || !bw.is_finite()
+                || bw.get() < 0.0
+                || bw.get() > states[k].max_bw.get();
+            last = Some(id);
+            let i = entries[k].1;
+            let effective = bw * ingest_factor;
             if self.hot.effective[i].get().to_bits() != effective.get().to_bits() {
                 self.predicted_dirty = true;
             }
-            self.hot.rate[i] = granted;
+            self.hot.rate[i] = bw;
             self.hot.effective[i] = effective;
-            total_granted += granted;
+            total_granted += bw;
             total_delivered += effective;
             if effective.get() > 0.0 {
                 let done = now + self.hot.remaining[i] / effective;
                 self.predicted_next.push((i, done));
                 pmin_next = pmin_next.min(done);
             }
+            self.granted.push((id, i));
         }
         if self.predicted_dirty {
             std::mem::swap(&mut self.predicted, &mut self.predicted_next);
             self.predicted_min = pmin_next;
             self.predicted_dirty = false;
         }
-        if matched != grants.len() || total_granted.get() > ctx.total_bw.get() {
+        if total_granted.get() > ctx.total_bw.get() {
             suspect = true;
         }
         if suspect {
@@ -1582,11 +1626,11 @@ impl<'a> Simulation<'a> {
                     detail,
                 })?;
         }
+        #[cfg(debug_assertions)]
+        self.debug_check_ungranted();
         // A policy that schedules its own wakeups (a timetable) may stall
         // everyone between reservation windows; an event-driven policy that
-        // grants nothing would livelock the system. (`total_granted` folds
-        // in a zero per non-granted application, which leaves the sum
-        // bit-identical to `alloc.total()` — grants are non-negative here.)
+        // grants nothing would livelock the system.
         if total_granted.is_zero() && capacity.get() > 0.0 && self.policy.next_wakeup(now).is_none()
         {
             return Err(SimError::PolicyStalledSystem {
@@ -1657,14 +1701,15 @@ impl<'a> Simulation<'a> {
         }
         self.seg_grants.clear();
         self.seg_effective.clear();
-        // At most one entry per pending application; reserve up front so
-        // the fill below never reallocates (debug-asserted).
-        let need = self.pending.len();
+        // At most one entry per grant; reserve up front so the fill below
+        // never reallocates (debug-asserted). Every pending application
+        // with a positive rate is on the grant list, in `AppId` order.
+        let need = self.granted.len();
         self.seg_grants.reserve(need);
         self.seg_effective.reserve(need);
         #[cfg(debug_assertions)]
         let caps = (self.seg_grants.capacity(), self.seg_effective.capacity());
-        for &(id, i) in self.pending.entries() {
+        for &(id, i) in &self.granted {
             if self.hot.rate[i].get() > 0.0 {
                 self.seg_grants.push((id, self.hot.rate[i]));
                 self.seg_effective.push((id, self.hot.effective[i]));
@@ -1676,6 +1721,25 @@ impl<'a> Simulation<'a> {
             (self.seg_grants.capacity(), self.seg_effective.capacity()),
             "trace-segment buffers must not reallocate mid-fill"
         );
+    }
+
+    /// Debug builds check the invariant on `granted` after every
+    /// allocation: each pending slot outside the grant list holds
+    /// `rate = effective = +0.0`.
+    #[cfg(debug_assertions)]
+    fn debug_check_ungranted(&self) {
+        let mut g = self.granted.iter().peekable();
+        for &(id, i) in self.pending.entries() {
+            if g.next_if(|&&(gid, _)| gid == id).is_some() {
+                continue;
+            }
+            assert!(
+                self.hot.rate[i].get().to_bits() == 0 && self.hot.effective[i].get().to_bits() == 0,
+                "ungranted pending {id} holds rate {} / effective {}",
+                self.hot.rate[i],
+                self.hot.effective[i]
+            );
+        }
     }
 }
 
@@ -2044,6 +2108,118 @@ mod tests {
             Err(SimError::InvalidAllocation { policy, .. }) => assert_eq!(policy, "rogue"),
             other => panic!("expected InvalidAllocation, got {other:?}"),
         }
+    }
+
+    /// Failure injection: a policy whose grants come from `grants`, to
+    /// feed the engine's screen malformed grant lists.
+    struct ListPolicy {
+        grants: fn(&SchedContext<'_>) -> Vec<(AppId, Bw)>,
+    }
+    impl OnlinePolicy for ListPolicy {
+        fn name(&self) -> String {
+            "list".into()
+        }
+        fn order(&mut self, ctx: &SchedContext<'_>) -> Vec<usize> {
+            (0..ctx.pending.len()).collect()
+        }
+        fn allocate(&mut self, ctx: &SchedContext<'_>) -> iosched_core::policy::Allocation {
+            iosched_core::policy::Allocation {
+                grants: (self.grants)(ctx),
+            }
+        }
+    }
+
+    /// Run `grants` over two applications in I/O from `t = 0` (ids 0 and
+    /// 1, with 1 GiB/s cards) and one computing (id 2); return the
+    /// screen's verdict.
+    fn screen(grants: fn(&SchedContext<'_>) -> Vec<(AppId, Bw)>) -> String {
+        let io_first =
+            |id: usize| AppSpec::periodic(id, Time::ZERO, 10, Time::ZERO, Bytes::gib(5.0), 1);
+        let apps = [io_first(0), io_first(1), app(2, 1)];
+        let mut policy = ListPolicy { grants };
+        match simulate(&platform(), &apps, &mut policy, &SimConfig::default()) {
+            Err(SimError::InvalidAllocation { policy, detail }) => {
+                assert_eq!(policy, "list");
+                detail
+            }
+            other => panic!("expected InvalidAllocation, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn duplicate_grant_is_rejected() {
+        let detail = screen(|ctx| vec![(ctx.pending[0].id, Bw::gib_per_sec(0.5)); 2]);
+        assert_eq!(detail, format!("duplicate grant for {}", AppId(0)));
+    }
+
+    #[test]
+    fn grants_out_of_app_id_order_are_rejected() {
+        let detail = screen(|ctx| {
+            let half = Bw::gib_per_sec(0.5);
+            vec![(ctx.pending[1].id, half), (ctx.pending[0].id, half)]
+        });
+        assert_eq!(
+            detail,
+            format!(
+                "grants not sorted by AppId ({} precedes {}); policies must emit \
+                 AppId-ordered grants",
+                AppId(1),
+                AppId(0)
+            )
+        );
+    }
+
+    #[test]
+    fn grant_for_a_computing_application_is_rejected() {
+        let detail = screen(|ctx| {
+            assert_eq!(ctx.pending.len(), 2, "application 2 is computing");
+            let half = Bw::gib_per_sec(0.5);
+            vec![(ctx.pending[0].id, half), (AppId(2), half)]
+        });
+        assert_eq!(detail, format!("grant for non-pending {}", AppId(2)));
+    }
+
+    /// MinDilation's grants plus an explicit `0.0` grant for every
+    /// pending application it stalls.
+    struct ZeroPadded(MinDilation);
+    impl OnlinePolicy for ZeroPadded {
+        fn name(&self) -> String {
+            "zero-padded".into()
+        }
+        fn order(&mut self, ctx: &SchedContext<'_>) -> Vec<usize> {
+            self.0.order(ctx)
+        }
+        fn allocate(&mut self, ctx: &SchedContext<'_>) -> iosched_core::policy::Allocation {
+            let inner = self.0.allocate(ctx);
+            let grants = ctx.pending.iter().map(|a| (a.id, inner.granted(a.id)));
+            iosched_core::policy::Allocation {
+                grants: grants.collect(),
+            }
+        }
+    }
+
+    #[test]
+    fn explicit_zero_grants_match_omitted_ones_bit_for_bit() {
+        use iosched_model::Interference;
+        // 30-processor cards (3 GiB/s) let three or four applications
+        // share `B`, and the locality penalty makes every effective rate
+        // differ from its grant.
+        let p = platform().with_interference(Interference::default_penalty());
+        let apps: Vec<AppSpec> = (0..8)
+            .map(|i| {
+                let w = Time::secs(2.0 + i as f64);
+                let release = Time::secs(i as f64 * 1.5);
+                AppSpec::periodic(i, release, 30, w, Bytes::gib(6.0 + i as f64), 3)
+            })
+            .collect();
+        let config = SimConfig::traced();
+        let omitted = simulate(&p, &apps, &mut MinDilation, &config).unwrap();
+        let padded = simulate(&p, &apps, &mut ZeroPadded(MinDilation), &config).unwrap();
+        let trace = omitted.trace.as_ref().unwrap();
+        assert!(trace.segments.iter().any(|s| s.grants.len() > 1));
+        // Derived `Debug` prints every `f64` in its shortest round-trip
+        // form, so equal strings mean equal bits.
+        assert_eq!(format!("{omitted:?}"), format!("{padded:?}"));
     }
 
     #[test]
