@@ -3,8 +3,8 @@
 //! timetable replay, and the `stream_10k` open stream.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use iosched_baselines::FairShare;
 use iosched_bench::experiments::load_sweep;
+use iosched_core::baselines::FairShare;
 use iosched_core::heuristics::{MaxSysEff, MinDilation};
 use iosched_core::periodic::{
     InsertionHeuristic, PeriodSearch, PeriodicAppSpec, PeriodicObjective, TimetablePolicy,

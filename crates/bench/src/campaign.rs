@@ -19,7 +19,7 @@
 
 use crate::runner::ScenarioRunner;
 use crate::scenario::{PolicySpec, Scenario};
-use iosched_baselines::native_platform;
+use iosched_core::baselines::native_platform;
 use iosched_model::stats::Summary;
 use iosched_sim::{simulate, simulate_open, SimConfig, SimOutcome};
 use iosched_workload::WorkloadSpec;
@@ -749,7 +749,7 @@ where
 /// Execute a campaign on `runner`, folding outcomes into per-cell
 /// summaries as they stream back in input order.
 ///
-/// Built on the seed-block executor ([`fold_blocks`]): the fold holds
+/// Built on the seed-block executor (`fold_blocks`): the fold holds
 /// the sample buffers of the one `(platform, workload)` group currently
 /// in flight plus the finished [`CellSummary`]s —
 /// `O(cells + policies × seeds)` numbers, never `O(runs)` simulation

@@ -30,7 +30,7 @@ const SHARDS: usize = 8;
 
 /// Synthesize the year and aggregate per category.
 ///
-/// The year-long log is synthesized in [`SHARDS`] deterministic shards
+/// The year-long log is synthesized in 8 deterministic shards
 /// (seeded from `seed` and the shard index) fanned out on the
 /// [`ScenarioRunner`]'s streaming fold: each shard's records are merged
 /// into the accumulating log as soon as the input-ordered fold reaches

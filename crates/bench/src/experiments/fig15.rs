@@ -3,7 +3,7 @@
 //! IOR (uncoordinated), MaxSysEff and MinDilation, each with and without
 //! burst buffers.
 
-use iosched_baselines::FairShare;
+use iosched_core::baselines::FairShare;
 use iosched_core::heuristics::{MaxSysEff, MinDilation, Priority};
 use iosched_core::policy::OnlinePolicy;
 use iosched_ior::{run_ior, IorConfig};

@@ -6,7 +6,7 @@
 //! a decrease in their dilation"; with MinDilation "an almost uniform
 //! decrease in all application dilations".
 
-use iosched_baselines::FairShare;
+use iosched_core::baselines::FairShare;
 use iosched_core::heuristics::{MaxSysEff, MinDilation, Priority};
 use iosched_core::policy::OnlinePolicy;
 use iosched_ior::{run_ior, IorConfig};

@@ -10,8 +10,10 @@
 //! up. This module sweeps λ × policy × seed over streams of
 //! congested-moment shapes on Intrepid: each workload axis entry is one
 //! [`WorkloadSpec::Stream`] at a different arrival rate, every run
-//! trims a warmup transient, and the per-cell [`CellSummary::queue`] /
-//! [`CellSummary::stretch`] aggregates are the saturation curves.
+//! trims a warmup transient, and the per-cell
+//! [`CellSummary::queue`](crate::campaign::CellSummary::queue) /
+//! [`CellSummary::stretch`](crate::campaign::CellSummary::stretch)
+//! aggregates are the saturation curves.
 //!
 //! The whole experiment is one declarative [`CampaignSpec`] — exported
 //! as `examples/campaign_stream.json` and pinned bit-for-bit by

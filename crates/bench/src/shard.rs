@@ -25,9 +25,10 @@
 //! per policy) and [`merge_records`] replays the exact single-process
 //! fold — ascending global block order through the campaign's
 //! `CellFold` — so the merged [`CampaignResult`] is bit-identical to
-//! [`run_campaign`], pooled quantile reservoirs included. Ascending
-//! block order is the **pinned canonical merge order**; shard file
-//! layout and arrival order never influence the result.
+//! [`run_campaign`](crate::campaign::run_campaign), pooled quantile
+//! reservoirs included. Ascending block order is the **pinned canonical
+//! merge order**; shard file layout and arrival order never influence the
+//! result.
 //!
 //! ## Resume
 //!
@@ -559,7 +560,8 @@ pub fn run_shard(
 pub struct MergeReport {
     /// The campaign the partials belong to (from the manifests).
     pub spec: CampaignSpec,
-    /// The merged result — bit-identical to [`run_campaign`] on `spec`.
+    /// The merged result — bit-identical to
+    /// [`run_campaign`](crate::campaign::run_campaign) on `spec`.
     pub result: CampaignResult,
     /// Partial files read.
     pub files: usize,
@@ -576,7 +578,8 @@ pub struct MergeReport {
 
 /// Reduce block records into a [`CampaignResult`] by replaying the
 /// canonical fold: ascending global block order through the campaign's
-/// cell fold — bit-identical to [`run_campaign`], reservoirs included.
+/// cell fold — bit-identical to
+/// [`run_campaign`](crate::campaign::run_campaign), reservoirs included.
 /// Duplicate block indices keep the first occurrence; coverage must be
 /// exact (every block `0..block_count` present exactly once after
 /// dedup) or the merge refuses.

@@ -1,10 +1,9 @@
 //! The uncoordinated baseline schedulers the paper compares against.
 //!
-//! These live in `iosched_core` (rather than the `iosched-baselines`
-//! facade crate, which re-exports them) so the scenario-aware policy
-//! registry ([`crate::registry::PolicyFactory`]) can instantiate the
-//! *entire* roster — §3.1 heuristics, baselines and §3.2 periodic
-//! timetables — from one place.
+//! These live in `iosched_core`, next to the heuristics, so the
+//! scenario-aware policy registry ([`crate::registry::PolicyFactory`]) can
+//! instantiate the *entire* roster — §3.1 heuristics, baselines and §3.2
+//! periodic timetables — from one place.
 //!
 //! * [`FairShare`] — max–min fair bandwidth sharing: the fluid
 //!   idealization of a parallel file system with no global scheduler
@@ -13,12 +12,15 @@
 //! * [`Fcfs`] — strict first-come-first-served: the oldest outstanding
 //!   I/O request owns the PFS (§1 cites this as the simplest policy used
 //!   by server-side HPC I/O schedulers).
+//! * [`native_platform`] — the platform of the "Intrepid scheduler",
+//!   "Mira scheduler" and "Vesta scheduler" baselines, which run
+//!   [`FairShare`] on it.
 
 use crate::policy::{
-    allocate_into_by_rank, order_by_rank, order_into_by_key_asc, order_into_by_rank, rank_key,
-    AllocScratch, Allocation, AppState, OnlinePolicy, Ranked, SchedContext,
+    allocate_into_by_rank, order_into_by_rank, rank_key, AllocScratch, AppState, OnlinePolicy,
+    Ranked, SchedContext,
 };
-use iosched_model::Bw;
+use iosched_model::{Bw, Interference, Platform};
 
 /// Uncoordinated concurrent access with max–min fairness.
 ///
@@ -29,60 +31,29 @@ use iosched_model::Bw;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FairShare;
 
+/// FairShare's water-filling order: smallest card limit first, ties by
+/// `AppId`. A key of its own rather than `impl Ranked for FairShare`,
+/// which would let `Priority<FairShare>` build a greedy policy.
+struct ByCardLimit;
+
+impl Ranked for ByCardLimit {
+    fn rank(&self, a: &AppState) -> u128 {
+        rank_key(0, a.max_bw.get())
+    }
+}
+
 impl OnlinePolicy for FairShare {
     fn name(&self) -> String {
         "fairshare".into()
     }
 
-    fn order(&mut self, ctx: &SchedContext<'_>) -> Vec<usize> {
-        // Order is irrelevant for a policy that serves everyone; return
-        // id order for determinism (used only if someone wraps us).
-        (0..ctx.pending.len()).collect()
-    }
-
-    fn allocate(&mut self, ctx: &SchedContext<'_>) -> Allocation {
-        let n = ctx.pending.len();
-        if n == 0 {
-            return Allocation::empty();
-        }
-        // Progressive filling: satisfy the most-constrained demands first.
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| {
-            ctx.pending[a]
-                .max_bw
-                .get()
-                .total_cmp(&ctx.pending[b].max_bw.get())
-                .then_with(|| ctx.pending[a].id.cmp(&ctx.pending[b].id))
-        });
-        let mut remaining = ctx.total_bw;
-        let mut left = n;
-        let mut grants = Vec::with_capacity(n);
-        for &i in &order {
-            let fair = remaining / left as f64;
-            let bw = ctx.pending[i].max_bw.min(fair);
-            if bw.get() > 0.0 {
-                grants.push((ctx.pending[i].id, bw));
-            }
-            remaining = (remaining - bw).max(Bw::ZERO);
-            left -= 1;
-        }
-        grants.sort_by_key(|(id, _)| *id);
-        Allocation { grants }
-    }
-
     fn allocate_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
-        // The water-filling pass of `allocate`, reusing the scratch
-        // buffers: the same arithmetic on the same values in the same
-        // order, so both entry points are bit-identical.
-        let n = ctx.pending.len();
-        scratch.alloc.grants.clear();
-        if n == 0 {
-            return;
-        }
-        order_into_by_key_asc(ctx, scratch, |a| a.max_bw.get());
+        // Progressive filling: satisfy the most-constrained demands first.
+        order_into_by_rank(&ByCardLimit, ctx, scratch);
         let grants = &mut scratch.alloc.grants;
+        grants.clear();
         let mut remaining = ctx.total_bw;
-        let mut left = n;
+        let mut left = ctx.pending.len();
         for &i in &scratch.order {
             let fair = remaining / left as f64;
             let bw = ctx.pending[i].max_bw.min(fair);
@@ -106,10 +77,6 @@ impl OnlinePolicy for Fcfs {
         "fcfs".into()
     }
 
-    fn order(&mut self, ctx: &SchedContext<'_>) -> Vec<usize> {
-        order_by_rank(self, ctx)
-    }
-
     fn order_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
         order_into_by_rank(self, ctx, scratch);
     }
@@ -123,6 +90,25 @@ impl Ranked for Fcfs {
     fn rank(&self, a: &AppState) -> u128 {
         rank_key(0, a.io_requested_at.as_secs())
     }
+}
+
+/// Stand-in for the production I/O stacks the paper measures against.
+///
+/// §4.4 compares the heuristics *without* burst buffers to "the Intrepid
+/// and Mira schedulers" *with* burst buffers; §5 does the same on Vesta.
+/// The production stack has no cross-application coordination, so it is
+/// modelled as [`FairShare`] running on `base` equipped with
+///
+/// * the disk-locality interference penalty (the Fig. 1 effect:
+///   uncoordinated interleaved streams degrade the delivered aggregate
+///   bandwidth), and
+/// * the default burst buffer (absorb at 4×B, one minute of full-PFS
+///   capacity), which hides the penalty while it has headroom, for runs
+///   that route I/O through it (`SimConfig::use_burst_buffer`).
+#[must_use]
+pub fn native_platform(base: Platform) -> Platform {
+    base.with_interference(Interference::default_penalty())
+        .with_default_burst_buffer()
 }
 
 #[cfg(test)]

@@ -46,9 +46,10 @@
 //! simulation driving this policy remains a deterministic function of
 //! the scenario — reruns are bit-identical.
 
+use crate::heuristics::MinDilation;
 use crate::policy::{
-    greedy_allocate, order_by_key_asc, order_into_by_key_asc, AllocScratch, Allocation, AppState,
-    OnlinePolicy, SchedContext,
+    greedy_allocate, order_into_by_rank, AllocScratch, Allocation, AppState, OnlinePolicy,
+    SchedContext,
 };
 use iosched_model::{Bw, Bytes, Time};
 use serde::{Deserialize, Serialize};
@@ -377,9 +378,8 @@ impl ControlPolicy {
         Allocation { grants }
     }
 
-    /// The control law proper, shared by both allocation entry points;
-    /// `order` is the most-behind-first permutation (however the caller
-    /// computed it).
+    /// The control law proper over a non-empty pending set; `order` is
+    /// the most-behind-first permutation.
     fn allocate_with_order(&mut self, ctx: &SchedContext<'_>, order: &[usize]) -> Allocation {
         let signal = ctx
             .signal
@@ -497,21 +497,10 @@ impl OnlinePolicy for ControlPolicy {
         self.name.clone()
     }
 
-    /// Most-behind-first: ascending `ρ̃/ρ`, ties by `AppId`.
-    fn order(&mut self, ctx: &SchedContext<'_>) -> Vec<usize> {
-        order_by_key_asc(ctx, |a| a.dilation_ratio)
-    }
-
-    fn allocate(&mut self, ctx: &SchedContext<'_>) -> Allocation {
-        if ctx.pending.is_empty() {
-            return Allocation::empty();
-        }
-        let order = self.order(ctx);
-        self.allocate_with_order(ctx, &order)
-    }
-
+    /// Most-behind-first: ascending `ρ̃/ρ`, ties by `AppId`, which is
+    /// exactly MinDilation's order.
     fn order_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
-        order_into_by_key_asc(ctx, scratch, |a| a.dilation_ratio);
+        order_into_by_rank(&MinDilation, ctx, scratch);
     }
 
     fn allocate_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {

@@ -19,8 +19,8 @@
 //! consistent with the reported results.
 
 use crate::policy::{
-    allocate_into_by_rank, order_by_rank, order_into_by_rank, rank_key, AllocScratch, AppState,
-    OnlinePolicy, Ranked, SchedContext,
+    allocate_into_by_rank, order_into_by_rank, rank_key, AllocScratch, AppState, OnlinePolicy,
+    Ranked, SchedContext,
 };
 
 /// Serve applications with the highest `β·ρ̃` first.
@@ -30,10 +30,6 @@ pub struct MaxSysEff;
 impl OnlinePolicy for MaxSysEff {
     fn name(&self) -> String {
         "maxsyseff".into()
-    }
-
-    fn order(&mut self, ctx: &SchedContext<'_>) -> Vec<usize> {
-        order_by_rank(self, ctx)
     }
 
     fn order_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {

@@ -4,8 +4,8 @@
 //! (fairness / user-oriented).
 
 use crate::policy::{
-    allocate_into_by_rank, order_by_rank, order_into_by_rank, rank_key, AllocScratch, AppState,
-    OnlinePolicy, Ranked, SchedContext,
+    allocate_into_by_rank, order_into_by_rank, rank_key, AllocScratch, AppState, OnlinePolicy,
+    Ranked, SchedContext,
 };
 
 /// Serve the most-slowed-down applications first.
@@ -15,10 +15,6 @@ pub struct MinDilation;
 impl OnlinePolicy for MinDilation {
     fn name(&self) -> String {
         "mindilation".into()
-    }
-
-    fn order(&mut self, ctx: &SchedContext<'_>) -> Vec<usize> {
-        order_by_rank(self, ctx)
     }
 
     fn order_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {

@@ -10,8 +10,8 @@
 //! and to MaxSysEff at `γ = 0` (no ratio can sit strictly below 0).
 
 use crate::policy::{
-    allocate_into_by_rank, order_by_rank, order_into_by_rank, rank_key, AllocScratch, AppState,
-    OnlinePolicy, Ranked, SchedContext,
+    allocate_into_by_rank, order_into_by_rank, rank_key, AllocScratch, AppState, OnlinePolicy,
+    Ranked, SchedContext,
 };
 
 /// Threshold strategy: rescue applications whose dilation ratio fell below
@@ -46,10 +46,6 @@ impl MinMax {
 impl OnlinePolicy for MinMax {
     fn name(&self) -> String {
         format!("minmax-{:.2}", self.gamma)
-    }
-
-    fn order(&mut self, ctx: &SchedContext<'_>) -> Vec<usize> {
-        order_by_rank(self, ctx)
     }
 
     fn order_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {

@@ -13,8 +13,8 @@
 //! the composition is itself a rank.
 
 use crate::policy::{
-    allocate_into_by_rank, order_by_rank, order_into_by_rank, AllocScratch, AppState, OnlinePolicy,
-    Ranked, SchedContext,
+    allocate_into_by_rank, order_into_by_rank, AllocScratch, AppState, OnlinePolicy, Ranked,
+    SchedContext,
 };
 
 /// Never interrupt an application that already started its current I/O.
@@ -40,10 +40,6 @@ impl<P: Ranked + OnlinePolicy> Priority<P> {
 impl<P: Ranked + OnlinePolicy> OnlinePolicy for Priority<P> {
     fn name(&self) -> String {
         format!("priority-{}", self.inner.name())
-    }
-
-    fn order(&mut self, ctx: &SchedContext<'_>) -> Vec<usize> {
-        order_by_rank(self, ctx)
     }
 
     fn order_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {

@@ -6,8 +6,8 @@
 //! longest time ago is favored."
 
 use crate::policy::{
-    allocate_into_by_rank, order_by_rank, order_into_by_rank, rank_key, AllocScratch, AppState,
-    OnlinePolicy, Ranked, SchedContext,
+    allocate_into_by_rank, order_into_by_rank, rank_key, AllocScratch, AppState, OnlinePolicy,
+    Ranked, SchedContext,
 };
 
 /// FCFS with fairness: least-recently-served application first.
@@ -17,10 +17,6 @@ pub struct RoundRobin;
 impl OnlinePolicy for RoundRobin {
     fn name(&self) -> String {
         "roundrobin".into()
-    }
-
-    fn order(&mut self, ctx: &SchedContext<'_>) -> Vec<usize> {
-        order_by_rank(self, ctx)
     }
 
     fn order_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {

@@ -16,9 +16,9 @@
 //!   ([`periodic::InsertionHeuristic`]) and the `(1+ε)` period search
 //!   ([`periodic::PeriodSearch`]);
 //! * the **uncoordinated baselines** the paper compares against
-//!   ([`baselines::FairShare`], [`baselines::Fcfs`]) — hosted here (and
-//!   re-exported by `iosched-baselines`) so the roster below can build
-//!   them;
+//!   ([`baselines::FairShare`], [`baselines::Fcfs`]) and the platform of
+//!   the production-stack stand-in ([`baselines::native_platform`]) —
+//!   hosted here so the roster below can build them;
 //! * the **scenario-aware policy registry** ([`registry::PolicyFactory`]):
 //!   one serializable roster spanning the online heuristics, the
 //!   baselines and the offline periodic schedules, with a two-stage

@@ -17,7 +17,7 @@
 //! `iosched_sim::periodic_exec`, next to the engine it validates.)
 
 use super::schedule::PeriodicSchedule;
-use crate::policy::{AllocScratch, Allocation, OnlinePolicy, SchedContext};
+use crate::policy::{AllocScratch, OnlinePolicy, SchedContext};
 use iosched_model::{AppId, Bw, Time, EPS};
 
 /// Replay a [`PeriodicSchedule`] inside a fluid simulator.
@@ -111,22 +111,14 @@ impl OnlinePolicy for TimetablePolicy {
         self.name.clone()
     }
 
-    fn order(&mut self, ctx: &SchedContext<'_>) -> Vec<usize> {
-        // Ordering is irrelevant — allocate is overridden — but must be a
-        // permutation for trait contract purposes.
-        (0..ctx.pending.len()).collect()
-    }
-
-    fn allocate(&mut self, ctx: &SchedContext<'_>) -> Allocation {
+    fn allocate_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
         let offset = self.offset(ctx.now);
-        let mut grants: Vec<(AppId, Bw)> = ctx
-            .pending
-            .iter()
-            .filter_map(|app| {
-                let bw = self.planned_bw(app.id, offset).min(app.max_bw);
-                (bw.get() > 0.0).then_some((app.id, bw))
-            })
-            .collect();
+        let grants = &mut scratch.alloc.grants;
+        grants.clear();
+        grants.extend(ctx.pending.iter().filter_map(|app| {
+            let bw = self.planned_bw(app.id, offset).min(app.max_bw);
+            (bw.get() > 0.0).then_some((app.id, bw))
+        }));
         // The plan was built against the full PFS bandwidth; when the
         // usable capacity is smaller at replay time (an external
         // communication storm shrinking the shared pipe), the open-loop
@@ -135,25 +127,6 @@ impl OnlinePolicy for TimetablePolicy {
         // rule. With the capacity the schedule was built for this is a
         // no-op (the plan never overcommits), so pre-storm replays are
         // bit-identical.
-        let total: Bw = grants.iter().map(|(_, bw)| *bw).sum();
-        if total.approx_gt(ctx.total_bw) && total.get() > 0.0 {
-            let scale = ctx.total_bw.get() / total.get();
-            for (_, bw) in &mut grants {
-                *bw = *bw * scale;
-            }
-        }
-        Allocation { grants }
-    }
-
-    fn allocate_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
-        // Same pass as `allocate`, writing into the reused grant buffer.
-        let offset = self.offset(ctx.now);
-        let grants = &mut scratch.alloc.grants;
-        grants.clear();
-        grants.extend(ctx.pending.iter().filter_map(|app| {
-            let bw = self.planned_bw(app.id, offset).min(app.max_bw);
-            (bw.get() > 0.0).then_some((app.id, bw))
-        }));
         let total: Bw = grants.iter().map(|(_, bw)| *bw).sum();
         if total.approx_gt(ctx.total_bw) && total.get() > 0.0 {
             let scale = ctx.total_bw.get() / total.get();

@@ -13,13 +13,17 @@
 //! Policies are pure ordering strategies over [`AppState`] snapshots plus
 //! the shared greedy grant loop [`greedy_allocate`]; this keeps every
 //! heuristic of the paper a ~30-line module and guarantees they all enforce
-//! the two §2.1 capacity rules identically.
+//! the two §2.1 capacity rules identically. Each policy decides in one
+//! place, [`OnlinePolicy::allocate_into`].
 //!
 //! The §3.1 heuristics and the FCFS baseline state their preference as a
 //! [`Ranked`] key. At an event the grant loop usually stops after two or
 //! three applications, so `allocate_into_by_rank` picks the favored
 //! applications one by one instead of ranking every pending application,
-//! and costs `O(pending × grants)` rather than a full sort.
+//! and costs `O(pending × grants)` rather than a full sort. A full order
+//! (FairShare's water-filling, the `control:*` family's most-behind-first,
+//! any policy's [`OnlinePolicy::order`]) is one sort of rank keys,
+//! `order_into_by_rank`.
 
 use iosched_model::{AppId, Bw, Time};
 use serde::{Deserialize, Serialize};
@@ -236,35 +240,19 @@ impl StateBuffer {
     }
 }
 
-/// Reusable workspace for the in-place allocation path
-/// ([`OnlinePolicy::allocate_into`]): the output [`Allocation`] plus the
-/// rank/key/order scratch the selection and sorting helpers fill, and the
-/// last ranking [`order_into_by_key_asc`] produced.
+/// Reusable workspace of [`OnlinePolicy::allocate_into`]: the output
+/// [`Allocation`] plus the rank/order scratch the selection and sorting
+/// helpers fill.
 ///
 /// Rebuilding a preference order allocates a `Vec<usize>` per event and
 /// recomputes every ordering key once per *comparison*; at millions of
 /// events this dominates the policy-side profile. Drivers keep one
-/// `AllocScratch` alive across events (next to their [`StateBuffer`]) so
-/// a policy that overrides `allocate_into`/`order_into` runs the whole
-/// decision without touching the heap: keys are computed once per
-/// application into `ranked` or `keyed`, a full permutation (when one is
-/// asked for) lands in `order`, and the grants in `alloc.grants` — all
-/// retaining their capacity.
-///
-/// **Warm start.** Two consecutive events rank almost the same
-/// applications almost the same way: the keys drift a little, and one or
-/// two applications join or leave. So when more than 20 applications are
-/// pending, [`order_into_by_key_asc`] (FairShare's water-filling order
-/// and the `control:*` family's) starts from the ranking the previous
-/// call left here and repairs it with a bounded insertion sort, in
-/// `O(n + inversions)`, instead of sorting from scratch. The remembered
-/// ranking is only a hint. Every order it sorts by is strict on distinct
-/// applications (ties break by `AppId`), so it picks how much work the
-/// repair does, never the resulting permutation: a fresh scratch, one
-/// carried across calls, or one shared by several policies all yield the
-/// same order. One scratch per run is enough. The [`Ranked`] policies
-/// need no warm start: their allocation selects only the applications
-/// the grant loop consumes.
+/// `AllocScratch` alive across events (next to their [`StateBuffer`]), so
+/// the whole decision runs without touching the heap: keys are computed
+/// once per application into `ranked`, a full permutation (when one is
+/// asked for) lands in `order`, and the grants in `alloc.grants`, all
+/// retaining their capacity. The scratch carries no decision state from
+/// one call to the next, so one scratch per run is enough.
 #[derive(Debug, Default)]
 pub struct AllocScratch {
     /// The allocation decided by the last [`OnlinePolicy::allocate_into`].
@@ -273,31 +261,10 @@ pub struct AllocScratch {
     /// the candidates of [`allocate_into_by_rank`]'s selection, or the
     /// entries [`order_into_by_rank`] sorts.
     pub(crate) ranked: Vec<(u128, AppId, usize)>,
-    /// `(key-image, id, pending-index)` sorting workspace of
-    /// [`order_into_by_key_asc`]: the `f64` key mapped through the
-    /// IEEE-754 total-order bijection so the sort compares plain
-    /// integers, with the tie-breaking `AppId` carried inline.
-    pub(crate) keyed: Vec<(u64, u64, usize)>,
     /// Preference order: indices into the pending slice, most-favored
     /// first.
     pub(crate) order: Vec<usize>,
-    /// The ranking the last [`order_into_by_key_asc`] produced, as
-    /// `(id, rank)` pairs in that call's pending order (so
-    /// `AppId`-ascending under the [`StateBuffer`] contract); empty after
-    /// a call at or below the cutoff.
-    warm: Vec<(AppId, usize)>,
 }
-
-/// Pending sizes up to which [`order_into_by_key_asc`] always sorts from
-/// scratch and keeps no warm state. Up to 20 elements the standard library's
-/// unstable sort is itself an insertion sort, so a warm start would save
-/// few shifts and add two `O(n)` passes.
-const COLD_SORT_MAX_PENDING: usize = 20;
-
-/// The warm repair gives up after this many shifts per pending
-/// application and hands the partly repaired slice to the cold sort, so a
-/// reversed or scrambled start still costs `O(n log n)`.
-const REPAIR_SHIFTS_PER_APP: usize = 4;
 
 impl AllocScratch {
     /// A fresh, empty workspace.
@@ -312,76 +279,6 @@ impl AllocScratch {
     pub fn order(&self) -> &[usize] {
         &self.order
     }
-
-    /// Seed `order` for a sort over `pending` with the remembered ranking:
-    /// surviving applications in their previous relative order, then the
-    /// newcomers in pending order. Returns `false`, leaving `order` as it
-    /// was, when the call sorts cold instead (at or below the cutoff, or
-    /// nothing remembered).
-    fn warm_start(&mut self, pending: &[AppState]) -> bool {
-        if pending.len() <= COLD_SORT_MAX_PENDING || self.warm.is_empty() {
-            return false;
-        }
-        // One merge walk over two AppId-ascending lists drops each
-        // survivor into its previous rank's slot; departed applications
-        // leave their slot at the sentinel, and newcomers queue behind the
-        // slots. A pending slice out of AppId order only misses matches,
-        // so the start is always a permutation.
-        let order = &mut self.order;
-        order.clear();
-        order.resize(self.warm.len(), usize::MAX);
-        let mut w = 0;
-        for (i, a) in pending.iter().enumerate() {
-            while w < self.warm.len() && self.warm[w].0 < a.id {
-                w += 1;
-            }
-            match self.warm.get(w) {
-                Some(&(id, rank)) if id == a.id => {
-                    order[rank] = i;
-                    w += 1;
-                }
-                _ => order.push(i),
-            }
-        }
-        order.retain(|&i| i != usize::MAX);
-        true
-    }
-
-    /// Remember the ranking just written to `order` for the next call's
-    /// warm start, or forget it after a call at or below the cutoff.
-    fn remember(&mut self, pending: &[AppState]) {
-        self.warm.clear();
-        if pending.len() <= COLD_SORT_MAX_PENDING {
-            return;
-        }
-        self.warm.resize(pending.len(), (AppId(0), 0));
-        for (rank, &i) in self.order.iter().enumerate() {
-            self.warm[i] = (pending[i].id, rank);
-        }
-    }
-}
-
-/// Insertion-sort `v` by `less` (a strict total order) from its current
-/// order, in `O(len + inversions)`. Returns `false` once
-/// `REPAIR_SHIFTS_PER_APP · len` shifts are spent, leaving `v` a partly
-/// repaired permutation for the cold sort to finish.
-fn repair<T: Copy>(v: &mut [T], mut less: impl FnMut(&T, &T) -> bool) -> bool {
-    let mut budget = REPAIR_SHIFTS_PER_APP * v.len();
-    for i in 1..v.len() {
-        let x = v[i];
-        let mut j = i;
-        while j > 0 && less(&x, &v[j - 1]) {
-            if budget == 0 {
-                v[j] = x;
-                return false;
-            }
-            budget -= 1;
-            v[j] = v[j - 1];
-            j -= 1;
-        }
-        v[j] = x;
-    }
-    true
 }
 
 /// An online scheduling strategy (§3.1).
@@ -391,40 +288,43 @@ fn repair<T: Copy>(v: &mut [T], mut less: impl FnMut(&T, &T) -> bool) -> bool {
 /// them, which guarantees that every heuristic enforces the §2.1 capacity
 /// rules identically. Implementations must be deterministic functions of
 /// the context (ties broken by `AppId`), so simulations are reproducible.
+///
+/// A policy states its decision once, in
+/// [`allocate_into`](OnlinePolicy::allocate_into), the in-place entry
+/// point the engine and the IOR scheduler run.
+/// [`order`](OnlinePolicy::order) and [`allocate`](OnlinePolicy::allocate)
+/// are allocating conveniences over the in-place methods.
 pub trait OnlinePolicy: Send {
     /// Human-readable name used in reports ("maxsyseff", "priority-mindilation", …).
     fn name(&self) -> String;
 
-    /// Preference order: indices into `ctx.pending`, most-favored first.
-    /// Must be a permutation of `0..ctx.pending.len()`.
-    fn order(&mut self, ctx: &SchedContext<'_>) -> Vec<usize>;
+    /// Decide the bandwidth grants for `ctx.pending` into
+    /// `scratch.alloc`, reusing the scratch buffers across events.
+    fn allocate_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch);
 
-    /// Decide bandwidth grants for the pending applications by running the
-    /// shared greedy grant loop over [`OnlinePolicy::order`].
-    fn allocate(&mut self, ctx: &SchedContext<'_>) -> Allocation {
-        let order = self.order(ctx);
-        greedy_allocate(ctx, &order)
-    }
-
-    /// Fill `scratch.order` with [`OnlinePolicy::order`]'s permutation.
-    /// The default copies the allocating path's result; policies on hot
-    /// paths override it (via `order_into_by_rank` or
-    /// [`order_into_by_key_asc`]) so the steady-state decision allocates
-    /// nothing. Overrides must produce exactly the permutation `order`
-    /// would.
+    /// Fill `scratch.order` with the preference order: indices into
+    /// `ctx.pending`, most-favored first, a permutation of
+    /// `0..ctx.pending.len()`. The default is pending order, for
+    /// policies whose grants follow no preference (FairShare serves
+    /// everyone, a timetable follows its plan).
     fn order_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
-        let order = self.order(ctx);
         scratch.order.clear();
-        scratch.order.extend(order);
+        scratch.order.extend(0..ctx.pending.len());
     }
 
-    /// Allocation entry point for drivers that reuse buffers across
-    /// events: decide the grants into `scratch.alloc`. The default
-    /// delegates to [`OnlinePolicy::allocate`]; overrides must be
-    /// bit-identical to it — drivers may use either entry point
-    /// interchangeably (the fluid engine drives this one).
-    fn allocate_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
-        scratch.alloc = self.allocate(ctx);
+    /// The preference order of [`OnlinePolicy::order_into`], on a fresh
+    /// scratch.
+    fn order(&mut self, ctx: &SchedContext<'_>) -> Vec<usize> {
+        let mut scratch = AllocScratch::new();
+        self.order_into(ctx, &mut scratch);
+        scratch.order
+    }
+
+    /// The grants of [`OnlinePolicy::allocate_into`], on a fresh scratch.
+    fn allocate(&mut self, ctx: &SchedContext<'_>) -> Allocation {
+        let mut scratch = AllocScratch::new();
+        self.allocate_into(ctx, &mut scratch);
+        scratch.alloc
     }
 
     /// Next instant (strictly after `now`) at which this policy wants to
@@ -444,17 +344,17 @@ impl<P: OnlinePolicy + ?Sized> OnlinePolicy for Box<P> {
     fn name(&self) -> String {
         (**self).name()
     }
+    fn allocate_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
+        (**self).allocate_into(ctx, scratch);
+    }
+    fn order_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
+        (**self).order_into(ctx, scratch);
+    }
     fn order(&mut self, ctx: &SchedContext<'_>) -> Vec<usize> {
         (**self).order(ctx)
     }
     fn allocate(&mut self, ctx: &SchedContext<'_>) -> Allocation {
         (**self).allocate(ctx)
-    }
-    fn order_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
-        (**self).order_into(ctx, scratch);
-    }
-    fn allocate_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
-        (**self).allocate_into(ctx, scratch);
     }
     fn next_wakeup(&self, now: Time) -> Option<Time> {
         (**self).next_wakeup(now)
@@ -589,7 +489,9 @@ pub(crate) fn allocate_into_by_rank<R: Ranked + ?Sized>(
 }
 
 /// Fill `scratch.order` with the pending indices sorted by `(rank, id)`:
-/// the full preference order of a [`Ranked`] policy.
+/// the full preference order of a [`Ranked`] policy. This is the one sort
+/// of the policies in this crate; an order by one `f64` key ascending,
+/// ties by `AppId`, ranks `rank_key(0, key)`.
 pub(crate) fn order_into_by_rank<R: Ranked + ?Sized>(
     ranked: &R,
     ctx: &SchedContext<'_>,
@@ -603,58 +505,6 @@ pub(crate) fn order_into_by_rank<R: Ranked + ?Sized>(
         .extend(scratch.ranked.iter().map(|&(_, _, i)| i));
 }
 
-/// Allocating twin of [`order_into_by_rank`].
-#[must_use]
-pub(crate) fn order_by_rank<R: Ranked + ?Sized>(ranked: &R, ctx: &SchedContext<'_>) -> Vec<usize> {
-    let mut scratch = AllocScratch::new();
-    order_into_by_rank(ranked, ctx, &mut scratch);
-    scratch.order
-}
-
-/// In-place twin of [`order_by_key_asc`]: fill `scratch.order` with the
-/// pending-app indices ordered by `key` ascending, ties broken by
-/// `AppId`. Produces exactly the allocating helper's permutation — the
-/// key is a pure function of the [`AppState`], so computing it once per
-/// application (instead of once per comparison) cannot change it, and
-/// the comparator is strict on distinct applications (ids are unique),
-/// so any sort yields the same permutation.
-///
-/// Above 20 pending applications the sort starts from the ranking the
-/// previous call left in `scratch` and repairs it (the warm start on
-/// [`AllocScratch`]); that state is a hint that can never change an
-/// order, so one scratch per run is enough.
-pub fn order_into_by_key_asc<F: FnMut(&AppState) -> f64>(
-    ctx: &SchedContext<'_>,
-    scratch: &mut AllocScratch,
-    mut key: F,
-) {
-    // Sorting `(total_order_image(key), id)` pairs as integers yields
-    // precisely the comparator-based permutation — and keeps the hot
-    // comparison free of indirect loads. That matters because keys tie
-    // *often* (e.g. `dilation_ratio` saturates at exactly 1.0 for every
-    // undelayed application), and the old closure resolved every tie
-    // with two random-access `pending[·].id` lookups.
-    let mut entry = |i: usize, a: &AppState| (total_order_image(key(a)), a.id.0 as u64, i);
-    let pending = ctx.pending;
-    let warm = scratch.warm_start(pending);
-    scratch.keyed.clear();
-    if warm {
-        let start = scratch.order.iter().map(|&i| entry(i, &pending[i]));
-        scratch.keyed.extend(start);
-    } else {
-        let start = pending.iter().enumerate().map(|(i, a)| entry(i, a));
-        scratch.keyed.extend(start);
-    }
-    if !(warm && repair(&mut scratch.keyed, |x, y| (x.0, x.1) < (y.0, y.1))) {
-        scratch.keyed.sort_unstable_by_key(|&(k, id, _)| (k, id));
-    }
-    scratch.order.clear();
-    scratch
-        .order
-        .extend(scratch.keyed.iter().map(|&(_, _, i)| i));
-    scratch.remember(pending);
-}
-
 /// The IEEE-754 total-order bijection (flip every bit of a negative, set
 /// the sign bit of a non-negative): `u64` order on the images is exactly
 /// `f64::total_cmp` order on the values.
@@ -666,22 +516,6 @@ pub(crate) fn total_order_image(x: f64) -> u64 {
     } else {
         bits | (1 << 63)
     }
-}
-
-/// Sort helper: returns pending-app indices ordered by `key` ascending,
-/// ties broken by `AppId` so every policy is deterministic.
-#[must_use]
-pub fn order_by_key_asc<F: FnMut(&AppState) -> f64>(
-    ctx: &SchedContext<'_>,
-    mut key: F,
-) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..ctx.pending.len()).collect();
-    idx.sort_by(|&a, &b| {
-        let (ka, kb) = (key(&ctx.pending[a]), key(&ctx.pending[b]));
-        ka.total_cmp(&kb)
-            .then_with(|| ctx.pending[a].id.cmp(&ctx.pending[b].id))
-    });
-    idx
 }
 
 /// Tiny fixtures for policy unit tests (used by this crate and by the
@@ -831,41 +665,17 @@ mod tests {
 
     #[test]
     fn order_by_key_breaks_ties_by_id() {
+        struct Tied;
+        impl Ranked for Tied {
+            fn rank(&self, _: &AppState) -> u128 {
+                rank_key(0, 0.0)
+            }
+        }
         let pending = [app(2, 1.0), app(0, 1.0), app(1, 1.0)];
-        let c = ctx(10.0, &pending);
-        let order = order_by_key_asc(&c, |_| 0.0);
-        let ids: Vec<usize> = order.iter().map(|&i| pending[i].id.0).collect();
-        assert_eq!(ids, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn order_into_matches_the_allocating_helper() {
-        // Unsorted pending with key ties: the scratch path must
-        // reproduce the allocating helper's permutation exactly,
-        // including the AppId tie-break.
-        let mut pending = [app(2, 1.0), app(0, 1.0), app(1, 1.0), app(3, 1.0)];
-        pending[0].dilation_ratio = 0.5;
-        pending[3].dilation_ratio = 0.5;
-        let c = ctx(10.0, &pending);
         let mut scratch = AllocScratch::new();
-        order_into_by_key_asc(&c, &mut scratch, |a| a.dilation_ratio);
-        assert_eq!(scratch.order(), order_by_key_asc(&c, |a| a.dilation_ratio));
-
-        // The same above the warm-start cutoff, on the same scratch: 24
-        // unsorted applications leave a warm ranking behind, and the
-        // next call starts from it over a permuted slice with one
-        // application gone (id 1) and one new (id 40).
-        let mut pending: Vec<AppState> = (0..24).map(keyed_app).collect();
-        pending.rotate_left(5);
-        let c = ctx(10.0, &pending);
-        order_into_by_key_asc(&c, &mut scratch, |a| a.dilation_ratio);
-        assert_eq!(scratch.order(), order_by_key_asc(&c, |a| a.dilation_ratio));
-        pending.retain(|a| a.id != AppId(1));
-        pending.reverse();
-        pending.insert(7, keyed_app(40));
-        let c = ctx(10.0, &pending);
-        order_into_by_key_asc(&c, &mut scratch, |a| a.dilation_ratio);
-        assert_eq!(scratch.order(), order_by_key_asc(&c, |a| a.dilation_ratio));
+        order_into_by_rank(&Tied, &ctx(10.0, &pending), &mut scratch);
+        let ids: Vec<usize> = scratch.order().iter().map(|&i| pending[i].id.0).collect();
+        assert_eq!(ids, vec![0, 1, 2]);
     }
 
     /// Application `id` with a dilation ratio from four values, so keys
@@ -874,55 +684,6 @@ mod tests {
         let mut a = app(id, 1.0);
         a.dilation_ratio = ((id * 7) % 11 / 3) as f64 / 4.0;
         a
-    }
-
-    /// The `(key bits, id)` pairs of `pending` in the scratch's warm-start
-    /// order (non-negative keys, whose bits order like their values).
-    fn warm_images(scratch: &mut AllocScratch, pending: &[AppState]) -> Vec<(u64, AppId)> {
-        assert!(scratch.warm_start(pending));
-        let start = scratch.order.iter().map(|&i| &pending[i]);
-        start.map(|a| (a.dilation_ratio.to_bits(), a.id)).collect()
-    }
-
-    #[test]
-    fn a_reversal_exhausts_the_repair_and_falls_back_to_the_cold_order() {
-        let mut pending: Vec<AppState> = (0..64).map(keyed_app).collect();
-        for a in &mut pending {
-            a.dilation_ratio = a.id.0 as f64 / 64.0;
-        }
-        let mut scratch = AllocScratch::new();
-        order_into_by_key_asc(&ctx(10.0, &pending), &mut scratch, |a| a.dilation_ratio);
-        // Reversing the keys makes the warm start exactly backwards:
-        // 2,016 inversions against a budget of 256 shifts.
-        for a in &mut pending {
-            a.dilation_ratio = 1.0 - a.dilation_ratio;
-        }
-        let mut start = warm_images(&mut scratch, &pending);
-        assert!(!repair(&mut start, |x, y| x < y));
-        let c = ctx(10.0, &pending);
-        order_into_by_key_asc(&c, &mut scratch, |a| a.dilation_ratio);
-        assert_eq!(scratch.order(), order_by_key_asc(&c, |a| a.dilation_ratio));
-    }
-
-    #[test]
-    fn a_repeated_call_repairs_without_falling_back() {
-        let pending: Vec<AppState> = (0..32).map(keyed_app).collect();
-        let c = ctx(10.0, &pending);
-        let mut scratch = AllocScratch::new();
-        order_into_by_key_asc(&c, &mut scratch, |a| a.dilation_ratio);
-        let first = scratch.order.clone();
-        // The second identical call starts from the answer: the repair
-        // makes one comparison per neighbour pair and no shift.
-        let mut start = warm_images(&mut scratch, &pending);
-        let mut comparisons = 0;
-        assert!(repair(&mut start, |x, y| {
-            comparisons += 1;
-            x < y
-        }));
-        assert_eq!(comparisons, 31);
-        order_into_by_key_asc(&c, &mut scratch, |a| a.dilation_ratio);
-        assert_eq!(scratch.order(), first);
-        assert_eq!(first, order_by_key_asc(&c, |a| a.dilation_ratio));
     }
 
     /// MinDilation's preference, for the helper tests.
@@ -948,7 +709,14 @@ mod tests {
             let c = ctx(total, &pending);
             let mut scratch = AllocScratch::new();
             allocate_into_by_rank(&ByRatio, &c, &mut scratch);
-            let reference = greedy_allocate(&c, &order_by_key_asc(&c, |a| a.dilation_ratio));
+            let mut order: Vec<usize> = (0..n).collect();
+            order.sort_by(|&x, &y| {
+                let (x, y) = (&pending[x], &pending[y]);
+                x.dilation_ratio
+                    .total_cmp(&y.dilation_ratio)
+                    .then(x.id.cmp(&y.id))
+            });
+            let reference = greedy_allocate(&c, &order);
             let bits = |g: &[(AppId, Bw)]| -> Vec<(AppId, u64)> {
                 g.iter().map(|&(id, bw)| (id, bw.get().to_bits())).collect()
             };
@@ -962,8 +730,9 @@ mod tests {
     fn rank_order_sorts_by_class_then_key_then_id() {
         let pending = [app(2, 1.0), app(0, 1.0), app(1, 1.0), app(3, 1.0)];
         let c = ctx(10.0, &pending);
-        let order = order_by_rank(&ByRatio, &c);
-        let ids: Vec<usize> = order.iter().map(|&i| pending[i].id.0).collect();
+        let mut scratch = AllocScratch::new();
+        order_into_by_rank(&ByRatio, &c, &mut scratch);
+        let ids: Vec<usize> = scratch.order().iter().map(|&i| pending[i].id.0).collect();
         assert_eq!(ids, vec![0, 1, 2, 3]);
         assert!(rank_key(0, f64::INFINITY) < rank_key(1, f64::NEG_INFINITY));
         assert!(rank_key(0, -0.0) < rank_key(0, 0.0));
@@ -971,22 +740,40 @@ mod tests {
     }
 
     #[test]
-    fn default_allocate_into_delegates_to_allocate() {
-        struct Fixed;
-        impl OnlinePolicy for Fixed {
+    fn provided_order_and_allocate_wrap_the_in_place_path() {
+        /// Least-favored-id-first greedy, with a stated order.
+        struct Reversed;
+        impl OnlinePolicy for Reversed {
             fn name(&self) -> String {
-                "fixed".into()
+                "reversed".into()
             }
-            fn order(&mut self, ctx: &SchedContext<'_>) -> Vec<usize> {
-                (0..ctx.pending.len()).rev().collect()
+            fn order_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
+                scratch.order.clear();
+                scratch.order.extend((0..ctx.pending.len()).rev());
+            }
+            fn allocate_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
+                self.order_into(ctx, scratch);
+                scratch.alloc = greedy_allocate(ctx, &scratch.order);
             }
         }
-        let pending = [app(0, 6.0), app(1, 6.0)];
+        /// Nothing granted, no order stated.
+        struct Idle;
+        impl OnlinePolicy for Idle {
+            fn name(&self) -> String {
+                "idle".into()
+            }
+            fn allocate_into(&mut self, _: &SchedContext<'_>, scratch: &mut AllocScratch) {
+                scratch.alloc.grants.clear();
+            }
+        }
+        let pending = [app(0, 6.0), app(1, 6.0), app(2, 6.0)];
         let c = ctx(10.0, &pending);
         let mut scratch = AllocScratch::new();
-        Fixed.allocate_into(&c, &mut scratch);
-        assert_eq!(scratch.alloc, Fixed.allocate(&c));
-        Fixed.order_into(&c, &mut scratch);
-        assert_eq!(scratch.order(), Fixed.order(&c));
+        Reversed.allocate_into(&c, &mut scratch);
+        assert_eq!(scratch.alloc, Reversed.allocate(&c));
+        assert_eq!(Reversed.order(&c), vec![2, 1, 0]);
+        assert!(Reversed.allocate(&c).granted(AppId(0)).is_zero());
+        assert_eq!(Idle.order(&c), vec![0, 1, 2]);
+        assert_eq!(Idle.allocate(&c), Allocation::empty());
     }
 }

@@ -1,15 +1,18 @@
 //! Property tests for the scheduling core: every policy's allocation
 //! always satisfies the §2.1 capacity rules, the Priority wrapper is a
 //! stable partition of its inner order, MinMax-γ's rank orders like the
-//! §3.1 comparator, a scratch kept across calls never changes an order and
+//! §3.1 comparator, a scratch kept across calls never changes an order,
 //! the ranked selection grants what the greedy loop over a full sort
-//! grants, the bandwidth profile never overcommits and its early-exit
+//! grants, FairShare and `control:pi` decide what comparator-sort oracles
+//! decide, the bandwidth profile never overcommits and its early-exit
 //! first fit agrees with a full scan, and random 3-Partition instances
 //! round-trip.
 
 use iosched_core::heuristics::{MinMax, PolicyKind, Priority};
 use iosched_core::periodic::BandwidthProfile;
-use iosched_core::policy::{greedy_allocate, AllocScratch, AppState, OnlinePolicy, SchedContext};
+use iosched_core::policy::{
+    greedy_allocate, AllocScratch, Allocation, AppState, OnlinePolicy, SchedContext,
+};
 use iosched_core::registry::PolicyFactory;
 use iosched_core::three_partition::ThreePartition;
 use iosched_model::{AppId, Bw, Platform, Time};
@@ -45,23 +48,65 @@ fn arb_pending() -> impl Strategy<Value = Vec<AppState>> {
     (1usize..20).prop_flat_map(|n| (0..n).map(arb_app_state).collect::<Vec<_>>())
 }
 
-/// Every online policy with an in-place path, and whether it is ranked:
-/// the eight Fig. 6 heuristics and FCFS select the applications their
-/// grant loop consumes, FairShare and the PI controller sort into the
-/// scratch.
-const SCRATCH_ROSTER: [(&str, bool); 11] = [
-    ("roundrobin", true),
-    ("priority-roundrobin", true),
-    ("mindilation", true),
-    ("priority-mindilation", true),
-    ("maxsyseff", true),
-    ("priority-maxsyseff", true),
-    ("minmax-0.50", true),
-    ("priority-minmax-0.50", true),
-    ("fairshare", false),
-    ("fcfs", true),
-    ("control:pi", false),
+/// The oracle a kept-scratch lane is checked against.
+#[derive(Clone, Copy, PartialEq)]
+enum Oracle {
+    /// A ranked policy, which selects only the applications its grant
+    /// loop consumes: the shared greedy loop over its full sorted `order`.
+    Greedy,
+    /// FairShare: [`water_fill`].
+    WaterFill,
+    /// The PI controller: [`comparator_order`] by dilation ratio, and the
+    /// grants of a lockstep instance deciding through `allocate` (a fresh
+    /// scratch per call).
+    Lockstep,
+}
+
+/// Every online policy with an in-place path, and its oracle.
+const SCRATCH_ROSTER: [(&str, Oracle); 11] = [
+    ("roundrobin", Oracle::Greedy),
+    ("priority-roundrobin", Oracle::Greedy),
+    ("mindilation", Oracle::Greedy),
+    ("priority-mindilation", Oracle::Greedy),
+    ("maxsyseff", Oracle::Greedy),
+    ("priority-maxsyseff", Oracle::Greedy),
+    ("minmax-0.50", Oracle::Greedy),
+    ("priority-minmax-0.50", Oracle::Greedy),
+    ("fairshare", Oracle::WaterFill),
+    ("fcfs", Oracle::Greedy),
+    ("control:pi", Oracle::Lockstep),
 ];
+
+/// Pending indices sorted by `key` under `f64::total_cmp`, ties by
+/// `AppId`.
+fn comparator_order(pending: &[AppState], key: fn(&AppState) -> f64) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..pending.len()).collect();
+    order.sort_by(|&x, &y| {
+        let (x, y) = (&pending[x], &pending[y]);
+        key(x).total_cmp(&key(y)).then_with(|| x.id.cmp(&y.id))
+    });
+    order
+}
+
+/// Max–min water-filling over [`comparator_order`] by card limit, the
+/// oracle for FairShare: each application in turn gets
+/// `min(max_bw, remaining / left)`.
+fn water_fill(ctx: &SchedContext<'_>) -> Allocation {
+    let mut remaining = ctx.total_bw;
+    let mut left = ctx.pending.len();
+    let mut grants = Vec::new();
+    for i in comparator_order(ctx.pending, |a| a.max_bw.get()) {
+        let fair = remaining / left as f64;
+        let bw = ctx.pending[i].max_bw.min(fair);
+        if bw.get() > 0.0 {
+            grants.push((ctx.pending[i].id, bw));
+        }
+        remaining = (remaining - bw).max(Bw::ZERO);
+        left -= 1;
+    }
+    grants.sort_by_key(|&(id, _)| id);
+    Allocation { grants }
+}
 
 /// Picks the ranked selection makes by linear scan before it sorts the
 /// rest (private to `iosched_core::policy`; mirrored here so the tests
@@ -334,16 +379,12 @@ proptest! {
 
 /// One scratch kept for a whole sequence of events never changes an
 /// order, and the in-place allocation matches an independent oracle bit
-/// for bit. A ranked policy's `allocate_into` selects only the prefix its
-/// grant loop consumes, so it is checked against the shared greedy loop
-/// over the full sorted `order`; FairShare and the PI controller against
-/// their allocating `allocate`. Between events applications leave and
-/// arrive, the pending size crosses the warm-start cutoff (20) both ways,
-/// keys drift, get redrawn or reverse (exhausting the repair budget), the
-/// PFS is now and then uncongested (so more than [`SCAN_PICKS`]
-/// applications are granted), and now and then the pending slice breaks
-/// `AppId` order. Each entry point drives its own policy instance, so
-/// the stateful `control:*` policy stays in lockstep.
+/// for bit (see [`Oracle`]). Between events applications leave and
+/// arrive, the pending size moves between 0 and 47, keys drift, get
+/// redrawn or reverse, the PFS is now and then uncongested (so more than
+/// [`SCAN_PICKS`] applications are granted), and now and then the
+/// pending slice breaks `AppId` order. Each lane drives its own policy
+/// instances, so the stateful `control:*` policy stays in lockstep.
 #[test]
 fn a_scratch_kept_across_calls_never_changes_an_order() {
     scratch_sequences();
@@ -360,11 +401,11 @@ proptest! {
     ) {
         let platform = Platform::intrepid();
         let mut lanes = Vec::new();
-        for (name, ranked) in SCRATCH_ROSTER {
+        for (name, oracle) in SCRATCH_ROSTER {
             let spec = PolicyFactory::parse(name).map_err(TestCaseError::fail)?;
             let reference = spec.build_online(&platform).map_err(TestCaseError::fail)?;
             let in_place = spec.build_online(&platform).map_err(TestCaseError::fail)?;
-            lanes.push((name, ranked, reference, in_place, AllocScratch::new()));
+            lanes.push((name, oracle, reference, in_place, AllocScratch::new()));
         }
         let mut apps: Vec<AppState> = Vec::new();
         let mut next_id = 0;
@@ -399,21 +440,27 @@ proptest! {
                 pending: &pending,
                 signal: None,
             };
-            for (name, ranked, reference, in_place, scratch) in &mut lanes {
+            for (name, oracle, reference, in_place, scratch) in &mut lanes {
                 in_place.order_into(&ctx, scratch);
-                let order = reference.order(&ctx);
+                let order = if *oracle == Oracle::Lockstep {
+                    comparator_order(&pending, |a| a.dilation_ratio)
+                } else {
+                    reference.order(&ctx)
+                };
                 prop_assert_eq!(scratch.order(), &order[..], "{} order at event {}", name, step);
                 in_place.allocate_into(&ctx, scratch);
                 let bits = |grants: &[(AppId, Bw)]| -> Vec<(AppId, u64)> {
                     grants.iter().map(|&(id, bw)| (id, bw.get().to_bits())).collect()
                 };
-                let alloc = if *ranked {
-                    if scratch.alloc.grants.len() > SCAN_PICKS {
-                        WIDE_GRANTS.fetch_add(1, AtomicOrdering::Relaxed);
+                let alloc = match oracle {
+                    Oracle::Greedy => {
+                        if scratch.alloc.grants.len() > SCAN_PICKS {
+                            WIDE_GRANTS.fetch_add(1, AtomicOrdering::Relaxed);
+                        }
+                        greedy_allocate(&ctx, &order)
                     }
-                    greedy_allocate(&ctx, &order)
-                } else {
-                    reference.allocate(&ctx)
+                    Oracle::WaterFill => water_fill(&ctx),
+                    Oracle::Lockstep => reference.allocate(&ctx),
                 };
                 prop_assert_eq!(
                     bits(&scratch.alloc.grants),

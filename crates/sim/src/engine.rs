@@ -1496,9 +1496,8 @@ impl<'a> Simulation<'a> {
         let ctx = self
             .snapshot
             .context_with_signal(now, capacity, self.telemetry.signal());
-        // The policy writes its grants into the reused workspace; the
-        // `allocate_into` contract demands bit-identical output to the
-        // allocating `allocate` path.
+        // The policy writes its grants into the reused workspace, through
+        // `allocate_into`, the one place every policy decides.
         self.policy.allocate_into(&ctx, &mut self.scratch);
         let grants = &self.scratch.alloc.grants;
         let active = grants.iter().filter(|(_, b)| b.get() > 0.0).count();
@@ -1988,17 +1987,9 @@ mod tests {
         fn name(&self) -> String {
             "rogue".into()
         }
-        fn order(&mut self, ctx: &SchedContext<'_>) -> Vec<usize> {
-            (0..ctx.pending.len()).collect()
-        }
-        fn allocate(&mut self, ctx: &SchedContext<'_>) -> iosched_core::policy::Allocation {
-            iosched_core::policy::Allocation {
-                grants: ctx
-                    .pending
-                    .iter()
-                    .map(|a| (a.id, ctx.total_bw * 2.0))
-                    .collect(),
-            }
+        fn allocate_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
+            let grants = ctx.pending.iter().map(|a| (a.id, ctx.total_bw * 2.0));
+            scratch.alloc.grants = grants.collect();
         }
     }
 
@@ -2008,11 +1999,8 @@ mod tests {
         fn name(&self) -> String {
             "silent".into()
         }
-        fn order(&mut self, ctx: &SchedContext<'_>) -> Vec<usize> {
-            (0..ctx.pending.len()).collect()
-        }
-        fn allocate(&mut self, _ctx: &SchedContext<'_>) -> iosched_core::policy::Allocation {
-            iosched_core::policy::Allocation::empty()
+        fn allocate_into(&mut self, _ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
+            scratch.alloc.grants.clear();
         }
     }
 
@@ -2119,13 +2107,8 @@ mod tests {
         fn name(&self) -> String {
             "list".into()
         }
-        fn order(&mut self, ctx: &SchedContext<'_>) -> Vec<usize> {
-            (0..ctx.pending.len()).collect()
-        }
-        fn allocate(&mut self, ctx: &SchedContext<'_>) -> iosched_core::policy::Allocation {
-            iosched_core::policy::Allocation {
-                grants: (self.grants)(ctx),
-            }
+        fn allocate_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
+            scratch.alloc.grants = (self.grants)(ctx);
         }
     }
 
@@ -2186,15 +2169,11 @@ mod tests {
         fn name(&self) -> String {
             "zero-padded".into()
         }
-        fn order(&mut self, ctx: &SchedContext<'_>) -> Vec<usize> {
-            self.0.order(ctx)
-        }
-        fn allocate(&mut self, ctx: &SchedContext<'_>) -> iosched_core::policy::Allocation {
-            let inner = self.0.allocate(ctx);
+        fn allocate_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
+            self.0.allocate_into(ctx, scratch);
+            let inner = &scratch.alloc;
             let grants = ctx.pending.iter().map(|a| (a.id, inner.granted(a.id)));
-            iosched_core::policy::Allocation {
-                grants: grants.collect(),
-            }
+            scratch.alloc.grants = grants.collect();
         }
     }
 

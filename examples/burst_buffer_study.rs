@@ -7,7 +7,7 @@
 //! cargo run --release --example burst_buffer_study
 //! ```
 
-use hpc_io_sched::baselines::{native_platform, run_native, NativeConfig};
+use hpc_io_sched::baselines::{native_platform, FairShare};
 use hpc_io_sched::core::heuristics::MaxSysEff;
 use hpc_io_sched::model::{BurstBufferSpec, Platform, Time};
 use hpc_io_sched::sim::{simulate, SimConfig};
@@ -30,20 +30,17 @@ fn main() {
     println!("------------------------------------------------------");
     for secs in [0.0, 5.0, 15.0, 30.0, 60.0, 120.0, 300.0, 600.0] {
         let out = if secs == 0.0 {
-            run_native(
-                &base,
-                &apps,
-                NativeConfig {
-                    burst_buffers: false,
-                },
-            )
-            .unwrap()
+            simulate(&base, &apps, &mut FairShare, &SimConfig::default()).unwrap()
         } else {
             let platform = base.clone().with_burst_buffer(BurstBufferSpec {
                 capacity: base.total_bw * Time::secs(secs),
                 absorb_bw: base.total_bw * 4.0,
             });
-            run_native(&platform, &apps, NativeConfig::default()).unwrap()
+            let config = SimConfig {
+                use_burst_buffer: true,
+                ..SimConfig::default()
+            };
+            simulate(&platform, &apps, &mut FairShare, &config).unwrap()
         };
         let eff = out.report.sys_efficiency;
         let verdict = if eff >= ours.report.sys_efficiency {

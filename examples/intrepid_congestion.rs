@@ -5,7 +5,7 @@
 //! cargo run --release --example intrepid_congestion [seed]
 //! ```
 
-use hpc_io_sched::baselines::{native_platform, run_native, NativeConfig};
+use hpc_io_sched::baselines::{native_platform, FairShare};
 use hpc_io_sched::core::heuristics::PolicyKind;
 use hpc_io_sched::model::Platform;
 use hpc_io_sched::sim::{simulate, SimConfig};
@@ -37,7 +37,11 @@ fn main() {
             out.report.dilation
         );
     }
-    let native = run_native(&platform, &apps, NativeConfig::default()).expect("native run");
+    let config = SimConfig {
+        use_burst_buffer: true,
+        ..SimConfig::default()
+    };
+    let native = simulate(&platform, &apps, &mut FairShare, &config).expect("native run");
     println!(
         "{:<22} {:>12.1}%  {:>8.2}   (with burst buffers)",
         "intrepid (native)",

@@ -8,8 +8,8 @@
 //! the runnable examples (`examples/`) and the cross-crate integration
 //! tests (`tests/`). See `README.md` for the architecture overview.
 
-pub use iosched_baselines as baselines;
 pub use iosched_core as core;
+pub use iosched_core::baselines;
 pub use iosched_ior as ior;
 pub use iosched_model as model;
 pub use iosched_sim as sim;

@@ -3,10 +3,10 @@
 //! sequential engine — bit-identical outcomes, input-ordered, invariant
 //! under the worker-thread count.
 
-use iosched_baselines::native_platform;
 use iosched_bench::campaign::{run_campaign, CampaignSpec, PlatformSpec};
 use iosched_bench::runner::ScenarioRunner;
 use iosched_bench::scenario::{PolicySpec, Scenario};
+use iosched_core::baselines::native_platform;
 use iosched_model::stats::Summary;
 use iosched_model::Platform;
 use iosched_sim::{simulate, SimConfig, SimOutcome};

@@ -3,7 +3,7 @@
 //! game": never exceed `b` per processor, never exceed `B` in aggregate,
 //! transfer exactly `vol_io` per instance).
 
-use iosched_baselines::{FairShare, Fcfs};
+use iosched_core::baselines::{FairShare, Fcfs};
 use iosched_core::heuristics::PolicyKind;
 use iosched_core::policy::OnlinePolicy;
 use iosched_model::{AppId, AppSpec, Bw, Bytes, Platform, Time};

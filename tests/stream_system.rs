@@ -5,7 +5,7 @@
 use hpc_io_sched::model::{AppId, AppSpec, Bw, Bytes, Platform, Time};
 use hpc_io_sched::sim::{simulate, simulate_open, simulate_stream, SimConfig, Simulation};
 use hpc_io_sched::workload::{ArrivalProcess, StopRule, WorkloadSpec};
-use iosched_baselines::FairShare;
+use iosched_core::baselines::FairShare;
 use iosched_core::heuristics::PolicyKind;
 use proptest::prelude::*;
 
