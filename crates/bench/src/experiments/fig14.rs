@@ -57,7 +57,8 @@ mod tests {
 
     #[test]
     fn overheads_are_small_for_every_scenario() {
-        // Coarse scale to keep the test quick; the binary uses a finer one.
+        // Coarse scale to keep the test quick; `iosched repro fig14` uses a
+        // finer one.
         let rows = run(2_000.0);
         assert_eq!(rows.len(), 11);
         for r in &rows {

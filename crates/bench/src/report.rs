@@ -1,6 +1,7 @@
-//! Plain-text table formatting shared by every experiment binary.
+//! Plain-text table formatting shared by the reproduction targets and
+//! the CLI.
 
-/// Fixed-width table printer.
+/// Fixed-width plain-text table.
 #[derive(Debug, Default)]
 pub struct Table {
     headers: Vec<String>,
@@ -55,12 +56,6 @@ impl Table {
             out.push('\n');
         }
         out
-    }
-
-    /// Print to stdout with a title banner.
-    pub fn print(&self, title: &str) {
-        println!("\n== {title} ==");
-        print!("{}", self.render());
     }
 }
 

@@ -6,6 +6,7 @@ use iosched_cli::{
     cmd_platforms, cmd_policies, cmd_shard, cmd_simulate, cmd_stream, cmd_telemetry,
     cmd_trace_journal, cmd_trace_scenario, GenerateKind, ScenarioFile, USAGE,
 };
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -240,9 +241,33 @@ fn run(args: &[String]) -> Result<String, String> {
             }
         }
         Some("serve") => cmd_serve(args),
+        Some("repro") => cmd_repro(args),
         Some("--help") | Some("-h") | None => Ok(USAGE.to_string()),
         Some(other) => Err(format!("unknown command '{other}'")),
     }
+}
+
+/// `iosched repro [<target>|all] [--runs N]`: render the paper's
+/// figures and tables (see [`iosched_bench::repro`]).
+fn cmd_repro(args: &[String]) -> Result<String, String> {
+    let mut target = None;
+    let mut runs = None;
+    let mut rest = args[1..].iter();
+    while let Some(arg) = rest.next() {
+        match arg.as_str() {
+            "--runs" => {
+                let n = rest.next().ok_or("--runs needs a count")?;
+                let n = n
+                    .parse::<NonZeroUsize>()
+                    .map_err(|_| format!("bad --runs value '{n}' (expected a positive integer)"))?;
+                runs = Some(n);
+            }
+            flag if flag.starts_with('-') => return Err(format!("unknown repro flag '{flag}'")),
+            name if target.is_none() => target = Some(name),
+            extra => return Err(format!("unexpected repro argument '{extra}'")),
+        }
+    }
+    iosched_bench::repro::run(target, runs)
 }
 
 /// `iosched serve`: the scheduler daemon (and its `--replay` verifier

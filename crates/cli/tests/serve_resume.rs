@@ -199,3 +199,47 @@ fn malformed_lines_leave_the_trajectory_untouched() {
     let final_line = session_final(&tmp("noise.jsonl"), &noisy);
     assert_eq!(final_line, baseline);
 }
+
+/// A running clock waits out a far-future release: at real time, the
+/// wall wait until 1e22 virtual seconds does not fit a `Duration`, and
+/// the daemon must saturate it (then heed the heartbeat) rather than
+/// panic while converting it.
+#[test]
+fn far_future_release_under_a_running_clock_shuts_down_cleanly() {
+    let journal = tmp("far-future.jsonl");
+    let mut child = Command::new(EXE)
+        .args([
+            "serve",
+            "--platform",
+            "intrepid",
+            "--policy",
+            "maxsyseff",
+            "--accelerate",
+            "1",
+            "--journal",
+        ])
+        .arg(&journal)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("daemon spawns");
+    {
+        let stdin = child.stdin.as_mut().expect("stdin piped");
+        writeln!(
+            stdin,
+            r#"{{"cmd":"submit","procs":256,"work":60,"vol":512,"count":2,"release":1e22}}"#
+        )
+        .expect("write submission");
+        writeln!(stdin, r#"{{"cmd":"shutdown"}}"#).expect("write shutdown");
+    }
+    let out = child.wait_with_output().expect("daemon exits");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "daemon failed:\nstdout: {stdout}\nstderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let last = stdout.lines().last().unwrap_or_default();
+    assert!(last.starts_with(r#"{"final":"#), "no final line: {stdout}");
+}

@@ -7,10 +7,11 @@
 //! a scaled sleep; the I/O phase is the real request→grant→complete
 //! round trip with the scheduler thread.
 
-use crate::clock::SimClock;
 use crate::protocol::{ToApp, ToScheduler};
 use crossbeam::channel::{Receiver, Sender};
 use iosched_model::{AppSpec, Time};
+use iosched_sim::VirtualClock;
+use std::thread::sleep;
 
 /// Timestamped record of one application thread's run.
 #[derive(Debug, Clone, Default)]
@@ -27,7 +28,7 @@ pub struct AppThreadLog {
 #[must_use]
 pub fn run_app(
     spec: &AppSpec,
-    clock: SimClock,
+    clock: VirtualClock,
     to_scheduler: &Sender<ToScheduler>,
     from_scheduler: &Receiver<ToApp>,
 ) -> AppThreadLog {
@@ -37,13 +38,13 @@ pub fn run_app(
     let release = spec.release();
     let now = clock.now();
     if release.approx_gt(now) {
-        clock.sleep_sim(release - now);
+        sleep(clock.wall(release - now));
     }
 
     for i in 0..spec.instance_count() {
         let inst = spec.instance(i);
         // Compute phase: dedicated resources, scaled sleep.
-        clock.sleep_sim(inst.work);
+        sleep(clock.wall(inst.work));
         // I/O phase: request → block → complete.
         log.bytes_requested += inst.vol.get();
         let request = ToScheduler::Request {
@@ -72,7 +73,7 @@ mod tests {
     #[test]
     fn app_issues_one_request_per_instance() {
         let spec = AppSpec::periodic(0, Time::ZERO, 10, Time::secs(1.0), Bytes::gib(1.0), 3);
-        let clock = SimClock::start(10_000.0);
+        let clock = VirtualClock::new(Time::ZERO, 10_000.0);
         let (to_sched, sched_rx) = unbounded();
         let (complete_tx, from_sched) = unbounded();
 
@@ -110,7 +111,7 @@ mod tests {
     #[test]
     fn app_survives_scheduler_disappearing() {
         let spec = AppSpec::periodic(0, Time::ZERO, 10, Time::secs(1.0), Bytes::gib(1.0), 5);
-        let clock = SimClock::start(100_000.0);
+        let clock = VirtualClock::new(Time::ZERO, 100_000.0);
         let (to_sched, sched_rx) = unbounded();
         let (_complete_tx, from_sched) = unbounded::<ToApp>();
         drop(sched_rx); // scheduler never existed

@@ -2,14 +2,14 @@
 //! scheduler thread, run to completion, report the paper's objectives.
 
 use crate::app_thread::run_app;
-use crate::clock::SimClock;
 use crate::protocol::{ToApp, ToScheduler};
 use crate::scheduler::{Scheduler, SchedulerStats};
 use crossbeam::channel::unbounded;
 use iosched_core::policy::OnlinePolicy;
 use iosched_model::{
-    app::validate_scenario, AppOutcome, AppSpec, ModelError, ObjectiveReport, Platform,
+    app::validate_scenario, AppOutcome, AppSpec, ModelError, ObjectiveReport, Platform, Time,
 };
+use iosched_sim::VirtualClock;
 use std::time::{Duration, Instant};
 
 /// Harness configuration.
@@ -54,7 +54,24 @@ pub struct IorOutcome {
     pub stats: SchedulerStats,
 }
 
+/// The harness clock: `speedup` simulated seconds per wall second,
+/// starting now at simulated time zero.
+///
+/// # Panics
+/// Panics unless `speedup` is positive and finite: a frozen (or
+/// backwards) clock would never wake the application threads.
+pub(crate) fn start_clock(speedup: f64) -> VirtualClock {
+    assert!(
+        speedup > 0.0 && speedup.is_finite(),
+        "speedup must be positive and finite, got {speedup}"
+    );
+    VirtualClock::new(Time::ZERO, speedup)
+}
+
 /// Run the modified-IOR experiment with `policy` arbitrating I/O.
+///
+/// # Panics
+/// Panics unless `config.speedup` is positive and finite.
 pub fn run_ior(
     config: &IorConfig,
     policy: &mut dyn OnlinePolicy,
@@ -71,7 +88,7 @@ pub fn run_ior(
     let mut apps = config.apps.clone();
     apps.sort_by_key(AppSpec::id);
     let started = Instant::now();
-    let clock = SimClock::start(config.speedup);
+    let clock = start_clock(config.speedup);
     let (to_sched, sched_rx) = unbounded::<ToScheduler>();
     let mut complete_txs = Vec::with_capacity(apps.len());
     let mut complete_rxs = Vec::with_capacity(apps.len());

@@ -19,8 +19,9 @@
 //!   [`iosched_core::policy::OnlinePolicy`] to the outstanding requests,
 //!   tracks fluid transfer progress in *real* (scaled) time, and wakes up
 //!   exactly at predicted completions ([`scheduler`]),
-//! * a [`clock::SimClock`] maps wall-clock time to simulated seconds so a
-//!   multi-hour Vesta run takes a fraction of a second of real time.
+//! * an accelerated [`iosched_sim::VirtualClock`] (the serve daemon's
+//!   clock) maps wall-clock time to simulated seconds so a multi-hour
+//!   Vesta run takes a fraction of a second of real time.
 //!
 //! Everything the paper measures on Vesta is measured here: SysEfficiency
 //! and Dilation per scenario (Fig. 15), per-application dilations
@@ -32,12 +33,10 @@
 //! are real; only the disk is simulated.
 
 pub mod app_thread;
-pub mod clock;
 pub mod harness;
 pub mod overhead;
 pub mod protocol;
 pub mod scheduler;
 
-pub use clock::SimClock;
 pub use harness::{run_ior, IorConfig, IorOutcome};
 pub use overhead::{measure_overhead, OverheadReport};

@@ -12,10 +12,10 @@
 //! allow-all mode. The difference is pure protocol cost: channel hops,
 //! scheduler wake-ups, allocation bookkeeping.
 
-use crate::clock::SimClock;
-use crate::harness::{run_ior, IorConfig};
+use crate::harness::{run_ior, start_clock, IorConfig};
 use iosched_core::heuristics::RoundRobin;
 use iosched_model::{AppSpec, ModelError, Platform};
+use std::thread::sleep;
 use std::time::{Duration, Instant};
 
 /// Result of one overhead comparison.
@@ -32,22 +32,25 @@ pub struct OverheadReport {
 
 /// Run the iteration loops without any scheduler: compute sleep plus a
 /// dedicated-mode I/O sleep per instance, one thread per application.
+///
+/// # Panics
+/// Panics unless `speedup` is positive and finite.
 #[must_use]
 pub fn run_unscheduled(platform: &Platform, apps: &[AppSpec], speedup: f64) -> Duration {
     let started = Instant::now();
-    let clock = SimClock::start(speedup);
+    let clock = start_clock(speedup);
     std::thread::scope(|scope| {
         for spec in apps {
             scope.spawn(move || {
                 let release = spec.release();
                 let now = clock.now();
                 if release.approx_gt(now) {
-                    clock.sleep_sim(release - now);
+                    sleep(clock.wall(release - now));
                 }
                 for i in 0..spec.instance_count() {
                     let inst = spec.instance(i);
-                    clock.sleep_sim(inst.work);
-                    clock.sleep_sim(platform.dedicated_io_time(spec.procs(), inst.vol));
+                    sleep(clock.wall(inst.work));
+                    sleep(clock.wall(platform.dedicated_io_time(spec.procs(), inst.vol)));
                 }
             });
         }
@@ -100,6 +103,21 @@ mod tests {
             got > expected * 0.9 && got < expected * 3.0,
             "wall {got}s vs expected ≈{expected}s"
         );
+    }
+
+    /// Both entry points refuse a clock that cannot wake their threads
+    /// (frozen, backwards or undefined) before spawning any.
+    #[test]
+    fn entry_points_reject_a_speedup_that_is_not_positive_and_finite() {
+        for speedup in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut cfg = IorConfig::new(Platform::vesta(), apps());
+            cfg.speedup = speedup;
+            let scheduled = std::panic::catch_unwind(|| run_ior(&cfg, &mut RoundRobin));
+            assert!(scheduled.is_err(), "run_ior accepted speedup {speedup}");
+            let raw =
+                std::panic::catch_unwind(|| run_unscheduled(&cfg.platform, &cfg.apps, speedup));
+            assert!(raw.is_err(), "run_unscheduled accepted speedup {speedup}");
+        }
     }
 
     #[test]

@@ -9,12 +9,12 @@
 //! latencies of this loop — channel hops, wake-up jitter, allocation time
 //! — are *real* and show up in the measured overhead (Fig. 14).
 
-use crate::clock::SimClock;
 use crate::protocol::{ToApp, ToScheduler};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use iosched_core::policy::{AllocScratch, AppState, OnlinePolicy, StateBuffer};
 use iosched_model::{AppProgress, AppSpec, Bw, Bytes, Platform, Time};
 use iosched_sim::burst_buffer::BurstBufferState;
+use iosched_sim::VirtualClock;
 use std::time::Duration;
 
 /// A transfer is fluid-complete when less than one byte remains.
@@ -47,7 +47,7 @@ struct Outstanding {
 /// Scheduler-thread state and main loop.
 pub struct Scheduler<'a> {
     platform: &'a Platform,
-    clock: SimClock,
+    clock: VirtualClock,
     progress: Vec<AppProgress>,
     last_io_end: Vec<Time>,
     outstanding: Vec<Option<Outstanding>>,
@@ -77,7 +77,7 @@ impl<'a> Scheduler<'a> {
     pub fn new(
         platform: &'a Platform,
         specs: &[AppSpec],
-        clock: SimClock,
+        clock: VirtualClock,
         use_burst_buffer: bool,
         allow_all: bool,
     ) -> Self {
@@ -288,7 +288,7 @@ impl<'a> Scheduler<'a> {
         }
         let _ = now;
         match next {
-            Some(t) => self.clock.to_real(t).max(Duration::from_micros(50)),
+            Some(t) => self.clock.wall(t).max(Duration::from_micros(50)),
             None => IDLE_POLL,
         }
     }
@@ -309,7 +309,7 @@ mod tests {
     fn scheduler_completes_injected_requests() {
         let p = platform();
         let spec = AppSpec::periodic(0, Time::ZERO, 100, Time::secs(1.0), Bytes::gib(5.0), 2);
-        let clock = SimClock::start(2_000.0);
+        let clock = VirtualClock::new(Time::ZERO, 2_000.0);
         let sched = Scheduler::new(&p, &[spec], clock, false, false);
         let (tx, rx) = unbounded();
         let (ctx0, crx0) = unbounded();
@@ -342,7 +342,7 @@ mod tests {
     fn zero_volume_instances_rejected() {
         let p = platform();
         let spec = AppSpec::periodic(0, Time::ZERO, 10, Time::secs(1.0), Bytes::ZERO, 1);
-        let clock = SimClock::start(1_000.0);
+        let clock = VirtualClock::new(Time::ZERO, 1_000.0);
         let _ = Scheduler::new(&p, &[spec], clock, false, false);
     }
 }

@@ -24,7 +24,6 @@
 //! jitter — can never influence simulated results; only the accepted
 //! arrival sequence can, and that is exactly what the journal records.
 
-use crate::clock::VirtualClock;
 use crate::journal::{Journal, JournalContents, ServeSpec};
 use crate::protocol::{
     self, checkpoint_line, drain_line, error_line, final_line, metrics_line, status_line,
@@ -33,7 +32,7 @@ use crate::protocol::{
 use crate::session::Session;
 use iosched_model::Time;
 use iosched_obs::Stopwatch;
-use iosched_sim::Simulation;
+use iosched_sim::{Simulation, VirtualClock};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -203,9 +202,7 @@ fn drive(
         // Sleep until the next engine event is due (in wall terms) or
         // the heartbeat, whichever is sooner.
         let wait = match status {
-            iosched_sim::RunStatus::Blocked(t) => clock
-                .wall_until(t)
-                .map_or(heartbeat, |w| heartbeat.min(Duration::from_secs_f64(w))),
+            iosched_sim::RunStatus::Blocked(t) => heartbeat.min(clock.wall_until(t)),
             _ => heartbeat,
         };
         let inbound = match rx.recv_timeout(wait) {

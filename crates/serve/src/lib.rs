@@ -28,19 +28,18 @@
 //!
 //! Modules, inside out: [`protocol`] (wire format), [`journal`]
 //! (write-ahead arrival log + [`journal::ServeSpec`] manifest),
-//! [`clock`] (wall→virtual mapping), [`metrics`] (the daemon's
-//! observability catalog over `iosched-obs`), [`session`] (the I/O-free
-//! state machine), [`daemon`] (threads, sockets, the drive loop, plus
-//! the `--replay` verifier and `--connect` client).
+//! [`metrics`] (the daemon's observability catalog over `iosched-obs`),
+//! [`session`] (the I/O-free state machine), [`daemon`] (threads,
+//! sockets, the drive loop, plus the `--replay` verifier and
+//! `--connect` client). The wall→virtual mapping is
+//! [`iosched_sim::VirtualClock`], shared with the IOR harness.
 
-pub mod clock;
 pub mod daemon;
 pub mod journal;
 pub mod metrics;
 pub mod protocol;
 pub mod session;
 
-pub use clock::VirtualClock;
 pub use daemon::{connect, replay, run_daemon, DaemonOptions};
 pub use journal::{Journal, JournalContents, ServeSpec};
 pub use metrics::ServeMetrics;

@@ -507,10 +507,6 @@ pub struct Simulation<'a> {
     /// pending set.
     granted: Vec<(AppId, usize)>,
     trace: Option<BandwidthTrace>,
-    /// Grants and effective rates of the open interval, captured for
-    /// its trace segment (filled only when a trace is recorded).
-    seg_grants: Vec<(AppId, Bw)>,
-    seg_effective: Vec<(AppId, Bw)>,
     /// Always-on congestion tap (see [`crate::telemetry`]): ring buffer
     /// of closed inter-event intervals, whose derived signal is handed
     /// to the policy at every allocation. Kept (with its open interval)
@@ -674,8 +670,6 @@ impl<'a> Simulation<'a> {
             scratch: AllocScratch::new(),
             granted: Vec::new(),
             trace: config.record_trace.then(BandwidthTrace::default),
-            seg_grants: Vec::with_capacity(if config.record_trace { n } else { 0 }),
-            seg_effective: Vec::with_capacity(if config.record_trace { n } else { 0 }),
             telemetry: Telemetry::new(config.telemetry),
             tel_open: TelemetrySample::idle(Time::ZERO, platform.total_bw),
             dtrace: None,
@@ -689,7 +683,6 @@ impl<'a> Simulation<'a> {
         }
         sim.settle_transitions()?;
         sim.allocate()?;
-        sim.snapshot_segment();
         Ok(sim)
     }
 
@@ -1069,7 +1062,6 @@ impl<'a> Simulation<'a> {
         // --- State transitions and re-allocation. ---------------------
         self.settle_transitions()?;
         self.allocate()?;
-        self.snapshot_segment();
         Ok(StepStatus::Advanced)
     }
 
@@ -1674,6 +1666,13 @@ impl<'a> Simulation<'a> {
     /// open [`TelemetrySample`] is the interval's one record: the
     /// telemetry tap, the steady-state window and the trace segment are
     /// all fed from it.
+    ///
+    /// The segment's grants are read straight off the grant list: no
+    /// rate is written between an allocation and the close of its
+    /// interval (the advance moves only residues, an offer only queues,
+    /// and admissions and settles run after the close), so `granted` and
+    /// the hot rates still hold what the allocation installed. Only
+    /// positive rates enter the segment, in `AppId` order.
     fn close_interval(&mut self) {
         self.tel_open.end = self.now;
         let closed = self.tel_open;
@@ -1682,44 +1681,23 @@ impl<'a> Simulation<'a> {
             steady.record_interval(&closed);
         }
         if let Some(t) = &mut self.trace {
+            let positive = self
+                .granted
+                .iter()
+                .filter(|&&(_, i)| self.hot.rate[i].get() > 0.0);
             t.push(TraceSegment {
                 start: closed.start,
                 end: closed.end,
                 capacity: closed.capacity,
-                grants: self.seg_grants.clone(),
-                effective: self.seg_effective.clone(),
+                grants: positive
+                    .clone()
+                    .map(|&(id, i)| (id, self.hot.rate[i]))
+                    .collect(),
+                effective: positive
+                    .map(|&(id, i)| (id, self.hot.effective[i]))
+                    .collect(),
             });
         }
-    }
-
-    /// Capture the current allocation's grants for the trace segment
-    /// being built (skipped entirely when no trace was requested).
-    fn snapshot_segment(&mut self) {
-        if self.trace.is_none() {
-            return;
-        }
-        self.seg_grants.clear();
-        self.seg_effective.clear();
-        // At most one entry per grant; reserve up front so the fill below
-        // never reallocates (debug-asserted). Every pending application
-        // with a positive rate is on the grant list, in `AppId` order.
-        let need = self.granted.len();
-        self.seg_grants.reserve(need);
-        self.seg_effective.reserve(need);
-        #[cfg(debug_assertions)]
-        let caps = (self.seg_grants.capacity(), self.seg_effective.capacity());
-        for &(id, i) in &self.granted {
-            if self.hot.rate[i].get() > 0.0 {
-                self.seg_grants.push((id, self.hot.rate[i]));
-                self.seg_effective.push((id, self.hot.effective[i]));
-            }
-        }
-        #[cfg(debug_assertions)]
-        debug_assert_eq!(
-            caps,
-            (self.seg_grants.capacity(), self.seg_effective.capacity()),
-            "trace-segment buffers must not reallocate mid-fill"
-        );
     }
 
     /// Debug builds check the invariant on `granted` after every

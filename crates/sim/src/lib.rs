@@ -37,6 +37,7 @@
 
 pub mod burst_buffer;
 mod calendar;
+pub mod clock;
 pub mod engine;
 pub mod error;
 pub mod external_load;
@@ -47,6 +48,7 @@ pub mod steady;
 pub mod telemetry;
 pub mod trace;
 
+pub use clock::VirtualClock;
 pub use engine::{
     simulate, simulate_open, simulate_stream, RunStatus, SimConfig, Simulation, StepStatus,
 };
