@@ -13,11 +13,14 @@
 //! instead times the decisions a real run asks for: the first 2,000
 //! contexts a seed-0 run of the load sweep's stream at its highest
 //! arrival rate (`load_sweep::stream_workload`, λ = 0.0014/s) hands
-//! `fairshare`, `control:pi` and `mindilation`, with 5.9, 8.1 and 7.8
-//! applications pending on average (the setup prints each sequence's
-//! mean). One iteration is one pass over the sequence by a freshly built
-//! policy on one fresh scratch, so the stateful controller replays its
-//! own trajectory.
+//! `fairshare`, `control:pi`, `mindilation` and the timetable replay
+//! `periodic:cong:tmax=32`, with 5.9, 8.1, 7.8 and 49.0 applications
+//! pending on average (the setup prints each sequence's mean). One
+//! iteration is one pass over the sequence on one fresh scratch. An
+//! online policy is built afresh for each pass, so the stateful
+//! controller replays its own trajectory. The timetable is built once,
+//! outside the timed loop, from the stream's whole roster: it keeps no
+//! decision state, and its period search is not a decision.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use iosched_bench::experiments::load_sweep;
@@ -25,7 +28,7 @@ use iosched_core::control::CongestionSignal;
 use iosched_core::heuristics::PolicyKind;
 use iosched_core::policy::{AllocScratch, AppState, OnlinePolicy, SchedContext};
 use iosched_core::registry::PolicyFactory;
-use iosched_model::{AppId, Bw, Platform, Time};
+use iosched_model::{AppId, AppSpec, Bw, Platform, Time};
 use iosched_sim::simulate_open;
 use std::hint::black_box;
 
@@ -101,45 +104,73 @@ impl OnlinePolicy for Recorder {
         }
         self.inner.allocate_into(ctx, scratch);
     }
+
+    fn next_wakeup(&self, now: Time) -> Option<Time> {
+        self.inner.next_wakeup(now)
+    }
 }
 
-/// The contexts the load sweep's seed-0, highest-λ run hands `policy`.
-fn record(platform: &Platform, policy: &PolicyFactory) -> Vec<Recorded> {
+/// The load sweep's seed-0 stream at its highest λ.
+fn sweep_apps(platform: &Platform) -> Vec<AppSpec> {
     let lambda = load_sweep::lambdas().into_iter().fold(0.0, f64::max);
-    let apps = load_sweep::stream_workload(lambda)
+    load_sweep::stream_workload(lambda)
         .with_seed(0)
         .materialize(platform)
-        .expect("the sweep's stream materializes");
+        .expect("the sweep's stream materializes")
+}
+
+/// The contexts the sweep's run of `apps` hands `policy`.
+fn record(platform: &Platform, apps: &[AppSpec], policy: &PolicyFactory) -> Vec<Recorded> {
     let config = load_sweep::campaign(1)
         .config
         .expect("the sweep configures its runs");
-    let inner = policy.build_online(platform).expect("an online policy");
+    let inner = policy
+        .build(platform, apps)
+        .expect("the sweep's policy builds");
     let mut recorder = Recorder {
         inner,
         contexts: Vec::new(),
     };
-    simulate_open(platform, &apps, &mut recorder, &config).expect("the sweep's run completes");
+    simulate_open(platform, apps, &mut recorder, &config).expect("the sweep's run completes");
     recorder.contexts
 }
 
 fn bench_replay(c: &mut Criterion) {
     let platform = Platform::intrepid();
+    let apps = sweep_apps(&platform);
     let mut group = c.benchmark_group("policy_replay");
-    for name in ["fairshare", "control:pi", "mindilation"] {
+    for name in [
+        "fairshare",
+        "control:pi",
+        "mindilation",
+        "periodic:cong:tmax=32",
+    ] {
         let policy = PolicyFactory::parse(name).expect("roster name");
-        let contexts = record(&platform, &policy);
+        let contexts = record(&platform, &apps, &policy);
         let pending: usize = contexts.iter().map(|(.., p)| p.len()).sum();
         println!(
             "policy_replay/{name}: {} decisions, mean pending {:.1}",
             contexts.len(),
             pending as f64 / contexts.len() as f64
         );
+        let mut offline = policy.is_offline().then(|| {
+            policy
+                .build(&platform, &apps)
+                .expect("the sweep's policy builds")
+        });
         group.bench_with_input(
             BenchmarkId::new(name, contexts.len()),
             &contexts,
             |b, contexts| {
                 b.iter(|| {
-                    let mut policy = policy.build_online(&platform).expect("an online policy");
+                    let mut online;
+                    let policy: &mut dyn OnlinePolicy = match offline.as_mut() {
+                        Some(timetable) => timetable.as_mut(),
+                        None => {
+                            online = policy.build_online(&platform).expect("an online policy");
+                            online.as_mut()
+                        }
+                    };
                     let mut scratch = AllocScratch::new();
                     let mut granted = 0;
                     for (now, total_bw, signal, pending) in contexts {

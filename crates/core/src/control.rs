@@ -21,8 +21,8 @@
 //!
 //! 1. **Uncongested bypass** — while the offered load fits the pipe
 //!    (`contention ≤ 1`) there is nothing to control: every pending
-//!    application is served through the shared [`greedy_allocate`] loop
-//!    in most-behind-first order.
+//!    application is served through the shared greedy grant loop
+//!    ([`crate::policy::greedy_allocate`]) in most-behind-first order.
 //! 2. **Sensing** — the delivered-utilization sample is smoothed by an
 //!    exponential moving average with time constant `win` (the
 //!    controller must not chase single inter-event intervals).
@@ -45,15 +45,20 @@
 //! All state advances only on observed `(now, signal)` pairs, so a
 //! simulation driving this policy remains a deterministic function of
 //! the scenario — reruns are bit-identical.
+//!
+//! A decision costs per grant, not per pending application, beyond two
+//! walks: the token buckets are kept parallel to the `AppId`-ordered
+//! pending slice and carried from one event to the next by a merge walk,
+//! and the passes read one lazily extended selection of the
+//! most-behind-first order, so only the prefix they consume is ranked.
 
 use crate::heuristics::MinDilation;
 use crate::policy::{
-    greedy_allocate, order_into_by_rank, AllocScratch, Allocation, AppState, OnlinePolicy,
-    SchedContext,
+    allocate_into_by_rank, order_into_by_rank, AllocScratch, AppState, OnlinePolicy, SchedContext,
+    Selection,
 };
-use iosched_model::{Bw, Bytes, Time};
+use iosched_model::{AppId, Bw, Bytes, Time};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Derived congestion measurement handed to policies via
 /// [`SchedContext::signal`]. Produced by the simulator's telemetry tap
@@ -241,11 +246,13 @@ pub struct ControlPolicy {
     /// Last controller output (inspection hook; 1 until the first
     /// congested update).
     throttle: f64,
-    /// Per-application burst allowances, keyed by `AppId` for
-    /// deterministic iteration.
-    buckets: BTreeMap<iosched_model::AppId, TokenBucket>,
-    /// Reused snapshot for the capped grant pass.
-    scratch: Vec<AppState>,
+    /// Per-application burst allowances, parallel to the pending slice
+    /// of the last allocation (so in `AppId` order).
+    buckets: Vec<(AppId, TokenBucket)>,
+    /// Reused buffers: the next event's buckets while they are merged
+    /// from `buckets`, and the spill pass's grants.
+    next_buckets: Vec<(AppId, TokenBucket)>,
+    spill: Vec<(AppId, Bw)>,
     name: String,
 }
 
@@ -285,8 +292,9 @@ impl ControlPolicy {
             last_obs: None,
             was_congested: false,
             throttle: 1.0,
-            buckets: BTreeMap::new(),
-            scratch: Vec::new(),
+            buckets: Vec::new(),
+            next_buckets: Vec::new(),
+            spill: Vec::new(),
             name: "control:pi".into(),
         }
     }
@@ -341,154 +349,39 @@ impl ControlPolicy {
         self.throttle
     }
 
-    /// Merge two `AppId`-sorted grant lists (the bucket-capped pass and
-    /// the spill pass) into one sorted, duplicate-free allocation.
-    fn merge(a: Allocation, b: Allocation) -> Allocation {
-        if b.grants.is_empty() {
-            return a;
+    /// Carry the buckets over to this event's pending set in one merge
+    /// walk (both lists are in `AppId` order), then advance each by the
+    /// elapsed interval. A bucket whose application left the pending set
+    /// (it finished its transfer and went computing) is dropped: when it
+    /// returns it starts with a *full* bucket and a clean grant history,
+    /// since an application that just finished computing has earned its
+    /// burst, and a stale `last_grant` from its previous transfer must
+    /// not keep draining it.
+    fn sync_buckets(&mut self, pending: &[AppState], refill: Bw, dt: f64) {
+        let mut old = self.buckets.iter().peekable();
+        self.next_buckets.clear();
+        for app in pending {
+            while old.next_if(|(id, _)| *id < app.id).is_some() {}
+            let mut bucket = match old.next_if(|(id, _)| *id == app.id) {
+                Some(&(_, bucket)) => bucket,
+                None => TokenBucket::full(refill, self.window),
+            };
+            bucket.advance(refill, self.window, dt);
+            self.next_buckets.push((app.id, bucket));
         }
-        let mut grants = Vec::with_capacity(a.grants.len() + b.grants.len());
-        let (mut i, mut j) = (0, 0);
-        while i < a.grants.len() || j < b.grants.len() {
-            match (a.grants.get(i), b.grants.get(j)) {
-                (Some(&(ia, ba)), Some(&(ib, bb))) => {
-                    if ia == ib {
-                        grants.push((ia, ba + bb));
-                        i += 1;
-                        j += 1;
-                    } else if ia < ib {
-                        grants.push((ia, ba));
-                        i += 1;
-                    } else {
-                        grants.push((ib, bb));
-                        j += 1;
-                    }
-                }
-                (Some(&g), None) => {
-                    grants.push(g);
-                    i += 1;
-                }
-                (None, Some(&g)) => {
-                    grants.push(g);
-                    j += 1;
-                }
-                (None, None) => unreachable!(),
-            }
-        }
-        Allocation { grants }
+        std::mem::swap(&mut self.buckets, &mut self.next_buckets);
     }
 
-    /// The control law proper over a non-empty pending set; `order` is
-    /// the most-behind-first permutation.
-    fn allocate_with_order(&mut self, ctx: &SchedContext<'_>, order: &[usize]) -> Allocation {
-        let signal = ctx
-            .signal
-            .unwrap_or_else(|| CongestionSignal::estimate(ctx));
-        let dt_since = self
-            .last_obs
-            .map_or(0.0, |t| (ctx.now - t).as_secs().max(0.0));
-        self.last_obs = Some(ctx.now);
-
-        let n = ctx.pending.len();
-        let refill = ctx.total_bw * (self.pi.setpoint / n as f64);
-        // Drop buckets of applications that left the pending set (they
-        // finished their transfer and went computing): when one returns
-        // it re-enters below with a *full* bucket and a clean grant
-        // history — an application that just finished computing has
-        // earned its burst, and a stale `last_grant` from its previous
-        // transfer must not keep draining it.
-        self.buckets
-            .retain(|id, _| ctx.pending.binary_search_by_key(id, |a| a.id).is_ok());
-        // Advance every pending application's bucket by the elapsed
-        // interval before reading allowances.
-        for app in ctx.pending {
-            self.buckets
-                .entry(app.id)
-                .or_insert_with(|| TokenBucket::full(refill, self.window))
-                .advance(refill, self.window, dt_since);
+    /// Record this event's grants (`AppId`-sorted) in the buckets, zero
+    /// for a stalled application, in one merge walk.
+    fn note_grants(&mut self, grants: &[(AppId, Bw)]) {
+        let mut grants = grants.iter().peekable();
+        for (id, bucket) in &mut self.buckets {
+            let granted = grants
+                .next_if(|(g, _)| *g == *id)
+                .map_or(Bw::ZERO, |&(_, bw)| bw);
+            bucket.note_grant(granted);
         }
-
-        if !signal.is_congested() {
-            // Nothing to control: serve everyone, most-behind first. The
-            // congestion episode the loop was tracking is over, so the
-            // controller state is dropped — a *new* storm must start
-            // from the open position and learn from its own delivery,
-            // not inherit a deep integral (or a stale smoothed
-            // utilization) from an episode that ended.
-            self.was_congested = false;
-            self.pi.reset();
-            self.smoothed = None;
-            self.throttle = 1.0;
-            let alloc = greedy_allocate(ctx, order);
-            for app in ctx.pending {
-                if let Some(b) = self.buckets.get_mut(&app.id) {
-                    b.note_grant(alloc.granted(app.id));
-                }
-            }
-            return alloc;
-        }
-
-        let pi_dt = if self.was_congested { dt_since } else { 0.0 };
-        self.was_congested = true;
-        let c = self.observe(signal.utilization, pi_dt);
-
-        // Congested: grant inside the PI budget. The most-behind
-        // application always fits whole (budget floor = its card limit),
-        // so the loop can serialize but never stall the system.
-        let head = &ctx.pending[order[0]];
-        let budget = (ctx.total_bw * c).max(head.max_bw).min(ctx.total_bw);
-
-        // Pass 1 — bucket-capped greedy within the budget.
-        self.scratch.clear();
-        for (k, app) in ctx.pending.iter().enumerate() {
-            let capped = if order[0] == k {
-                app.max_bw
-            } else {
-                let allowance = self.buckets[&app.id].admissible(refill, self.window);
-                app.max_bw.min(allowance)
-            };
-            self.scratch.push(AppState {
-                max_bw: capped,
-                ..*app
-            });
-        }
-        let capped_ctx = SchedContext {
-            now: ctx.now,
-            total_bw: budget,
-            pending: &self.scratch,
-            signal: ctx.signal,
-        };
-        let first = greedy_allocate(&capped_ctx, order);
-
-        // Pass 2 — spill: whatever budget the caps left unused is
-        // re-offered cap-free in the same order (work conservation
-        // within the chosen budget).
-        let leftover = (budget - first.total()).snap_zero();
-        let alloc = if leftover.get() > 0.0 {
-            self.scratch.clear();
-            for app in ctx.pending {
-                self.scratch.push(AppState {
-                    max_bw: (app.max_bw - first.granted(app.id)).max(Bw::ZERO),
-                    ..*app
-                });
-            }
-            let spill_ctx = SchedContext {
-                now: ctx.now,
-                total_bw: leftover,
-                pending: &self.scratch,
-                signal: ctx.signal,
-            };
-            let spill = greedy_allocate(&spill_ctx, order);
-            Self::merge(first, spill)
-        } else {
-            first
-        };
-        for app in ctx.pending {
-            if let Some(b) = self.buckets.get_mut(&app.id) {
-                b.note_grant(alloc.granted(app.id));
-            }
-        }
-        alloc
     }
 }
 
@@ -503,13 +396,106 @@ impl OnlinePolicy for ControlPolicy {
         order_into_by_rank(&MinDilation, ctx, scratch);
     }
 
+    /// The control law. The greedy passes read one `Selection` of the
+    /// most-behind-first order, so only the prefix they consume is
+    /// ranked.
     fn allocate_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
         if ctx.pending.is_empty() {
             scratch.alloc.grants.clear();
             return;
         }
-        self.order_into(ctx, scratch);
-        scratch.alloc = self.allocate_with_order(ctx, scratch.order());
+        let signal = ctx
+            .signal
+            .unwrap_or_else(|| CongestionSignal::estimate(ctx));
+        let dt_since = self
+            .last_obs
+            .map_or(0.0, |t| (ctx.now - t).as_secs().max(0.0));
+        self.last_obs = Some(ctx.now);
+
+        let n = ctx.pending.len();
+        let refill = ctx.total_bw * (self.pi.setpoint / n as f64);
+        self.sync_buckets(ctx.pending, refill, dt_since);
+
+        if !signal.is_congested() {
+            // Nothing to control: serve everyone, most-behind first. The
+            // congestion episode the loop was tracking is over, so the
+            // controller state is dropped — a *new* storm must start
+            // from the open position and learn from its own delivery,
+            // not inherit a deep integral (or a stale smoothed
+            // utilization) from an episode that ended.
+            self.was_congested = false;
+            self.pi.reset();
+            self.smoothed = None;
+            self.throttle = 1.0;
+            allocate_into_by_rank(&MinDilation, ctx, scratch);
+            self.note_grants(&scratch.alloc.grants);
+            return;
+        }
+
+        let pi_dt = if self.was_congested { dt_since } else { 0.0 };
+        self.was_congested = true;
+        let c = self.observe(signal.utilization, pi_dt);
+
+        // Congested: grant inside the PI budget. The most-behind
+        // application always fits whole (budget floor = its card limit),
+        // so the loop can serialize but never stall the system.
+        let grants = &mut scratch.alloc.grants;
+        grants.clear();
+        let mut order = Selection::new(&MinDilation, ctx.pending, &mut scratch.ranked);
+        let head = &ctx.pending[order.get(0)];
+        let budget = (ctx.total_bw * c).max(head.max_bw).min(ctx.total_bw);
+
+        // Pass 1 — bucket-capped greedy within the budget; the head is
+        // never capped.
+        let buckets = &self.buckets;
+        order.grant(
+            ctx.pending,
+            budget,
+            |p, i| {
+                let max_bw = ctx.pending[i].max_bw;
+                if p == 0 {
+                    max_bw
+                } else {
+                    max_bw.min(buckets[i].1.admissible(refill, self.window))
+                }
+            },
+            grants,
+        );
+        grants.sort_unstable_by_key(|&(id, _)| id);
+
+        // Pass 2 — spill: whatever budget the caps left unused is
+        // re-offered cap-free in the same order (work conservation
+        // within the chosen budget), and added to the first pass's
+        // grants.
+        let first: Bw = grants.iter().map(|(_, bw)| *bw).sum();
+        let leftover = (budget - first).snap_zero();
+        if leftover.get() > 0.0 {
+            let spill = &mut self.spill;
+            spill.clear();
+            let granted = |id: AppId| {
+                grants
+                    .binary_search_by_key(&id, |&(g, _)| g)
+                    .map_or(Bw::ZERO, |k| grants[k].1)
+            };
+            order.grant(
+                ctx.pending,
+                leftover,
+                |_, i| {
+                    let app = &ctx.pending[i];
+                    (app.max_bw - granted(app.id)).max(Bw::ZERO)
+                },
+                spill,
+            );
+            let capped = grants.len();
+            for &(id, bw) in spill.iter() {
+                match grants[..capped].binary_search_by_key(&id, |&(g, _)| g) {
+                    Ok(k) => grants[k].1 += bw,
+                    Err(_) => grants.push((id, bw)),
+                }
+            }
+            grants.sort_unstable_by_key(|&(id, _)| id);
+        }
+        self.note_grants(grants);
     }
 }
 
@@ -517,7 +503,7 @@ impl OnlinePolicy for ControlPolicy {
 mod tests {
     use super::*;
     use crate::policy::test_support::{app, ctx};
-    use iosched_model::AppId;
+    use crate::policy::Allocation;
 
     fn signal(utilization: f64, contention: f64) -> CongestionSignal {
         CongestionSignal {
@@ -707,6 +693,16 @@ mod tests {
         assert!(alloc.total().approx_eq(c.total_bw));
     }
 
+    /// The allowance in the bucket of pending application `id`.
+    fn tokens(policy: &ControlPolicy, id: usize) -> f64 {
+        let (_, bucket) = policy
+            .buckets
+            .iter()
+            .find(|(a, _)| *a == AppId(id))
+            .expect("a pending application has a bucket");
+        bucket.tokens()
+    }
+
     /// Regression: an application that leaves the pending set (finished
     /// its transfer, went computing) gets its bucket dropped, so it
     /// returns with a full burst and no stale grant history draining it.
@@ -726,7 +722,7 @@ mod tests {
         }
         let refill = Bw::gib_per_sec(10.0 * ControlPolicy::DEFAULT_SETPOINT / 2.0);
         let burst = (refill * policy.window).get();
-        let drained = policy.buckets[&iosched_model::AppId(1)].tokens();
+        let drained = tokens(&policy, 1);
         assert!(drained < burst, "follower over fair share must drain");
         // App 1 leaves the pending set: its bucket is dropped…
         let mut c = ctx(10.0, &both[..1]);
@@ -739,7 +735,7 @@ mod tests {
         c.now = Time::secs(220.0);
         c.signal = Some(signal(1.0, 1.4));
         policy.allocate(&c).validate(&c).unwrap();
-        let back = policy.buckets[&iosched_model::AppId(1)].tokens();
+        let back = tokens(&policy, 1);
         assert!(
             (back - burst).abs() < 1e-9,
             "returning app bucket {back} should be the full burst {burst}"

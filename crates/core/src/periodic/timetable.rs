@@ -26,12 +26,30 @@ pub struct TimetablePolicy {
     schedule: PeriodicSchedule,
     /// Sorted window boundaries within `[0, T)`.
     boundaries: Vec<Time>,
-    /// `(app, plan position)` pairs sorted by `AppId`: the replay looks
-    /// a pending application's plan up at every event, and a linear
-    /// `find` over the plans turns each allocation into `O(pending ×
-    /// plans)` — the dominant cost of the timetable row in the
-    /// congested-moment bench.
-    plan_index: Vec<(AppId, u32)>,
+    /// The candidate table: for a period offset, the plans that can
+    /// grant there, so a decision pays per candidate instead of looking
+    /// up every pending application's plan.
+    ///
+    /// Each window `[io_start, io_end)` of a plan gets the superset
+    /// `[io_start − slack, io_end)` with
+    /// `slack = 2·EPS·max(1, T, |io_start|, |io_end|)`. `edges` holds the
+    /// sorted, distinct ends of all supersets as plain `f64`s, and cell
+    /// `c` is `[edges[c − 1], edges[c])` (cell 0 starts at `−∞`, the
+    /// last one ends at `+∞`). `cells[c]` lists, as `(app, plan
+    /// position)` in `AppId` order, the plans with a superset covering
+    /// cell `c`; only the first plan of an `AppId` counts, since the
+    /// lookup keeps the first matching plan.
+    ///
+    /// The table is exact. For `0 ≤ offset ≤ T`, the tolerance of
+    /// `offset.approx_ge(io_start)` is at most
+    /// `EPS·max(1, T, |io_start|)` and that of `offset.approx_lt(io_end)`
+    /// is positive, so a window that matches has
+    /// `io_start − slack < offset < io_end`. Both superset ends are
+    /// edges, so the cell holding `offset` lies inside the superset and
+    /// lists the plan. A plan that is not listed has no matching window
+    /// and granted 0 under a per-application lookup too.
+    edges: Vec<f64>,
+    cells: Vec<Vec<(AppId, usize)>>,
     /// Report name (`"timetable"` unless the registry overrode it with
     /// the factory's serde name).
     name: String,
@@ -52,21 +70,50 @@ impl TimetablePolicy {
             .collect();
         boundaries.sort_by(|a, b| a.get().total_cmp(&b.get()));
         boundaries.dedup_by(|a, b| a.approx_eq(*b));
-        let mut plan_index: Vec<(AppId, u32)> = schedule
+
+        // The first plan of each application, in `AppId` order.
+        let mut firsts: Vec<(AppId, usize)> = schedule
             .plans
             .iter()
             .enumerate()
-            .map(|(k, p)| (p.app, u32::try_from(k).expect("plan count fits u32")))
+            .map(|(k, p)| (p.app, k))
             .collect();
-        plan_index.sort_unstable_by_key(|&(id, _)| id);
-        // `planned_bw` keeps the first matching plan (the `find`
-        // contract), so duplicate plans for one app keep the lowest
-        // position after the sort-by-(id, k).
-        plan_index.dedup_by_key(|&mut (id, _)| id);
+        firsts.sort_unstable();
+        firsts.dedup_by_key(|&mut (id, _)| id);
+        // The supersets of plan `k`'s windows; an empty (or NaN) one
+        // never matches.
+        let period = schedule.period.get();
+        let windows = |k: usize| {
+            schedule.plans[k].instances.iter().filter_map(move |i| {
+                let (lo, hi) = (i.io_start.get(), i.io_end.get());
+                let lo = lo - 2.0 * EPS * lo.abs().max(hi.abs()).max(period).max(1.0);
+                (lo < hi).then_some((lo, hi))
+            })
+        };
+        let mut edges: Vec<f64> = firsts
+            .iter()
+            .flat_map(|&(_, k)| windows(k).flat_map(|(lo, hi)| [lo, hi]))
+            .collect();
+        edges.sort_by(f64::total_cmp);
+        edges.dedup();
+        let mut cells: Vec<Vec<(AppId, usize)>> = vec![Vec::new(); edges.len() + 1];
+        for &(id, k) in &firsts {
+            for (lo, hi) in windows(k) {
+                // Cells `c` with `lo ≤ edges[c − 1] < hi`.
+                let first = edges.partition_point(|&e| e < lo) + 1;
+                let end = edges.partition_point(|&e| e < hi) + 1;
+                for cell in &mut cells[first..end] {
+                    if cell.last().map(|&(last, _)| last) != Some(id) {
+                        cell.push((id, k));
+                    }
+                }
+            }
+        }
         Self {
             schedule,
             boundaries,
-            plan_index,
+            edges,
+            cells,
             name: "timetable".into(),
         }
     }
@@ -91,18 +138,10 @@ impl TimetablePolicy {
         Time::secs(t.as_secs().rem_euclid(period))
     }
 
-    /// Planned bandwidth of application `id` at period offset `offset`.
-    fn planned_bw(&self, id: AppId, offset: Time) -> Bw {
-        self.plan_index
-            .binary_search_by_key(&id, |&(pid, _)| pid)
-            .ok()
-            .map_or(Bw::ZERO, |k| {
-                let plan = &self.schedule.plans[self.plan_index[k].1 as usize];
-                plan.instances
-                    .iter()
-                    .find(|i| offset.approx_ge(i.io_start) && offset.approx_lt(i.io_end))
-                    .map_or(Bw::ZERO, |i| i.io_bw)
-            })
+    /// The plans that can grant at period offset `offset`: its cell of
+    /// the candidate table.
+    fn candidates(&self, offset: Time) -> &[(AppId, usize)] {
+        &self.cells[self.edges.partition_point(|&e| e <= offset.get())]
     }
 }
 
@@ -115,10 +154,31 @@ impl OnlinePolicy for TimetablePolicy {
         let offset = self.offset(ctx.now);
         let grants = &mut scratch.alloc.grants;
         grants.clear();
-        grants.extend(ctx.pending.iter().filter_map(|app| {
-            let bw = self.planned_bw(app.id, offset).min(app.max_bw);
-            (bw.get() > 0.0).then_some((app.id, bw))
-        }));
+        // Candidates and pending are both in `AppId` order, so each
+        // binary search runs over what is left of the pending slice.
+        let mut rest = ctx.pending;
+        for &(id, k) in self.candidates(offset) {
+            let app = match rest.binary_search_by_key(&id, |a| a.id) {
+                Ok(i) => {
+                    let app = &rest[i];
+                    rest = &rest[i + 1..];
+                    app
+                }
+                Err(i) => {
+                    rest = &rest[i..];
+                    continue;
+                }
+            };
+            let planned = self.schedule.plans[k]
+                .instances
+                .iter()
+                .find(|i| offset.approx_ge(i.io_start) && offset.approx_lt(i.io_end))
+                .map_or(Bw::ZERO, |i| i.io_bw);
+            let bw = planned.min(app.max_bw);
+            if bw.get() > 0.0 {
+                grants.push((id, bw));
+            }
+        }
         // The plan was built against the full PFS bandwidth; when the
         // usable capacity is smaller at replay time (an external
         // communication storm shrinking the shared pipe), the open-loop

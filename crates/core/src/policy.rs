@@ -16,14 +16,14 @@
 //! the two §2.1 capacity rules identically. Each policy decides in one
 //! place, [`OnlinePolicy::allocate_into`].
 //!
-//! The §3.1 heuristics and the FCFS baseline state their preference as a
-//! [`Ranked`] key. At an event the grant loop usually stops after two or
-//! three applications, so `allocate_into_by_rank` picks the favored
-//! applications one by one instead of ranking every pending application,
-//! and costs `O(pending × grants)` rather than a full sort. A full order
-//! (FairShare's water-filling, the `control:*` family's most-behind-first,
-//! any policy's [`OnlinePolicy::order`]) is one sort of rank keys,
-//! `order_into_by_rank`.
+//! The §3.1 heuristics, the FCFS baseline and the `control:*` family
+//! state their preference as a [`Ranked`] key. At an event the grant loop
+//! usually stops after two or three applications, so a `Selection` picks
+//! the favored applications one by one instead of ranking every pending
+//! application, and costs `O(pending × grants)` rather than a full sort;
+//! `control:pi`'s capped and spill passes read one selection. A full order
+//! (FairShare's water-filling, any policy's [`OnlinePolicy::order`]) is
+//! one sort of rank keys, `order_into_by_rank`.
 
 use iosched_model::{AppId, Bw, Time};
 use serde::{Deserialize, Serialize};
@@ -258,8 +258,8 @@ pub struct AllocScratch {
     /// The allocation decided by the last [`OnlinePolicy::allocate_into`].
     pub alloc: Allocation,
     /// `(rank, id, pending-index)` workspace of the [`Ranked`] helpers:
-    /// the candidates of [`allocate_into_by_rank`]'s selection, or the
-    /// entries [`order_into_by_rank`] sorts.
+    /// the candidates of a [`Selection`], or the entries
+    /// [`order_into_by_rank`] sorts.
     pub(crate) ranked: Vec<(u128, AppId, usize)>,
     /// Preference order: indices into the pending slice, most-favored
     /// first.
@@ -378,7 +378,8 @@ pub fn greedy_allocate(ctx: &SchedContext<'_>, order: &[usize]) -> Allocation {
         if saturated(remaining) {
             break;
         }
-        grant_step(&ctx.pending[idx], &mut remaining, &mut grants);
+        let app = &ctx.pending[idx];
+        grant_step(app.id, app.max_bw, &mut remaining, &mut grants);
     }
     grants.sort_unstable_by_key(|&(id, _)| id);
     Allocation { grants }
@@ -390,12 +391,12 @@ fn saturated(remaining: Bw) -> bool {
     remaining.get() <= 0.0 || remaining.is_zero()
 }
 
-/// One step of the grant loop: favor `app` with `min(max_bw, remaining)`.
+/// One step of the grant loop: favor `id` with `min(cap, remaining)`.
 #[inline]
-fn grant_step(app: &AppState, remaining: &mut Bw, grants: &mut Vec<(AppId, Bw)>) {
-    let bw = app.max_bw.min(*remaining);
+fn grant_step(id: AppId, cap: Bw, remaining: &mut Bw, grants: &mut Vec<(AppId, Bw)>) {
+    let bw = cap.min(*remaining);
     if bw.get() > 0.0 {
-        grants.push((app.id, bw));
+        grants.push((id, bw));
         *remaining -= bw;
         *remaining = remaining.snap_zero();
     }
@@ -410,8 +411,8 @@ fn grant_step(app: &AppState, remaining: &mut Bw, grants: &mut Vec<(AppId, Bw)>)
 /// class word's top bit belongs to [`crate::heuristics::Priority`]. Because
 /// the `AppId` tie-break makes the order strict on distinct applications,
 /// every way of finding it — a full sort (`order_into_by_rank`) or the
-/// selection of the consumed prefix (`allocate_into_by_rank`) — yields
-/// the same order and the same grants.
+/// selection of the consumed prefix (`Selection`) — yields the same order
+/// and the same grants.
 pub trait Ranked {
     /// The rank of `a`; smaller is more favored.
     fn rank(&self, a: &AppState) -> u128;
@@ -441,50 +442,109 @@ fn fill_ranks<R: Ranked + ?Sized>(
     );
 }
 
-/// Picks [`allocate_into_by_rank`] makes by linear scan before it sorts
-/// what is left. Past it the grant is wide (an uncongested PFS), and the
-/// sort keeps the worst case at `O(n log n)`.
+/// Picks a [`Selection`] makes by linear scan before it sorts what is
+/// left. Past it the grant is wide (an uncongested PFS), and the sort
+/// keeps the worst case at `O(n log n)`.
 const SCAN_PICKS: usize = 8;
+
+/// A [`Ranked`] order over the pending applications, selected only as
+/// far as it is read.
+///
+/// A grant loop stops as soon as the PFS is saturated, which under
+/// congestion is after two or three applications, so ranking every
+/// pending application is mostly wasted. The ranks are computed once;
+/// [`Selection::get`] finds the next favored application by a linear
+/// scan for the minimum `(rank, id)`, and after 8 picks sorts the rest
+/// once. Because the `AppId` tie-break makes the order strict, the picks
+/// are exactly [`order_into_by_rank`]'s permutation, read from the front.
+/// Several passes may read one selection: a pick is made once and read
+/// back from then on.
+pub(crate) struct Selection<'s> {
+    /// `(rank, id, pending-index)` of every pending application;
+    /// `cands[..ready]` are the picks so far, most-favored first.
+    cands: &'s mut [(u128, AppId, usize)],
+    ready: usize,
+}
+
+impl<'s> Selection<'s> {
+    /// Rank `pending` into `buf` and start selecting.
+    pub(crate) fn new<R: Ranked + ?Sized>(
+        ranked: &R,
+        pending: &[AppState],
+        buf: &'s mut Vec<(u128, AppId, usize)>,
+    ) -> Self {
+        fill_ranks(ranked, pending, buf);
+        Self {
+            cands: buf,
+            ready: 0,
+        }
+    }
+
+    /// The pending index of the `p`-th favored application (from 0).
+    /// Picks are made in order, so `p` is at most the number made so far.
+    #[inline]
+    pub(crate) fn get(&mut self, p: usize) -> usize {
+        debug_assert!(p <= self.ready, "picks are made in order");
+        let cands = &mut *self.cands;
+        if p == self.ready {
+            if p < SCAN_PICKS {
+                let mut best = p;
+                for k in p + 1..cands.len() {
+                    if cands[k] < cands[best] {
+                        best = k;
+                    }
+                }
+                cands.swap(p, best);
+                self.ready += 1;
+            } else {
+                cands[p..].sort_unstable();
+                self.ready = cands.len();
+            }
+        }
+        cands[p].2
+    }
+
+    /// The shared grant loop over this order: favor the picks in turn,
+    /// each with `min(cap(p, i), remaining)` for pick `p` at pending
+    /// index `i`, until `total` is spent. Grants are appended to `grants`
+    /// in pick order. Each step runs the arithmetic of
+    /// [`greedy_allocate`] on the same applications in the same order.
+    #[inline]
+    pub(crate) fn grant(
+        &mut self,
+        pending: &[AppState],
+        total: Bw,
+        mut cap: impl FnMut(usize, usize) -> Bw,
+        grants: &mut Vec<(AppId, Bw)>,
+    ) {
+        let mut remaining = total;
+        for p in 0..self.cands.len() {
+            if saturated(remaining) {
+                break;
+            }
+            let i = self.get(p);
+            grant_step(pending[i].id, cap(p, i), &mut remaining, grants);
+        }
+    }
+}
 
 /// The shared grant loop over a [`Ranked`] order, into `scratch.alloc`:
 /// bit-identical to [`greedy_allocate`] over [`order_into_by_rank`]'s
-/// permutation, without ranking every pending application.
-///
-/// The loop stops as soon as the PFS is saturated, which under congestion
-/// is after two or three applications. So the ranks are computed once,
-/// and the next favored application is found by a linear scan for the
-/// minimum `(rank, id)`, until the loop stops or 8 applications were
-/// taken; then the rest is sorted and the loop goes on in order. Each
-/// step runs the same arithmetic on the same applications in the same
-/// order as [`greedy_allocate`]. The grants come out sorted by `AppId`.
+/// permutation, selecting only the applications the loop consumes. The
+/// grants come out sorted by `AppId`.
 pub(crate) fn allocate_into_by_rank<R: Ranked + ?Sized>(
     ranked: &R,
     ctx: &SchedContext<'_>,
     scratch: &mut AllocScratch,
 ) {
-    let cands = &mut scratch.ranked;
-    fill_ranks(ranked, ctx.pending, cands);
     let grants = &mut scratch.alloc.grants;
     grants.clear();
-    let mut remaining = ctx.total_bw;
-    for p in 0..cands.len() {
-        if saturated(remaining) {
-            break;
-        }
-        // `cands[..p]` holds the picks so far, most-favored first.
-        if p < SCAN_PICKS {
-            let mut best = p;
-            for k in p + 1..cands.len() {
-                if cands[k] < cands[best] {
-                    best = k;
-                }
-            }
-            cands.swap(p, best);
-        } else if p == SCAN_PICKS {
-            cands[p..].sort_unstable();
-        }
-        grant_step(&ctx.pending[cands[p].2], &mut remaining, grants);
-    }
+    Selection::new(ranked, ctx.pending, &mut scratch.ranked).grant(
+        ctx.pending,
+        ctx.total_bw,
+        |_, i| ctx.pending[i].max_bw,
+        grants,
+    );
     grants.sort_unstable_by_key(|&(id, _)| id);
 }
 

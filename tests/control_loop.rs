@@ -16,7 +16,7 @@ use iosched_bench::runner::ScenarioRunner;
 use std::sync::OnceLock;
 
 /// The 25-run storm campaign is deterministic; run it once and share it
-/// across the three assertions below.
+/// across the assertions below.
 fn storm_result() -> &'static CampaignResult {
     static RESULT: OnceLock<CampaignResult> = OnceLock::new();
     RESULT.get_or_init(|| {
@@ -77,6 +77,79 @@ fn open_loop_periodic_schedule_collapses_under_the_storm_it_cannot_see() {
         periodic.dilation.mean
     );
     assert!(control_cell.sys_efficiency.mean > periodic.sys_efficiency.mean);
+}
+
+/// FNV-1a, 64-bit: a dependency-free digest of the campaign's output
+/// bits.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+
+    /// Every bit of one summary, reservoir included; an absent one
+    /// hashes as a 0 tag.
+    fn summary(&mut self, s: Option<&Summary>) {
+        let Some(s) = s else {
+            self.u64(0);
+            return;
+        };
+        self.u64(1);
+        self.u64(s.n as u64);
+        for v in [s.mean, s.std, s.min, s.max, s.median, s.p95, s.p99] {
+            self.f64(v);
+        }
+        self.u64(s.reservoir.len() as u64);
+        for &v in &s.reservoir {
+            self.f64(v);
+        }
+    }
+}
+
+/// The storm campaign, pinned bit for bit: every cell's labels, run
+/// count and summaries. This is the one pinned run where the timetable's
+/// storm squeeze and `control:pi` under a swinging capacity decide, so
+/// any change to either that moves one grant shows up here. The digest
+/// depends on the platform's libm through `control:pi`'s `exp` (its
+/// signal smoothing), as the benchmark's result digests do.
+#[test]
+fn storm_campaign_matches_its_recorded_digest() {
+    let mut h = Fnv::new();
+    for c in &storm_result().cells {
+        for label in [&c.platform, &c.workload, &c.policy] {
+            h.u64(label.len() as u64);
+            h.bytes(label.as_bytes());
+        }
+        h.u64(c.runs as u64);
+        for s in [
+            &c.sys_efficiency,
+            &c.dilation,
+            &c.upper_limit,
+            &c.makespan_secs,
+        ] {
+            h.summary(Some(s));
+        }
+        for s in [&c.utilization, &c.queue, &c.stretch] {
+            h.summary(s.as_ref());
+        }
+    }
+    assert_eq!(format!("{:016x}", h.0), "1057fd06f9dac322");
 }
 
 #[test]
