@@ -15,12 +15,18 @@
 //! arrival rate (`load_sweep::stream_workload`, λ = 0.0014/s) hands
 //! `fairshare`, `control:pi`, `mindilation` and the timetable replay
 //! `periodic:cong:tmax=32`, with 5.9, 8.1, 7.8 and 49.0 applications
-//! pending on average (the setup prints each sequence's mean). One
-//! iteration is one pass over the sequence on one fresh scratch. An
-//! online policy is built afresh for each pass, so the stateful
-//! controller replays its own trajectory. The timetable is built once,
-//! outside the timed loop, from the stream's whole roster: it keeps no
-//! decision state, and its period search is not a decision.
+//! pending on average; and (`fig6b:*`) the first 2,000 that seed-0 and
+//! then seed-1 runs of Fig. 6's second mix (50 small and 5 large
+//! applications, Intrepid, the campaign's default configuration) hand
+//! `mindilation`, `priority-minmax-0.50` and `roundrobin`, with 35.6,
+//! 35.5 and 39.3 pending: the congested closed roster, where the ranked
+//! selection keeps a few of some thirty candidates. The setup
+//! prints each sequence's mean. One iteration is one pass over the
+//! sequence on one fresh scratch. An online policy is built afresh for
+//! each pass, so the stateful controller replays its own trajectory.
+//! The timetable is built once, outside the timed loop, from the
+//! stream's whole roster: it keeps no decision state, and its period
+//! search is not a decision.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use iosched_bench::experiments::load_sweep;
@@ -29,7 +35,8 @@ use iosched_core::heuristics::PolicyKind;
 use iosched_core::policy::{AllocScratch, AppState, OnlinePolicy, SchedContext};
 use iosched_core::registry::PolicyFactory;
 use iosched_model::{AppId, AppSpec, Bw, Platform, Time};
-use iosched_sim::simulate_open;
+use iosched_sim::{simulate, simulate_open, SimConfig};
+use iosched_workload::{MixConfig, WorkloadSpec};
 use std::hint::black_box;
 
 /// Decisions recorded per policy.
@@ -119,35 +126,68 @@ fn sweep_apps(platform: &Platform) -> Vec<AppSpec> {
         .expect("the sweep's stream materializes")
 }
 
-/// The contexts the sweep's run of `apps` hands `policy`.
-fn record(platform: &Platform, apps: &[AppSpec], policy: &PolicyFactory) -> Vec<Recorded> {
-    let config = load_sweep::campaign(1)
-        .config
-        .expect("the sweep configures its runs");
-    let inner = policy
-        .build(platform, apps)
-        .expect("the sweep's policy builds");
-    let mut recorder = Recorder {
-        inner,
-        contexts: Vec::new(),
-    };
-    simulate_open(platform, apps, &mut recorder, &config).expect("the sweep's run completes");
-    recorder.contexts
+/// Fig. 6's second mix at `seed`, as `examples/campaign_fig6.json`
+/// binds it.
+fn fig6b_apps(platform: &Platform, seed: u64) -> Vec<AppSpec> {
+    WorkloadSpec::Mix {
+        config: MixConfig::fig6b(),
+        seed,
+    }
+    .materialize(platform)
+    .expect("the Fig. 6 mix materializes")
+}
+
+/// The first [`REPLAY_DECISIONS`] contexts that the runs of `rosters`,
+/// one after another, hand `policy`: the sweep's open run for a stream,
+/// the campaign's closed run for a roster.
+fn record(
+    platform: &Platform,
+    rosters: &[Vec<AppSpec>],
+    open: bool,
+    policy: &PolicyFactory,
+) -> Vec<Recorded> {
+    let mut contexts = Vec::new();
+    for apps in rosters {
+        if contexts.len() >= REPLAY_DECISIONS {
+            break;
+        }
+        let inner = policy.build(platform, apps).expect("the policy builds");
+        let mut recorder = Recorder { inner, contexts };
+        if open {
+            let config = load_sweep::campaign(1)
+                .config
+                .expect("the sweep configures its runs");
+            simulate_open(platform, apps, &mut recorder, &config)
+                .expect("the sweep's run completes");
+        } else {
+            simulate(platform, apps, &mut recorder, &SimConfig::default())
+                .expect("the Fig. 6 run completes");
+        }
+        contexts = recorder.contexts;
+    }
+    contexts
 }
 
 fn bench_replay(c: &mut Criterion) {
     let platform = Platform::intrepid();
-    let apps = sweep_apps(&platform);
+    let sweep = [sweep_apps(&platform)];
+    // A seed-0 run asks for about 1,075 decisions; seed 1 fills the rest.
+    let fig6b = [fig6b_apps(&platform, 0), fig6b_apps(&platform, 1)];
     let mut group = c.benchmark_group("policy_replay");
-    for name in [
-        "fairshare",
-        "control:pi",
-        "mindilation",
-        "periodic:cong:tmax=32",
-    ] {
+    let sequences = [
+        ("", "fairshare", &sweep[..], true),
+        ("", "control:pi", &sweep, true),
+        ("", "mindilation", &sweep, true),
+        ("", "periodic:cong:tmax=32", &sweep, true),
+        ("fig6b:", "mindilation", &fig6b, false),
+        ("fig6b:", "priority-minmax-0.50", &fig6b, false),
+        ("fig6b:", "roundrobin", &fig6b, false),
+    ];
+    for (prefix, name, rosters, open) in sequences {
         let policy = PolicyFactory::parse(name).expect("roster name");
-        let contexts = record(&platform, &apps, &policy);
+        let contexts = record(&platform, rosters, open, &policy);
         let pending: usize = contexts.iter().map(|(.., p)| p.len()).sum();
+        let name = format!("{prefix}{name}");
         println!(
             "policy_replay/{name}: {} decisions, mean pending {:.1}",
             contexts.len(),
@@ -155,11 +195,11 @@ fn bench_replay(c: &mut Criterion) {
         );
         let mut offline = policy.is_offline().then(|| {
             policy
-                .build(&platform, &apps)
+                .build(&platform, &rosters[0])
                 .expect("the sweep's policy builds")
         });
         group.bench_with_input(
-            BenchmarkId::new(name, contexts.len()),
+            BenchmarkId::new(&name, contexts.len()),
             &contexts,
             |b, contexts| {
                 b.iter(|| {

@@ -10,13 +10,15 @@
 //! run the real-thread IOR harness, so their numbers depend on the wall
 //! clock; every other target prints the same bytes on every run.
 
-use crate::experiments::tables::{self, Machine};
+use crate::experiments::tables::{self, Machine, TablesResult};
 use crate::experiments::{ablations, fig01, fig02, fig03, fig04, fig05, fig06, fig07};
 use crate::experiments::{fig14, fig15, fig16};
 use crate::report::{dil, pct, Table};
 use iosched_model::stats::Histogram;
+use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::num::NonZeroUsize;
+use std::rc::Rc;
 
 /// How a target is sized and rendered.
 #[derive(Debug, Clone, Copy)]
@@ -363,10 +365,32 @@ const PRIORITY_MINMAX: [&str; 5] = [
 const PLAIN_VS_INTREPID: [&str; 4] = ["maxsyseff", "mindilation", "intrepid", "upper-limit"];
 const PLAIN_VS_MIRA: [&str; 4] = ["maxsyseff", "mindilation", "mira", "upper-limit"];
 
+/// The congested-case sweep of `machine` over its first `limit` cases,
+/// run once per process: Figs. 8–10 and Table 1 read the Intrepid sweep,
+/// Figs. 11–13 and Table 2 the Mira one, so `repro all` runs each once.
+/// The sweep is deterministic, so a kept result is the result a rerun
+/// would compute.
+fn sweep(machine: Machine, limit: usize) -> Rc<TablesResult> {
+    type Sweeps = Vec<((Machine, usize), Rc<TablesResult>)>;
+    thread_local! {
+        static SWEEPS: RefCell<Sweeps> = const { RefCell::new(Vec::new()) };
+    }
+    SWEEPS.with(|sweeps| {
+        if let Some((_, result)) = sweeps.borrow().iter().find(|(k, _)| *k == (machine, limit)) {
+            return Rc::clone(result);
+        }
+        let result = Rc::new(tables::run(machine, limit));
+        sweeps
+            .borrow_mut()
+            .push(((machine, limit), Rc::clone(&result)));
+        result
+    })
+}
+
 /// Figs. 8–13: the per-case series of `series` over the first `limit`
 /// congested cases of `machine`.
 fn case_series(machine: Machine, limit: usize, series: &[&str], caption: &str) -> String {
-    let result = tables::run(machine, limit);
+    let result = sweep(machine, limit);
     let mut t = Table::new(["case", "scheduler", "SysEfficiency %", "Dilation"]);
     for c in result
         .cases
@@ -417,7 +441,7 @@ fn fig13(n: usize) -> String {
 /// cases of `machine`.
 fn averages(machine: Machine, limit: usize, caption: &str) -> String {
     let mut t = Table::new(["scheduler", "Dilation (min)", "SysEfficiency (max)"]);
-    for r in &tables::run(machine, limit).rows {
+    for r in &sweep(machine, limit).rows {
         t.row([
             r.scheduler.clone(),
             dil(r.dilation),

@@ -65,6 +65,10 @@ impl OnlinePolicy for FairShare {
         }
         grants.sort_unstable_by_key(|&(id, _)| id);
     }
+
+    fn reads_progress_keys(&self) -> bool {
+        false
+    }
 }
 
 /// Oldest-request-first baseline (leftover card capacity cascades to the
@@ -83,6 +87,10 @@ impl OnlinePolicy for Fcfs {
 
     fn allocate_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
         allocate_into_by_rank(self, ctx, scratch);
+    }
+
+    fn reads_progress_keys(&self) -> bool {
+        false
     }
 }
 

@@ -449,7 +449,6 @@ impl OnlinePolicy for ControlPolicy {
         // never capped.
         let buckets = &self.buckets;
         order.grant(
-            ctx.pending,
             budget,
             |p, i| {
                 let max_bw = ctx.pending[i].max_bw;
@@ -478,7 +477,6 @@ impl OnlinePolicy for ControlPolicy {
                     .map_or(Bw::ZERO, |k| grants[k].1)
             };
             order.grant(
-                ctx.pending,
                 leftover,
                 |_, i| {
                     let app = &ctx.pending[i];

@@ -49,6 +49,10 @@ impl<P: Ranked + OnlinePolicy> OnlinePolicy for Priority<P> {
     fn allocate_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
         allocate_into_by_rank(self, ctx, scratch);
     }
+
+    fn reads_progress_keys(&self) -> bool {
+        self.inner.reads_progress_keys()
+    }
 }
 
 impl<P: Ranked> Ranked for Priority<P> {

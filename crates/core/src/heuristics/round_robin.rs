@@ -26,6 +26,10 @@ impl OnlinePolicy for RoundRobin {
     fn allocate_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
         allocate_into_by_rank(self, ctx, scratch);
     }
+
+    fn reads_progress_keys(&self) -> bool {
+        false
+    }
 }
 
 impl Ranked for RoundRobin {

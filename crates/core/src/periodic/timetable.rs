@@ -251,6 +251,10 @@ impl OnlinePolicy for TimetablePolicy {
         // the engine always observes strict progress.
         Some(Time::new(now.get() + 2.0 * EPS * now.get().abs().max(1.0)))
     }
+
+    fn reads_progress_keys(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

@@ -18,12 +18,12 @@
 //!
 //! The §3.1 heuristics, the FCFS baseline and the `control:*` family
 //! state their preference as a [`Ranked`] key. At an event the grant loop
-//! usually stops after two or three applications, so a `Selection` picks
-//! the favored applications one by one instead of ranking every pending
-//! application, and costs `O(pending × grants)` rather than a full sort;
-//! `control:pi`'s capped and spill passes read one selection. A full order
-//! (FairShare's water-filling, any policy's [`OnlinePolicy::order`]) is
-//! one sort of rank keys, `order_into_by_rank`.
+//! usually stops after two or three applications, so a `Selection` ranks
+//! every pending application in one pass and keeps only the few most
+//! favored, in order, instead of sorting them all; `control:pi`'s capped
+//! and spill passes read one selection. A full order (FairShare's
+//! water-filling, any policy's [`OnlinePolicy::order`]) is one sort of
+//! rank keys, `order_into_by_rank`.
 
 use iosched_model::{AppId, Bw, Time};
 use serde::{Deserialize, Serialize};
@@ -37,8 +37,12 @@ pub struct AppState {
     /// `β(k)`: dedicated processors.
     pub procs: u64,
     /// Current dilation ratio `ρ̃(k)(t)/ρ(k)(t) ∈ [0, 1]` (1 = on schedule).
+    /// NaN when the policy declares that it reads no progress key
+    /// ([`OnlinePolicy::reads_progress_keys`]): the fluid engine then
+    /// skips the division.
     pub dilation_ratio: f64,
-    /// Current MaxSysEff key `β(k)·ρ̃(k)(t)`.
+    /// Current MaxSysEff key `β(k)·ρ̃(k)(t)`. NaN, like `dilation_ratio`,
+    /// when the policy reads no progress key.
     pub syseff_key: f64,
     /// When this application last completed an instance's I/O transfer
     /// (its release time if it never has). RoundRobin's FCFS key.
@@ -160,20 +164,25 @@ impl Allocation {
 
 /// Reusable arena for the [`AppState`] snapshots a scheduler consumes.
 ///
-/// Every driver of an [`OnlinePolicy`] — the fluid simulator, the IOR
-/// harness's scheduler thread — rebuilds the pending-application snapshot
-/// at each event. Allocating a fresh `Vec<AppState>` per event dominates
-/// the steady-state allocation profile of a simulation, so drivers keep
-/// one `StateBuffer` alive and refill it in place: [`clear`] + [`push`]
-/// reuse the existing capacity, and [`context`] borrows the snapshot as
-/// the [`SchedContext`] handed to the policy.
+/// Allocating a fresh `Vec<AppState>` per event dominates the
+/// steady-state allocation profile of a simulation, so every driver of an
+/// [`OnlinePolicy`] keeps one `StateBuffer` alive, and [`context`] borrows
+/// it as the [`SchedContext`] handed to the policy. A driver may refill
+/// it at each event with [`clear`] + [`push`], reusing the capacity (the
+/// IOR harness's scheduler thread), or keep it across events in step with
+/// its pending set: [`insert`] and [`remove`] change the membership at a
+/// position, and [`states_mut`] refreshes the entries in place (the
+/// fluid engine, which rewrites only the fields time moves).
 ///
-/// The driver is responsible for pushing snapshots in `AppId` order
-/// (policies tie-break on `AppId` and the shared grant loop assumes a
-/// deterministic pending order).
+/// The driver keeps the snapshots in strictly ascending `AppId` order
+/// (policies tie-break on `AppId`, and the grant walks merge against
+/// pending order); debug builds check it each time a context is made.
 ///
 /// [`clear`]: StateBuffer::clear
 /// [`push`]: StateBuffer::push
+/// [`insert`]: StateBuffer::insert
+/// [`remove`]: StateBuffer::remove
+/// [`states_mut`]: StateBuffer::states_mut
 /// [`context`]: StateBuffer::context
 #[derive(Debug, Default)]
 pub struct StateBuffer {
@@ -197,10 +206,34 @@ impl StateBuffer {
         self.states.push(state);
     }
 
+    /// Insert one application snapshot at `pos`, shifting the later
+    /// entries up: the position its `AppId` takes in the driver's
+    /// ordered pending set.
+    ///
+    /// # Panics
+    /// Panics if `pos > len`.
+    pub fn insert(&mut self, pos: usize, state: AppState) {
+        self.states.insert(pos, state);
+    }
+
+    /// Remove the snapshot at `pos`, shifting the later entries down.
+    ///
+    /// # Panics
+    /// Panics if `pos` is out of bounds.
+    pub fn remove(&mut self, pos: usize) {
+        self.states.remove(pos);
+    }
+
     /// The current snapshot.
     #[must_use]
     pub fn states(&self) -> &[AppState] {
         &self.states
+    }
+
+    /// The current snapshot, for a driver refreshing its entries in
+    /// place. The ids must stay as they are.
+    pub fn states_mut(&mut self) -> &mut [AppState] {
+        &mut self.states
     }
 
     /// Number of pending applications in the snapshot.
@@ -231,6 +264,10 @@ impl StateBuffer {
         total_bw: Bw,
         signal: Option<crate::control::CongestionSignal>,
     ) -> SchedContext<'_> {
+        debug_assert!(
+            self.states.windows(2).all(|w| w[0].id < w[1].id),
+            "a snapshot must list its applications in strictly ascending AppId order"
+        );
         SchedContext {
             now,
             total_bw,
@@ -258,9 +295,9 @@ pub struct AllocScratch {
     /// The allocation decided by the last [`OnlinePolicy::allocate_into`].
     pub alloc: Allocation,
     /// `(rank, id, pending-index)` workspace of the [`Ranked`] helpers:
-    /// the candidates of a [`Selection`], or the entries
-    /// [`order_into_by_rank`] sorts.
-    pub(crate) ranked: Vec<(u128, AppId, usize)>,
+    /// the candidates a [`Selection`] picks from past its top array, or
+    /// the entries [`order_into_by_rank`] sorts.
+    pub(crate) ranked: Vec<Candidate>,
     /// Preference order: indices into the pending slice, most-favored
     /// first.
     pub(crate) order: Vec<usize>,
@@ -338,6 +375,17 @@ pub trait OnlinePolicy: Send {
         let _ = now;
         None
     }
+
+    /// Whether this policy reads the progress keys
+    /// [`AppState::dilation_ratio`] and [`AppState::syseff_key`]. A policy
+    /// that ranks by neither returns `false`, and the fluid engine then
+    /// skips their two divisions per pending application and event,
+    /// leaving both NaN. The default `true` is always safe; a wrapper
+    /// that forwards [`OnlinePolicy::allocate_into`] should forward this
+    /// too, or it keeps the default and pays for keys nobody reads.
+    fn reads_progress_keys(&self) -> bool {
+        true
+    }
 }
 
 impl<P: OnlinePolicy + ?Sized> OnlinePolicy for Box<P> {
@@ -358,6 +406,9 @@ impl<P: OnlinePolicy + ?Sized> OnlinePolicy for Box<P> {
     }
     fn next_wakeup(&self, now: Time) -> Option<Time> {
         (**self).next_wakeup(now)
+    }
+    fn reads_progress_keys(&self) -> bool {
+        (**self).reads_progress_keys()
     }
 }
 
@@ -426,13 +477,13 @@ pub(crate) fn rank_key(class: u64, key: f64) -> u128 {
     u128::from(class) << 64 | u128::from(total_order_image(key))
 }
 
-/// Fill `out` with the `(rank, id, pending-index)` entry of every pending
-/// application.
-fn fill_ranks<R: Ranked + ?Sized>(
-    ranked: &R,
-    pending: &[AppState],
-    out: &mut Vec<(u128, AppId, usize)>,
-) {
+/// One candidate of a ranked order: `(rank, id, pending-index)`. Tuples
+/// compare by rank, then by `AppId`; ids are distinct, so the index never
+/// decides.
+type Candidate = (u128, AppId, usize);
+
+/// Fill `out` with the candidate of every pending application.
+fn fill_ranks<R: Ranked + ?Sized>(ranked: &R, pending: &[AppState], out: &mut Vec<Candidate>) {
     out.clear();
     out.extend(
         pending
@@ -442,66 +493,110 @@ fn fill_ranks<R: Ranked + ?Sized>(
     );
 }
 
-/// Picks a [`Selection`] makes by linear scan before it sorts what is
-/// left. Past it the grant is wide (an uncongested PFS), and the sort
-/// keeps the worst case at `O(n log n)`.
+/// Picks a [`Selection`] keeps from its one ranking pass. Under
+/// congestion a grant loop consumes two or three applications, so the
+/// first four picks cost no more than the pass itself.
+const TOP: usize = 4;
+
+/// Picks a [`Selection`] makes by linear scan, counting the [`TOP`] ones,
+/// before it sorts what is left. Past it the grant is wide (an
+/// uncongested PFS), and the sort keeps the worst case at `O(n log n)`.
 const SCAN_PICKS: usize = 8;
 
 /// A [`Ranked`] order over the pending applications, selected only as
 /// far as it is read.
 ///
 /// A grant loop stops as soon as the PFS is saturated, which under
-/// congestion is after two or three applications, so ranking every
-/// pending application is mostly wasted. The ranks are computed once;
-/// [`Selection::get`] finds the next favored application by a linear
-/// scan for the minimum `(rank, id)`, and after 8 picks sorts the rest
-/// once. Because the `AppId` tie-break makes the order strict, the picks
-/// are exactly [`order_into_by_rank`]'s permutation, read from the front.
-/// Several passes may read one selection: a pick is made once and read
-/// back from then on.
-pub(crate) struct Selection<'s> {
-    /// `(rank, id, pending-index)` of every pending application;
-    /// `cands[..ready]` are the picks so far, most-favored first.
-    cands: &'s mut [(u128, AppId, usize)],
+/// congestion is after two or three applications, so sorting every
+/// pending application is mostly wasted. [`Selection::new`] ranks each
+/// application once and keeps the [`TOP`] most favored in a fixed array,
+/// in `(rank, AppId)` order, by insertion; picks below `TOP` read from
+/// it. The first pick past `TOP` ranks the other applications into the
+/// candidate buffer, and each later pick finds the next favored one by a
+/// linear scan for the minimum `(rank, id)`, until [`SCAN_PICKS`] picks
+/// sort the rest once. Because the `AppId` tie-break makes the order
+/// strict, the picks are exactly [`order_into_by_rank`]'s permutation,
+/// read from the front, whatever the pending order. Several passes may
+/// read one selection: a pick is made once and read back from then on.
+pub(crate) struct Selection<'s, R: ?Sized> {
+    ranked: &'s R,
+    pending: &'s [AppState],
+    /// The `TOP` most favored candidates, most favored first; slots past
+    /// the pending count hold a sentinel that ranks after every
+    /// candidate.
+    top: [Candidate; TOP],
+    /// The candidates outside `top`, filled at the first pick past it;
+    /// `rest[..ready]` are the picks made from it so far, in order.
+    rest: &'s mut Vec<Candidate>,
     ready: usize,
 }
 
-impl<'s> Selection<'s> {
-    /// Rank `pending` into `buf` and start selecting.
-    pub(crate) fn new<R: Ranked + ?Sized>(
-        ranked: &R,
-        pending: &[AppState],
-        buf: &'s mut Vec<(u128, AppId, usize)>,
-    ) -> Self {
-        fill_ranks(ranked, pending, buf);
+impl<'s, R: Ranked + ?Sized> Selection<'s, R> {
+    /// Rank `pending` once, keeping the most favored, and start
+    /// selecting; `buf` receives the rest if a pick reads past them.
+    pub(crate) fn new(ranked: &'s R, pending: &'s [AppState], buf: &'s mut Vec<Candidate>) -> Self {
+        // Every real candidate's pending index is below `usize::MAX`, so
+        // it ranks strictly before the sentinel.
+        let mut top = [(u128::MAX, AppId(usize::MAX), usize::MAX); TOP];
+        for (i, a) in pending.iter().enumerate() {
+            let c = (ranked.rank(a), a.id, i);
+            if c < top[TOP - 1] {
+                let mut k = TOP - 1;
+                while k > 0 && c < top[k - 1] {
+                    top[k] = top[k - 1];
+                    k -= 1;
+                }
+                top[k] = c;
+            }
+        }
         Self {
-            cands: buf,
+            ranked,
+            pending,
+            top,
+            rest: buf,
             ready: 0,
         }
     }
 
     /// The pending index of the `p`-th favored application (from 0).
-    /// Picks are made in order, so `p` is at most the number made so far.
+    /// Picks are made in order, so `p` is at most the number made so far,
+    /// and below the pending count.
     #[inline]
     pub(crate) fn get(&mut self, p: usize) -> usize {
-        debug_assert!(p <= self.ready, "picks are made in order");
-        let cands = &mut *self.cands;
-        if p == self.ready {
-            if p < SCAN_PICKS {
-                let mut best = p;
-                for k in p + 1..cands.len() {
-                    if cands[k] < cands[best] {
-                        best = k;
-                    }
-                }
-                cands.swap(p, best);
-                self.ready += 1;
-            } else {
-                cands[p..].sort_unstable();
-                self.ready = cands.len();
-            }
+        debug_assert!(p < self.pending.len(), "a pick names a pending application");
+        if p < TOP {
+            return self.top[p].2;
         }
-        cands[p].2
+        let q = p - TOP;
+        debug_assert!(q <= self.ready, "picks are made in order");
+        if q == self.ready {
+            self.pick_past_top(q);
+        }
+        self.rest[q].2
+    }
+
+    /// Make pick `TOP + q` from the candidates outside the top array.
+    #[inline(never)]
+    fn pick_past_top(&mut self, q: usize) {
+        if q == 0 {
+            let last = self.top[TOP - 1];
+            fill_ranks(self.ranked, self.pending, self.rest);
+            self.rest.retain(|&c| c > last);
+        }
+        let rest = &mut self.rest[..];
+        if TOP + q < SCAN_PICKS {
+            let mut best = q;
+            for k in q + 1..rest.len() {
+                if rest[k] < rest[best] {
+                    best = k;
+                }
+            }
+            rest.swap(q, best);
+            self.ready += 1;
+        } else {
+            rest[q..].sort_unstable();
+            self.ready = rest.len();
+        }
     }
 
     /// The shared grant loop over this order: favor the picks in turn,
@@ -512,18 +607,17 @@ impl<'s> Selection<'s> {
     #[inline]
     pub(crate) fn grant(
         &mut self,
-        pending: &[AppState],
         total: Bw,
         mut cap: impl FnMut(usize, usize) -> Bw,
         grants: &mut Vec<(AppId, Bw)>,
     ) {
         let mut remaining = total;
-        for p in 0..self.cands.len() {
+        for p in 0..self.pending.len() {
             if saturated(remaining) {
                 break;
             }
             let i = self.get(p);
-            grant_step(pending[i].id, cap(p, i), &mut remaining, grants);
+            grant_step(self.pending[i].id, cap(p, i), &mut remaining, grants);
         }
     }
 }
@@ -540,7 +634,6 @@ pub(crate) fn allocate_into_by_rank<R: Ranked + ?Sized>(
     let grants = &mut scratch.alloc.grants;
     grants.clear();
     Selection::new(ranked, ctx.pending, &mut scratch.ranked).grant(
-        ctx.pending,
         ctx.total_bw,
         |_, i| ctx.pending[i].max_bw,
         grants,

@@ -3,12 +3,14 @@
 //! stable partition of its inner order, MinMax-γ's rank orders like the
 //! §3.1 comparator, a scratch kept across calls never changes an order,
 //! the ranked selection grants what the greedy loop over a full sort
-//! grants, FairShare and `control:pi` decide what comparator-sort oracles
+//! grants (also where the grant loop crosses the selection's top array),
+//! FairShare and `control:pi` decide what comparator-sort oracles
 //! decide, the bandwidth profile never overcommits and its early-exit
 //! first fit agrees with a full scan, and random 3-Partition instances
 //! round-trip.
 
-use iosched_core::heuristics::{MinMax, PolicyKind, Priority};
+use iosched_core::baselines::Fcfs;
+use iosched_core::heuristics::{MaxSysEff, MinDilation, MinMax, PolicyKind, Priority, RoundRobin};
 use iosched_core::periodic::BandwidthProfile;
 use iosched_core::policy::{
     greedy_allocate, AllocScratch, Allocation, AppState, OnlinePolicy, SchedContext,
@@ -108,9 +110,14 @@ fn water_fill(ctx: &SchedContext<'_>) -> Allocation {
     Allocation { grants }
 }
 
-/// Picks the ranked selection makes by linear scan before it sorts the
-/// rest (private to `iosched_core::policy`; mirrored here so the tests
-/// can check that the sorted tail is exercised).
+/// Picks the ranked selection keeps from its one ranking pass (private
+/// to `iosched_core::policy`; mirrored here so the tests can aim at the
+/// boundary).
+const TOP: usize = 4;
+
+/// Picks the ranked selection makes, counting the [`TOP`] ones, before it
+/// sorts the rest (private to `iosched_core::policy`; mirrored here so
+/// the tests can check that the sorted tail is exercised).
 const SCAN_PICKS: usize = 8;
 
 /// Ranked allocations, over every generated event sequence, that granted
@@ -120,9 +127,10 @@ static WIDE_GRANTS: AtomicUsize = AtomicUsize::new(0);
 /// One event of a pending-set sequence: `(size the pending set moves
 /// toward, applications swapped out and in, key change, noise seed,
 /// total bandwidth in GiB/s, bandwidth scale)`. Key change 0 reverses
-/// every key, 1–4 redraws them, 5–19 lets them drift; 19 also hands the
-/// policies the pending slice out of `AppId` order. Scale 0 multiplies
-/// the bandwidth by 16, which leaves the PFS uncongested.
+/// every key, 1–4 redraws them, 5–19 lets them drift; 19 also rotates
+/// the keys across the ids, which stay ascending (the `SchedContext`
+/// contract). Scale 0 multiplies the bandwidth by 16, which leaves the
+/// PFS uncongested.
 fn arb_event() -> impl Strategy<Value = (usize, usize, u32, u64, f64, u32)> {
     (
         0usize..48,
@@ -377,14 +385,124 @@ proptest! {
     }
 }
 
+/// A pending set for the selection oracle: `n` applications whose keys
+/// come from tie-heavy grids holding both zeros, under ids that are a
+/// permutation of `0..n`. The selection must not lean on the pending
+/// order, so the slice is shuffled out of `AppId` order: a selection that
+/// broke rank ties by position would then pick differently.
+fn arb_selection_pending() -> impl Strategy<Value = Vec<AppState>> {
+    // Sizes up to 20, with the top array's edges and the scan's end
+    // (`TOP − 1`, `TOP`, `TOP + 1`, 8 and 9) drawn more often.
+    (0usize..26)
+        .prop_map(|v| match v {
+            21 => TOP - 1,
+            22 => TOP,
+            23 => TOP + 1,
+            24 => 8,
+            25 => 9,
+            n => n,
+        })
+        .prop_flat_map(|n| {
+            (
+                prop::collection::vec(
+                    (0usize..6, 0usize..5, 0usize..4, any::<bool>(), 0usize..4),
+                    n..n + 1,
+                ),
+                any::<u64>(),
+            )
+        })
+        .prop_map(|(draws, seed)| {
+            const RATIOS: [f64; 6] = [-0.0, 0.0, 0.25, 0.5, 0.5, 1.0];
+            const KEYS: [f64; 5] = [-0.0, 0.0, 10.0, 10.0, 500.0];
+            const INSTANTS: [f64; 4] = [0.0, 10.0, 10.0, 20.0];
+            const CARDS: [f64; 4] = [1.0, 2.0, 2.0, 4.0];
+            let mut ids: Vec<usize> = (0..draws.len()).collect();
+            ids.sort_by(|&x, &y| unit(seed, x as u64).total_cmp(&unit(seed, y as u64)));
+            draws
+                .iter()
+                .zip(ids)
+                .map(|(&(r, k, t, started, c), id)| AppState {
+                    id: AppId(id),
+                    procs: 64,
+                    dilation_ratio: RATIOS[r],
+                    syseff_key: KEYS[k],
+                    last_io_end: Time::secs(INSTANTS[t]),
+                    io_requested_at: Time::secs(INSTANTS[(t + k) % 4]),
+                    started_io: started,
+                    max_bw: Bw::gib_per_sec(CARDS[c]),
+                })
+                .collect()
+        })
+}
+
+proptest! {
+    /// The ranked selection at its top-array boundary: for pending sets
+    /// around `TOP` in size and a PFS that saturates inside the first,
+    /// the `TOP − 1`-th, the `TOP`-th or the `TOP + 1`-th pick, or never,
+    /// every ranked policy grants, on a scratch kept across the cases,
+    /// exactly what the greedy loop grants over its full `order()`, bit
+    /// for bit.
+    #[test]
+    fn selection_matches_the_full_order_across_its_top_array(
+        pending in arb_selection_pending(),
+    ) {
+        let mut policies: Vec<Box<dyn OnlinePolicy>> = vec![
+            Box::new(MinDilation),
+            Box::new(Priority::new(MinDilation)),
+            Box::new(MaxSysEff),
+            Box::new(Priority::new(MaxSysEff)),
+            Box::new(MinMax::new(0.5)),
+            Box::new(Priority::new(MinMax::new(0.5))),
+            Box::new(RoundRobin),
+            Box::new(Fcfs),
+        ];
+        let mut scratch = AllocScratch::new();
+        let bits = |grants: &[(AppId, Bw)]| -> Vec<(AppId, u64)> {
+            grants.iter().map(|&(id, bw)| (id, bw.get().to_bits())).collect()
+        };
+        for policy in &mut policies {
+            let probe = SchedContext {
+                now: Time::secs(100.0),
+                total_bw: Bw::gib_per_sec(1.0),
+                pending: &pending,
+                signal: None,
+            };
+            let order = policy.order(&probe);
+            let cards: Vec<f64> = order.iter().map(|&i| pending[i].max_bw.get()).collect();
+            // Saturate half-way through pick `k` (from 1), or never.
+            let mut totals: Vec<f64> = [1, TOP - 1, TOP, TOP + 1]
+                .into_iter()
+                .filter(|&k| k <= cards.len())
+                .map(|k| cards[..k - 1].iter().sum::<f64>() + cards[k - 1] / 2.0)
+                .collect();
+            totals.push(cards.iter().sum::<f64>() * 2.0 + 1.0);
+            for total in totals {
+                let ctx = SchedContext {
+                    total_bw: Bw::new(total),
+                    ..probe
+                };
+                policy.allocate_into(&ctx, &mut scratch);
+                prop_assert_eq!(
+                    bits(&scratch.alloc.grants),
+                    bits(&greedy_allocate(&ctx, &order).grants),
+                    "{} over {} pending at B = {}",
+                    policy.name(),
+                    pending.len(),
+                    total
+                );
+            }
+        }
+    }
+}
+
 /// One scratch kept for a whole sequence of events never changes an
 /// order, and the in-place allocation matches an independent oracle bit
 /// for bit (see [`Oracle`]). Between events applications leave and
 /// arrive, the pending size moves between 0 and 47, keys drift, get
 /// redrawn or reverse, the PFS is now and then uncongested (so more than
-/// [`SCAN_PICKS`] applications are granted), and now and then the
-/// pending slice breaks `AppId` order. Each lane drives its own policy
-/// instances, so the stateful `control:*` policy stays in lockstep.
+/// [`SCAN_PICKS`] applications are granted), and now and then the keys
+/// rotate across the ids. Each lane drives its own policy instances, so
+/// the stateful `control:*` policy stays in lockstep.
 #[test]
 fn a_scratch_kept_across_calls_never_changes_an_order() {
     scratch_sequences();
@@ -430,8 +548,13 @@ proptest! {
             }
             let mut pending = apps.clone();
             if change == 19 {
+                // The keys move to other applications; every id keeps
+                // its place, so the slice stays in `AppId` order.
                 let third = pending.len() / 3;
                 pending.rotate_left(third);
+                for (a, b) in pending.iter_mut().zip(&apps) {
+                    a.id = b.id;
+                }
             }
             let total = if scale == 0 { total * 16.0 } else { total };
             let ctx = SchedContext {

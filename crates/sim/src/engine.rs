@@ -59,7 +59,15 @@
 //! retired slots are recycled, and the predicted-completion scratch, the
 //! [`StateBuffer`] policy snapshot and the policy's [`AllocScratch`]
 //! (which receives the grants through
-//! [`OnlinePolicy::allocate_into`]) are reused across events. Installing
+//! [`OnlinePolicy::allocate_into`]) are reused across events. The
+//! snapshot is not rebuilt either: it is kept at the pending set's
+//! positions, an entry is built whole when its application enters `Io`,
+//! and each allocation rewrites only what time or capacity can have
+//! moved — the two progress keys (skipped, with their divisions, for a
+//! policy that declares it reads neither through
+//! [`OnlinePolicy::reads_progress_keys`]), `started_io`, and `max_bw`
+//! when the capacity changed — with the same operations on the same
+//! operands as a whole rebuild, so the same bits. Installing
 //! an allocation costs `O(grants)`, not `O(pending)`: the engine keeps the
 //! last allocation's grants as `(AppId, slot)` pairs, a pending slot
 //! outside that list always has a zero rate, and each allocation walks
@@ -339,7 +347,8 @@ pub enum RunStatus {
 /// flat array instead of chasing `slot → spec → id` through the arena;
 /// with the pending population tracking *concurrency* (tens, not the
 /// admitted total), the ordered insert's memmove stays within a cache
-/// line or two.
+/// line or two. Insert and remove return the position they changed, at
+/// which the engine mirrors the change into its policy snapshot.
 #[derive(Debug, Default)]
 struct PendingSet {
     entries: Vec<(AppId, usize)>,
@@ -364,26 +373,28 @@ impl PendingSet {
         &self.entries
     }
 
-    /// Insert if absent; true when the membership changed.
-    fn insert(&mut self, id: AppId, slot: usize) -> bool {
-        match self.entries.binary_search_by_key(&id, |&(pid, _)| pid) {
-            Err(pos) => {
-                self.entries.insert(pos, (id, slot));
-                true
-            }
-            Ok(_) => false,
-        }
+    /// The position of `id`, if pending.
+    fn position(&self, id: AppId) -> Option<usize> {
+        self.entries.binary_search_by_key(&id, |&(pid, _)| pid).ok()
     }
 
-    /// Remove if present; true when the membership changed.
-    fn remove(&mut self, id: AppId) -> bool {
-        match self.entries.binary_search_by_key(&id, |&(pid, _)| pid) {
-            Ok(pos) => {
-                self.entries.remove(pos);
-                true
-            }
-            Err(_) => false,
-        }
+    /// Insert if absent; the new entry's position when the membership
+    /// changed.
+    fn insert(&mut self, id: AppId, slot: usize) -> Option<usize> {
+        let pos = self
+            .entries
+            .binary_search_by_key(&id, |&(pid, _)| pid)
+            .err()?;
+        self.entries.insert(pos, (id, slot));
+        Some(pos)
+    }
+
+    /// Remove if present; the removed entry's position when the
+    /// membership changed.
+    fn remove(&mut self, id: AppId) -> Option<usize> {
+        let pos = self.position(id)?;
+        self.entries.remove(pos);
+        Some(pos)
     }
 }
 
@@ -492,8 +503,22 @@ pub struct Simulation<'a> {
     /// the settle pass visits exactly these instead of rescanning the
     /// whole pending set.
     completed: Vec<usize>,
-    /// Reused policy-snapshot arena.
+    /// The policy snapshot, kept across events at the positions of
+    /// `pending`: an entry is built whole when its application enters
+    /// `Io` and removed when it leaves, and each allocation rewrites only
+    /// what can have moved since — the progress keys (when the policy
+    /// reads them), `started_io`, and `max_bw` when the capacity changed.
+    /// A zero-work instance that keeps its application pending rewrites
+    /// the entry's two I/O instants in [`Simulation::settle_app`].
     snapshot: StateBuffer,
+    /// The capacity every snapshot `max_bw` is clamped to (NaN before the
+    /// first allocation): the next refresh re-clamps only when the
+    /// capacity's bits differ from it.
+    snapshot_capacity: Bw,
+    /// [`OnlinePolicy::reads_progress_keys`], read once at construction:
+    /// when false, the snapshot's two progress keys stay NaN and the
+    /// refresh skips their divisions.
+    keys: bool,
     /// Reused policy workspace: the grant vector the policy fills in
     /// place plus its ordering scratch — no per-event allocation on
     /// either side of the policy boundary.
@@ -638,6 +663,7 @@ impl<'a> Simulation<'a> {
         // Pre-sized to the roster (a stream or open engine starts at 0
         // and grows with its concurrency).
         let n = admission.queue.len();
+        let keys = policy.reads_progress_keys();
         let mut sim = Self {
             platform,
             policy,
@@ -667,6 +693,8 @@ impl<'a> Simulation<'a> {
             predicted_dirty: true,
             completed: Vec::with_capacity(n),
             snapshot: StateBuffer::new(),
+            snapshot_capacity: Bw::new(f64::NAN),
+            keys,
             scratch: AllocScratch::new(),
             granted: Vec::new(),
             trace: config.record_trace.then(BandwidthTrace::default),
@@ -1218,16 +1246,38 @@ impl<'a> Simulation<'a> {
     }
 
     /// The pending set is ordered by `AppId` (stable under roster
-    /// permutation and slot reuse); slots are only the access path.
+    /// permutation and slot reuse); slots are only the access path. These
+    /// two are the one place its membership changes, and they mirror
+    /// each change into the policy snapshot at the same position.
     fn pending_insert(&mut self, i: usize) {
-        if self.pending.insert(self.hot.id[i], i) {
+        if let Some(pos) = self.pending.insert(self.hot.id[i], i) {
+            self.snapshot.insert(pos, self.snapshot_entry(i));
             self.predicted_dirty = true;
         }
     }
 
     fn pending_remove(&mut self, i: usize) {
-        if self.pending.remove(self.hot.id[i]) {
+        if let Some(pos) = self.pending.remove(self.hot.id[i]) {
+            self.snapshot.remove(pos);
             self.predicted_dirty = true;
+        }
+    }
+
+    /// The snapshot entry of slot `i` as its application enters `Io`:
+    /// `max_bw` is clamped to the capacity of the last refresh (the next
+    /// one re-clamps every entry if the capacity moved), and the progress
+    /// keys are NaN until the next refresh computes them — for good,
+    /// when the policy reads none.
+    fn snapshot_entry(&self, i: usize) -> AppState {
+        AppState {
+            id: self.hot.id[i],
+            procs: self.hot.procs[i],
+            dilation_ratio: f64::NAN,
+            syseff_key: f64::NAN,
+            last_io_end: self.hot.last_io_end[i],
+            io_requested_at: self.hot.io_requested_at[i],
+            started_io: self.hot.started[i],
+            max_bw: self.hot.card[i].min(self.snapshot_capacity),
         }
     }
 
@@ -1372,8 +1422,16 @@ impl<'a> Simulation<'a> {
                 self.pending_remove(i);
                 return;
             }
-            // Zero-work instance: straight back to Io; loop to catch a
-            // zero-volume transfer completing instantly.
+            // Zero-work instance: straight back to Io, still pending, so
+            // its snapshot entry takes the new instance's I/O instants.
+            // Loop to catch a zero-volume transfer completing instantly.
+            let k = self
+                .pending
+                .position(self.hot.id[i])
+                .expect("an application settling its I/O is pending");
+            let entry = &mut self.snapshot.states_mut()[k];
+            entry.last_io_end = self.hot.last_io_end[i];
+            entry.io_requested_at = self.hot.io_requested_at[i];
         }
     }
 
@@ -1443,10 +1501,15 @@ impl<'a> Simulation<'a> {
             self.granted.clear();
             return Ok(());
         }
-        self.snapshot.clear();
+        // Refresh the kept snapshot: only the fields time or capacity can
+        // have moved since the last allocation, with the same operations
+        // on the same operands as a whole rebuild, so the same bits.
+        let clamp = capacity.get().to_bits() != self.snapshot_capacity.get().to_bits();
+        self.snapshot_capacity = capacity;
         let mut offered = Bw::ZERO;
         let mut backlog = Bytes::ZERO;
-        for &(id, i) in self.pending.entries() {
+        let states = self.snapshot.states_mut();
+        for (state, &(_, i)) in states.iter_mut().zip(self.pending.entries()) {
             debug_assert_eq!(self.hot.tag[i], PhaseTag::Io, "pending slots are in Io");
             backlog += self.hot.remaining[i];
             // Telemetry offered load is the *raw* card limit `β·b` —
@@ -1455,34 +1518,33 @@ impl<'a> Simulation<'a> {
             // under-reporting demand exactly when congestion is deepest.
             let card = self.hot.card[i];
             offered += card;
-            let max_bw = card.min(capacity);
-            // ρ̃ and the derived keys, rebuilt from the cached prefix
-            // sums with the same operations on the same values as the
-            // `AppProgress` methods — bit-identical, off flat arrays.
-            // ρ's division is hoisted to the key refresh (`key_rho`).
-            let elapsed = now - self.hot.release[i];
-            let rho = self.hot.key_rho[i];
-            let rho_tilde = if elapsed.get() <= EPS {
-                rho
-            } else {
-                self.hot.key_work_done[i] / elapsed
-            };
-            let dilation_ratio = if rho <= 0.0 {
-                1.0
-            } else {
-                (rho_tilde / rho).min(1.0)
-            };
-            self.snapshot.push(AppState {
-                id,
-                procs: self.hot.procs[i],
-                dilation_ratio,
-                syseff_key: self.hot.procs[i] as f64 * rho_tilde,
-                last_io_end: self.hot.last_io_end[i],
-                io_requested_at: self.hot.io_requested_at[i],
-                started_io: self.hot.started[i],
-                max_bw,
-            });
+            if clamp {
+                state.max_bw = card.min(capacity);
+            }
+            state.started_io = self.hot.started[i];
+            if self.keys {
+                // ρ̃ and the derived keys, rebuilt from the cached prefix
+                // sums with the same operations on the same values as
+                // the `AppProgress` methods — bit-identical, off flat
+                // arrays. ρ's division is hoisted to the key refresh
+                // (`key_rho`).
+                let elapsed = now - self.hot.release[i];
+                let rho = self.hot.key_rho[i];
+                let rho_tilde = if elapsed.get() <= EPS {
+                    rho
+                } else {
+                    self.hot.key_work_done[i] / elapsed
+                };
+                state.dilation_ratio = if rho <= 0.0 {
+                    1.0
+                } else {
+                    (rho_tilde / rho).min(1.0)
+                };
+                state.syseff_key = state.procs as f64 * rho_tilde;
+            }
         }
+        #[cfg(debug_assertions)]
+        self.debug_check_snapshot(capacity);
         // The signal reflects the last *closed* interval — the policy
         // observes the past, never the allocation it is about to make.
         let ctx = self
@@ -1700,6 +1762,66 @@ impl<'a> Simulation<'a> {
         }
     }
 
+    /// Debug builds check the kept snapshot after every refresh against
+    /// a whole rebuild from the hot columns (the per-event rebuild the
+    /// snapshot replaced), bit for bit: same applications in strictly
+    /// ascending `AppId` order, and every field equal — the progress keys
+    /// only when the policy reads them.
+    #[cfg(debug_assertions)]
+    fn debug_check_snapshot(&self, capacity: Bw) {
+        let states = self.snapshot.states();
+        assert_eq!(states.len(), self.pending.len(), "snapshot out of step");
+        assert!(
+            states.windows(2).all(|w| w[0].id < w[1].id),
+            "snapshot ids not strictly ascending"
+        );
+        for (state, &(id, i)) in states.iter().zip(self.pending.entries()) {
+            let elapsed = self.now - self.hot.release[i];
+            let rho = self.hot.key_rho[i];
+            let rho_tilde = if elapsed.get() <= EPS {
+                rho
+            } else {
+                self.hot.key_work_done[i] / elapsed
+            };
+            let dilation_ratio = if rho <= 0.0 {
+                1.0
+            } else {
+                (rho_tilde / rho).min(1.0)
+            };
+            let rebuilt = AppState {
+                id,
+                procs: self.hot.procs[i],
+                dilation_ratio,
+                syseff_key: self.hot.procs[i] as f64 * rho_tilde,
+                last_io_end: self.hot.last_io_end[i],
+                io_requested_at: self.hot.io_requested_at[i],
+                started_io: self.hot.started[i],
+                max_bw: self.hot.card[i].min(capacity),
+            };
+            let bits = |a: &AppState| {
+                (
+                    a.last_io_end.get().to_bits(),
+                    a.io_requested_at.get().to_bits(),
+                    a.max_bw.get().to_bits(),
+                )
+            };
+            assert!(
+                state.id == rebuilt.id
+                    && state.procs == rebuilt.procs
+                    && state.started_io == rebuilt.started_io
+                    && bits(state) == bits(&rebuilt),
+                "stale snapshot entry {state:?}, rebuilt {rebuilt:?}"
+            );
+            if self.keys {
+                assert!(
+                    state.dilation_ratio.to_bits() == rebuilt.dilation_ratio.to_bits()
+                        && state.syseff_key.to_bits() == rebuilt.syseff_key.to_bits(),
+                    "stale progress keys {state:?}, rebuilt {rebuilt:?}"
+                );
+            }
+        }
+    }
+
     /// Debug builds check the invariant on `granted` after every
     /// allocation: each pending slot outside the grant list holds
     /// `rate = effective = +0.0`.
@@ -1881,6 +2003,43 @@ mod tests {
         // 1 + 5 + 1 + 1 = 8 s total.
         assert!(o.finish.approx_eq(Time::secs(8.0)), "finish {}", o.finish);
         assert!((out.report.dilation - 1.0).abs() < 1e-9);
+    }
+
+    /// Two applications of two zero-work transfers each, on a PFS that
+    /// serves one at a time. A finished transfer moves its application's
+    /// `last_io_end` and `io_requested_at` while it stays pending, so
+    /// RoundRobin and FCFS hand the next turn to the other application:
+    /// application 0 finishes at 3 s, not at 2 s.
+    #[test]
+    fn zero_work_chains_refresh_the_io_instants_policies_rank_by() {
+        use iosched_core::baselines::Fcfs;
+        use iosched_model::{Instance, InstancePattern};
+        let p = platform();
+        let chain = |id| {
+            AppSpec::new(
+                id,
+                Time::ZERO,
+                100,
+                InstancePattern::Explicit(vec![Instance::new(Time::ZERO, Bytes::gib(10.0)); 2]),
+            )
+        };
+        let apps = [chain(0), chain(1)];
+        let policies: [&mut dyn OnlinePolicy; 2] = [&mut RoundRobin, &mut Fcfs];
+        for policy in policies {
+            let name = policy.name();
+            let out = simulate(&p, &apps, policy, &SimConfig::default()).unwrap();
+            let finish = |id| out.report.app(AppId(id)).unwrap().finish;
+            assert!(
+                finish(0).approx_eq(Time::secs(3.0)),
+                "{name}: {}",
+                finish(0)
+            );
+            assert!(
+                finish(1).approx_eq(Time::secs(4.0)),
+                "{name}: {}",
+                finish(1)
+            );
+        }
     }
 
     #[test]

@@ -191,3 +191,101 @@ fn burst_buffer_conservation_fixed_cases() {
         }
     }
 }
+
+/// Forwards every decision to the wrapped policy but keeps the provided
+/// `reads_progress_keys` (`true`), so the engine computes every key.
+struct EveryKey(Box<dyn OnlinePolicy>);
+
+impl OnlinePolicy for EveryKey {
+    fn name(&self) -> String {
+        self.0.name()
+    }
+
+    fn allocate_into(
+        &mut self,
+        ctx: &iosched_core::policy::SchedContext<'_>,
+        scratch: &mut iosched_core::policy::AllocScratch,
+    ) {
+        self.0.allocate_into(ctx, scratch);
+    }
+
+    fn next_wakeup(&self, now: Time) -> Option<Time> {
+        self.0.next_wakeup(now)
+    }
+}
+
+/// Every registry policy that declares it reads no progress key decides
+/// exactly as when the engine computes every key: on the three Fig. 6
+/// mixes and on a short open stream, the run is the same bit for bit
+/// with the policy driven directly (keys left NaN) and through a
+/// wrapper that keeps the default. A policy that declared no keys but
+/// ranked by one would rank NaNs here and move a finish time.
+#[test]
+fn policies_without_progress_keys_decide_as_with_every_key() {
+    use iosched_bench::experiments::load_sweep;
+    use iosched_core::registry::PolicyFactory;
+    use iosched_sim::simulate_open;
+    use iosched_workload::{MixConfig, WorkloadSpec};
+
+    let platform = Platform::intrepid();
+    let mut scenarios: Vec<(String, Vec<AppSpec>, bool)> =
+        [MixConfig::fig6a(), MixConfig::fig6b(), MixConfig::fig6c()]
+            .into_iter()
+            .enumerate()
+            .map(|(k, config)| {
+                let apps = WorkloadSpec::Mix { config, seed: 0 }
+                    .materialize(&platform)
+                    .unwrap();
+                (format!("fig6 mix {k}"), apps, false)
+            })
+            .collect();
+    let lambda = load_sweep::lambdas().into_iter().fold(0.0, f64::max);
+    let mut stream = load_sweep::stream_workload(lambda)
+        .with_seed(0)
+        .materialize(&platform)
+        .unwrap();
+    stream.truncate(40);
+    scenarios.push(("stream".into(), stream, true));
+    let config = SimConfig::default();
+    let run = |policy: &mut dyn OnlinePolicy, apps: &[AppSpec], open: bool| {
+        let out = if open {
+            simulate_open(&platform, apps, policy, &config)
+        } else {
+            simulate(&platform, apps, policy, &config)
+        }
+        .unwrap();
+        format!("{:?} {:?} {}", out.report.per_app, out.end_time, out.events)
+    };
+    let mut checked = Vec::new();
+    for factory in PolicyFactory::complete_roster() {
+        for (label, apps, open) in &scenarios {
+            // A periodic search can find no schedule for a scenario.
+            let Ok(mut direct) = factory.build(&platform, apps) else {
+                continue;
+            };
+            if direct.reads_progress_keys() {
+                continue;
+            }
+            let mut wrapped = EveryKey(factory.build(&platform, apps).unwrap());
+            assert!(wrapped.reads_progress_keys());
+            assert_eq!(
+                run(direct.as_mut(), apps, *open),
+                run(&mut wrapped, apps, *open),
+                "{} on {label}",
+                factory.name()
+            );
+            checked.push(factory.name());
+        }
+    }
+    for name in ["roundrobin", "priority-roundrobin", "fairshare", "fcfs"] {
+        assert_eq!(
+            checked.iter().filter(|n| *n == name).count(),
+            scenarios.len(),
+            "{name} was not checked on every scenario"
+        );
+    }
+    assert!(
+        checked.iter().any(|n| n.starts_with("periodic:")),
+        "no timetable was checked: {checked:?}"
+    );
+}
