@@ -1,7 +1,7 @@
 //! # iosched-cli
 //!
-//! Command-line front end for the workspace: generate scenario files, run
-//! any scheduler over them in the fluid simulator, and build periodic
+//! Command-line front end for the workspace: generate scenario specs,
+//! run any scheduler over one in the fluid simulator, and build periodic
 //! schedules — the workflow a system administrator would use to evaluate
 //! the paper's heuristics on their own machine description. `iosched
 //! repro` renders the paper's own figures and tables from
@@ -12,20 +12,23 @@
 //! iosched policies
 //! iosched generate --kind congested --platform intrepid --seed 7 -o scenario.json
 //! iosched generate --kind mix-b     --platform intrepid --seed 3 -o mix.json
-//! iosched simulate scenario.json --policy priority-maxsyseff [--burst-buffer]
-//! iosched simulate scenario.json --policy periodic:cong
-//! iosched simulate scenario.json --policy all
+//! iosched run scenario.json --policy priority-maxsyseff
+//! iosched run scenario.json --policy periodic:cong --trace decisions.jsonl
+//! iosched run scenario.json --policy all -o runs.json
+//! iosched run --journal serve-journal.jsonl
 //! iosched periodic scenario.json --objective dilation --epsilon 0.05
 //! iosched campaign campaign.json [--threads N]
 //! iosched repro fig06 [--runs N]
 //! ```
 //!
-//! Scenario files are plain JSON (`serde`) holding the platform and the
-//! application list, so they can be authored by hand or produced by any
-//! external tool. Campaign files describe a whole cartesian sweep —
-//! `platforms × workloads × policies × seeds` — that expands lazily and
-//! streams through the parallel [`iosched_bench::ScenarioRunner`] into
-//! per-cell aggregates (see the README's "Campaign files" section):
+//! Scenario files are [`ScenarioSpec`] JSON — platform, workload, policy
+//! and engine configuration — so they can be authored by hand or produced
+//! by any external tool; `generate` writes one whose workload is the
+//! explicit application list. Campaign files describe a whole cartesian
+//! sweep — `platforms × workloads × policies × seeds` — that expands
+//! lazily and streams through the parallel
+//! [`iosched_bench::ScenarioRunner`] into per-cell aggregates (see the
+//! README's "Campaign files" section):
 //!
 //! ```json
 //! {
@@ -40,72 +43,22 @@
 //! ```
 
 use iosched_bench::campaign::{
-    run_campaign_observed, CampaignResult, CampaignSpec, CellSummary, ScenarioSpec,
+    platform_preset, run_campaign_observed, CampaignResult, CampaignSpec, CellSummary,
+    PlatformSpec, ScenarioSpec,
 };
 use iosched_bench::report::Table;
 use iosched_bench::runner::ScenarioRunner;
-use iosched_bench::scenario::PolicySpec;
+use iosched_bench::scenario::{PeriodicFactory, PolicySpec};
 use iosched_bench::shard;
-use iosched_core::periodic::{
-    InsertionHeuristic, PeriodSearch, PeriodicAppSpec, PeriodicObjective,
-};
+use iosched_core::periodic::{InsertionHeuristic, PeriodicAppSpec};
 use iosched_core::policy::OnlinePolicy;
 use iosched_model::{app::validate_scenario, AppSpec, Platform};
-use iosched_sim::{simulate, SimConfig};
+use iosched_sim::{SimConfig, SimOutcome, Simulation, SteadySummary, TelemetrySummary};
 use iosched_workload::congestion::congested_moment;
-use iosched_workload::MixConfig;
+use iosched_workload::{MixConfig, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
-
-/// A scenario file: one platform plus its applications.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ScenarioFile {
-    /// The machine description.
-    pub platform: Platform,
-    /// The §2.1 applications.
-    pub apps: Vec<AppSpec>,
-}
-
-impl ScenarioFile {
-    /// Validate platform, applications and processor budget.
-    pub fn validate(&self) -> Result<(), String> {
-        validate_scenario(&self.platform, &self.apps).map_err(|e| e.to_string())
-    }
-
-    /// Serialize as pretty JSON.
-    pub fn to_json(&self) -> Result<String, String> {
-        serde_json::to_string_pretty(self).map_err(|e| e.to_string())
-    }
-
-    /// Parse from JSON and validate.
-    pub fn from_json(s: &str) -> Result<Self, String> {
-        let file: Self = serde_json::from_str(s).map_err(|e| e.to_string())?;
-        file.validate()?;
-        Ok(file)
-    }
-}
-
-/// Resolve a platform preset by name. (The name table lives in
-/// [`iosched_bench::campaign::platform_preset`] so the CLI, campaign
-/// files and experiments agree on one vocabulary.)
-pub fn platform_by_name(name: &str) -> Result<Platform, String> {
-    iosched_bench::campaign::platform_preset(name)
-}
-
-/// Resolve a policy by the names used throughout the reports and
-/// instantiate it *for a scenario* — the registry's two-stage build.
-/// `all` is handled by the caller. Online policies ignore the scenario;
-/// offline `periodic:*` policies run their §3.2 schedule search over it.
-/// (Name resolution lives in
-/// [`iosched_core::registry::PolicyFactory`] — re-exported as
-/// [`iosched_bench::scenario::PolicySpec`] — so the CLI, the batch layer
-/// and the experiment runners agree on one vocabulary.)
-pub fn policy_for_scenario(
-    name: &str,
-    scenario: &ScenarioFile,
-) -> Result<Box<dyn OnlinePolicy>, String> {
-    PolicySpec::parse(name)?.build(&scenario.platform, &scenario.apps)
-}
+use std::path::Path;
 
 /// Scenario kinds `generate` can produce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,46 +106,190 @@ pub fn cmd_platforms() -> String {
     out
 }
 
-/// `iosched generate`: build a scenario.
-pub fn cmd_generate(kind: GenerateKind, platform: &str, seed: u64) -> Result<ScenarioFile, String> {
-    let platform = platform_by_name(platform)?;
+/// `iosched generate`: build a scenario spec — the preset platform, the
+/// generated applications as an explicit workload, and the native
+/// `fairshare` baseline as its policy (`iosched run --policy` overrides
+/// it).
+pub fn cmd_generate(kind: GenerateKind, platform: &str, seed: u64) -> Result<ScenarioSpec, String> {
+    let built = platform_preset(platform)?;
     let apps = match kind {
-        GenerateKind::Congested => congested_moment(&platform, seed),
-        GenerateKind::MixA => MixConfig::fig6a().generate(&platform, seed),
-        GenerateKind::MixB => MixConfig::fig6b().generate(&platform, seed),
-        GenerateKind::MixC => MixConfig::fig6c().generate(&platform, seed),
+        GenerateKind::Congested => congested_moment(&built, seed),
+        GenerateKind::MixA => MixConfig::fig6a().generate(&built, seed),
+        GenerateKind::MixB => MixConfig::fig6b().generate(&built, seed),
+        GenerateKind::MixC => MixConfig::fig6c().generate(&built, seed),
     };
-    let file = ScenarioFile { platform, apps };
-    file.validate()?;
-    Ok(file)
+    validate_scenario(&built, &apps).map_err(|e| e.to_string())?;
+    Ok(ScenarioSpec {
+        label: format!("{kind:?} on {platform}, seed {seed}"),
+        platform: PlatformSpec::Preset(platform.to_string()),
+        workload: WorkloadSpec::Explicit(apps),
+        policy: PolicySpec::FairShare,
+        config: None,
+    })
 }
 
-/// `iosched simulate`: run one policy (or every standard one) over a
-/// scenario; returns the rendered report.
-pub fn cmd_simulate(
-    scenario: &ScenarioFile,
-    policy_name: &str,
-    burst_buffer: bool,
-) -> Result<String, String> {
-    scenario.validate()?;
-    let config = SimConfig {
-        use_burst_buffer: burst_buffer,
-        ..SimConfig::default()
+/// Parse a scenario file. Any parse failure names the expected shape, so
+/// a file in another format says what to write instead.
+pub fn parse_scenario(text: &str) -> Result<ScenarioSpec, String> {
+    serde_json::from_str(text).map_err(|e| {
+        format!(
+            "{e}; a scenario file is a scenario spec {{\"label\": …, \"platform\": …, \
+             \"workload\": …, \"policy\": …, \"config\": …}} (`iosched generate` writes one)"
+        )
+    })
+}
+
+/// Decision-trace ring size of `iosched run --trace`: the last this many
+/// records are kept (older ones are counted, then dropped).
+const TRACE_CAPACITY: usize = 65_536;
+
+/// JSON export of one `iosched run` policy run (`-o` writes an array of
+/// these, one per policy).
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct RunRecord {
+    /// Workload label (seed-free).
+    pub workload: String,
+    /// Policy name.
+    pub policy: String,
+    /// Scheduling events processed.
+    pub events: usize,
+    /// Final simulated second.
+    pub end_secs: f64,
+    /// The warmup-trimmed steady-state window (present iff the run was
+    /// stream-driven or the config set a `warmup`/`horizon` window).
+    pub steady: Option<SteadySummary>,
+    /// Per-run congestion record (present iff the config set
+    /// `telemetry`).
+    pub telemetry: Option<TelemetrySummary>,
+}
+
+/// What `iosched run` produced: the rendered report, one record per
+/// policy run, and the decision trace when one was attached.
+#[derive(Debug)]
+pub struct RunOutput {
+    /// The policy table, then each run's telemetry and steady-state
+    /// blocks.
+    pub report: String,
+    /// One record per policy run, in table order.
+    pub records: Vec<RunRecord>,
+    /// `(jsonl, summary)` of the decision trace: its last 65,536
+    /// records, one JSON object per line.
+    pub trace: Option<(String, String)>,
+}
+
+/// The applications a scenario feeds the engine: a closed roster,
+/// materialized once for every policy, or an open stream's spec, opened
+/// per run.
+enum Arrivals<'a> {
+    Closed(Vec<AppSpec>),
+    Open(&'a WorkloadSpec),
+}
+
+/// Build and run the engine for one policy. Closed rosters run through
+/// [`Simulation::new`]; open streams through [`Simulation::from_stream`],
+/// pulled lazily by online and `control:*` policies (peak memory tracks
+/// concurrency) and materialized first for offline `periodic:*` ones,
+/// which plan over the whole roster.
+fn run_policy(
+    platform: &Platform,
+    arrivals: &Arrivals,
+    spec: PolicySpec,
+    config: &SimConfig,
+    trace: bool,
+) -> Result<SimOutcome, String> {
+    let mut policy: Box<dyn OnlinePolicy>;
+    let mut sim = match arrivals {
+        Arrivals::Closed(apps) => {
+            policy = spec.build(platform, apps)?;
+            Simulation::new(platform, apps, policy.as_mut(), config)
+        }
+        Arrivals::Open(workload) if spec.is_offline() => {
+            let apps = workload.materialize(platform)?;
+            policy = spec.build(platform, &apps)?;
+            Simulation::from_stream(platform, apps.into_iter(), policy.as_mut(), config)
+        }
+        Arrivals::Open(workload) => {
+            policy = spec.build(platform, &[])?;
+            let source = workload.app_source(platform)?;
+            Simulation::from_stream(platform, source, policy.as_mut(), config)
+        }
+    }
+    .map_err(|e| e.to_string())?;
+    if trace {
+        sim.enable_decision_trace(TRACE_CAPACITY);
+    }
+    sim.run_to_completion().map_err(|e| e.to_string())
+}
+
+/// `iosched run`: run the scenario under its own policy, under `policy`
+/// (a registry name), or under the whole online roster (`"all"`), and
+/// render the report. `trace` attaches the engine's decision trace to
+/// the single run it allows.
+pub fn cmd_run(
+    spec: &ScenarioSpec,
+    policy: Option<&str>,
+    trace: bool,
+) -> Result<RunOutput, String> {
+    let policies = match policy {
+        Some("all") => PolicySpec::full_roster(),
+        Some(name) => vec![PolicySpec::parse(name)?],
+        None => vec![spec.policy],
     };
-    let names: Vec<String> = if policy_name == "all" {
-        PolicySpec::full_roster()
-            .iter()
-            .map(PolicySpec::name)
-            .collect()
+    if trace && policies.len() > 1 {
+        return Err("--trace records a single run; pick one --policy, not all".into());
+    }
+    let platform = spec.platform.build()?;
+    let config = spec.config.clone().unwrap_or_default();
+    let arrivals = if spec.workload.is_open() {
+        Arrivals::Open(&spec.workload)
     } else {
-        vec![policy_name.to_string()]
+        Arrivals::Closed(spec.workload.materialize(&platform)?)
     };
+    let what = match &arrivals {
+        Arrivals::Closed(apps) => format!("{} applications", apps.len()),
+        Arrivals::Open(workload) => workload.label(),
+    };
+    let mut runs = Vec::with_capacity(policies.len());
+    for p in policies {
+        runs.push((
+            p.name(),
+            run_policy(&platform, &arrivals, p, &config, trace)?,
+        ));
+    }
+    render_run(&what, &spec.workload.label(), &platform, &config, &runs)
+}
+
+/// `iosched run --journal`: replay a serve journal's arrivals under its
+/// own policy and config (see [`iosched_serve::replay`]) and render the
+/// same report as [`cmd_run`].
+pub fn cmd_run_journal(journal: &Path, trace: bool) -> Result<RunOutput, String> {
+    let (spec, outcome, arrivals) =
+        iosched_serve::replay(journal, trace.then_some(TRACE_CAPACITY))?;
+    render_run(
+        &format!("{arrivals} arrivals from journal {}", journal.display()),
+        &format!("journal({arrivals} arrivals)"),
+        &spec.platform,
+        &spec.config,
+        &[(spec.policy.name(), outcome)],
+    )
+}
+
+/// The one `run` report: the policy table (SysEfficiency, Dilation,
+/// makespan, then the upper limit), then per run its telemetry block
+/// (when the config set `telemetry`) and steady-state block (when the
+/// run carries a steady summary).
+fn render_run(
+    what: &str,
+    workload: &str,
+    platform: &Platform,
+    config: &SimConfig,
+    runs: &[(String, SimOutcome)],
+) -> Result<RunOutput, String> {
     let mut out = format!(
-        "{} applications on {} (B = {:.1} GiB/s{})\n\n",
-        scenario.apps.len(),
-        scenario.platform.name,
-        scenario.platform.total_bw.as_gib_per_sec(),
-        if burst_buffer {
+        "{what} on {} (B = {:.1} GiB/s{})\n\n",
+        platform.name,
+        platform.total_bw.as_gib_per_sec(),
+        if config.use_burst_buffer {
             ", burst buffer on"
         } else {
             ""
@@ -207,22 +304,155 @@ pub fn cmd_simulate(
     // every run folds it over the same `AppId`-ordered outcomes: any
     // run's report holds the same bits.
     let mut upper = 0.0;
-    for name in names {
-        let mut policy = policy_for_scenario(&name, scenario)?;
-        let result = simulate(&scenario.platform, &scenario.apps, policy.as_mut(), &config)
-            .map_err(|e| e.to_string())?;
-        upper = result.report.upper_limit;
+    for (name, outcome) in runs {
+        upper = outcome.report.upper_limit;
         let _ = writeln!(
             out,
             "{:<30} {:>13.2}% {:>10.2} {:>11.0}s",
             name,
-            result.report.sys_efficiency * 100.0,
-            result.report.dilation,
-            result.report.makespan().as_secs(),
+            outcome.report.sys_efficiency * 100.0,
+            outcome.report.dilation,
+            // `end_time` is the makespan on completed runs and stays
+            // right when the per-application detail is off.
+            outcome.end_time.as_secs(),
         );
     }
     let _ = writeln!(out, "{:<30} {:>13.2}%", "upper limit", upper * 100.0);
-    Ok(out)
+    for (name, outcome) in runs {
+        if outcome.telemetry.is_some() || outcome.steady.is_some() {
+            let _ = write!(
+                out,
+                "\n{name}: {} events over {:.0}s simulated\n",
+                outcome.events,
+                outcome.end_time.as_secs(),
+            );
+        }
+        if let Some(telemetry) = &outcome.telemetry {
+            render_telemetry(&mut out, telemetry);
+        }
+        if let Some(steady) = &outcome.steady {
+            render_steady(&mut out, steady, outcome.end_time.as_secs());
+        }
+    }
+    let trace = match runs {
+        [(name, outcome)] if outcome.decision_trace.is_some() => Some(render_trace(
+            outcome,
+            &format!("{what} on {} under {name}", platform.name),
+        )?),
+        _ => None,
+    };
+    let records = runs
+        .iter()
+        .map(|(name, outcome)| RunRecord {
+            workload: workload.to_string(),
+            policy: name.clone(),
+            events: outcome.events,
+            end_secs: outcome.end_time.as_secs(),
+            steady: outcome.steady.clone(),
+            telemetry: outcome.telemetry.clone(),
+        })
+        .collect();
+    Ok(RunOutput {
+        report: out,
+        records,
+        trace,
+    })
+}
+
+/// The per-run congestion record: utilization and contention means with
+/// their p95/p99 tails, peak backlog and peak pending.
+fn render_telemetry(out: &mut String, telemetry: &TelemetrySummary) {
+    let _ = writeln!(
+        out,
+        "telemetry ({} intervals over {:.0}s of activity):",
+        telemetry.samples, telemetry.busy_secs
+    );
+    let _ = writeln!(
+        out,
+        "  utilization  mean {:.3} (time-weighted {:.3})  p95 {:.3}  p99 {:.3}  max {:.3}",
+        telemetry.utilization.mean,
+        telemetry.mean_utilization,
+        telemetry.utilization.p95,
+        telemetry.utilization.p99,
+        telemetry.utilization.max,
+    );
+    let _ = writeln!(
+        out,
+        "  contention   mean {:.3} (time-weighted {:.3})  p95 {:.3}  p99 {:.3}  max {:.3}",
+        telemetry.contention.mean,
+        telemetry.mean_contention,
+        telemetry.contention.p95,
+        telemetry.contention.p99,
+        telemetry.contention.max,
+    );
+    let _ = writeln!(
+        out,
+        "  peak backlog {:.1} GiB   peak pending {}",
+        telemetry.peak_backlog_gib, telemetry.peak_pending,
+    );
+}
+
+/// The warmup-trimmed steady-state window ending at `end_secs`.
+fn render_steady(out: &mut String, steady: &SteadySummary, end_secs: f64) {
+    let _ = writeln!(
+        out,
+        "applications: {} admitted, {} completed in the window, {} left in the system",
+        steady.admitted, steady.completed, steady.left_in_system,
+    );
+    let _ = writeln!(
+        out,
+        "steady state over [{:.0}s, {:.0}s] ({:.0}s observed):",
+        steady.warmup_secs, end_secs, steady.window_secs,
+    );
+    let _ = writeln!(
+        out,
+        "  stretch      mean {:.2}  max {:.2}",
+        steady.mean_stretch, steady.max_stretch,
+    );
+    let _ = writeln!(
+        out,
+        "  I/O queue    mean {:.2} applications",
+        steady.mean_queue,
+    );
+    let _ = writeln!(
+        out,
+        "  utilization  mean {:.3} of the PFS",
+        steady.mean_utilization,
+    );
+    let _ = writeln!(
+        out,
+        "  throughput   {:.1} completions/hour",
+        steady.throughput_per_hour,
+    );
+}
+
+/// Export a finished run's decision trace as JSONL plus a one-line
+/// summary, re-parsing every emitted line (parse + re-serialize must
+/// reproduce the line byte-for-byte — the lossless float encoding makes
+/// that a meaningful check).
+fn render_trace(outcome: &SimOutcome, what: &str) -> Result<(String, String), String> {
+    let trace = outcome
+        .decision_trace
+        .as_ref()
+        .ok_or("engine returned no decision trace")?;
+    let jsonl = trace.to_jsonl();
+    for line in jsonl.lines() {
+        let record = iosched_sim::DecisionTrace::parse_line(line)?;
+        let back = serde_json::to_string(&record).map_err(|e| e.to_string())?;
+        if back != line {
+            return Err(format!(
+                "trace line failed the roundtrip check:\n  emitted: {line}\n  reparsed: {back}"
+            ));
+        }
+    }
+    let summary = format!(
+        "traced {what}: {} engine events, kept {} of {} trace records ({} dropped by the ring)\n",
+        outcome.events,
+        trace.len(),
+        trace.total(),
+        trace.dropped(),
+    );
+    Ok((jsonl, summary))
 }
 
 /// One-line description of a roster member for `iosched policies`.
@@ -293,224 +523,31 @@ pub fn cmd_policies() -> String {
     out
 }
 
-/// `iosched telemetry`: run one policy with the telemetry series
-/// enabled, render the per-run congestion record, and return it together
-/// with its JSON export.
-pub fn cmd_telemetry(
-    scenario: &ScenarioFile,
-    policy_name: &str,
-    external_load: Option<iosched_sim::ExternalLoad>,
-) -> Result<(String, String), String> {
-    scenario.validate()?;
-    let config = SimConfig {
-        telemetry: true,
-        external_load,
-        ..SimConfig::default()
-    };
-    let mut policy = policy_for_scenario(policy_name, scenario)?;
-    let result = simulate(&scenario.platform, &scenario.apps, policy.as_mut(), &config)
-        .map_err(|e| e.to_string())?;
-    let telemetry = result
-        .telemetry
-        .ok_or("engine produced no telemetry summary")?;
-    let mut out = format!(
-        "{} on {} ({} events over {:.0}s simulated)\n\n",
-        policy_name,
-        scenario.platform.name,
-        result.events,
-        result.end_time.as_secs(),
-    );
-    let _ = writeln!(
-        out,
-        "SysEfficiency {:.2}%   Dilation {:.2}\n",
-        result.report.sys_efficiency * 100.0,
-        result.report.dilation,
-    );
-    let _ = writeln!(
-        out,
-        "telemetry ({} intervals over {:.0}s of activity):",
-        telemetry.samples, telemetry.busy_secs
-    );
-    let _ = writeln!(
-        out,
-        "  utilization  mean {:.3} (time-weighted {:.3})  p95 {:.3}  p99 {:.3}  max {:.3}",
-        telemetry.utilization.mean,
-        telemetry.mean_utilization,
-        telemetry.utilization.p95,
-        telemetry.utilization.p99,
-        telemetry.utilization.max,
-    );
-    let _ = writeln!(
-        out,
-        "  contention   mean {:.3} (time-weighted {:.3})  p95 {:.3}  p99 {:.3}  max {:.3}",
-        telemetry.contention.mean,
-        telemetry.mean_contention,
-        telemetry.contention.p95,
-        telemetry.contention.p99,
-        telemetry.contention.max,
-    );
-    let _ = writeln!(
-        out,
-        "  peak backlog {:.1} GiB   peak pending {}",
-        telemetry.peak_backlog_gib, telemetry.peak_pending,
-    );
-    let json = serde_json::to_string_pretty(&telemetry).map_err(|e| e.to_string())?;
-    Ok((out, json))
-}
-
-/// `iosched stream`: run one open-system scenario (a
-/// [`iosched_workload::WorkloadSpec::Stream`] workload, or any workload
-/// under a `warmup`/`horizon` window) and render + JSON-export the
-/// windowed steady-state record. Online and `control:*` policies drive
-/// the lazy stream directly (peak memory tracks concurrency); offline
-/// `periodic:*` policies materialize the roster first — they need the
-/// whole stream to plan.
-pub fn cmd_stream(spec: &ScenarioSpec) -> Result<(String, String), String> {
-    let platform = spec.platform.build()?;
-    let config = spec.config.clone().unwrap_or_default();
-    if !spec.workload.is_open() && config.horizon.is_none() && config.warmup.get() <= 0.0 {
-        return Err(
-            "stream needs an open workload (a \"Stream\" spec) or a warmup/horizon \
-             window in the config; use `iosched simulate` for plain closed rosters"
-                .into(),
-        );
-    }
-    let result = if spec.policy.is_offline() || !spec.workload.is_open() {
-        // Offline policies plan over the whole roster; closed workloads
-        // come materialized anyway.
-        let apps = spec.workload.materialize(&platform)?;
-        let mut policy = spec.policy.build(&platform, &apps)?;
-        if spec.workload.is_open() {
-            iosched_sim::simulate_open(&platform, &apps, policy.as_mut(), &config)
-        } else {
-            simulate(&platform, &apps, policy.as_mut(), &config)
-        }
-    } else {
-        let mut policy = spec.policy.build(&platform, &[])?;
-        iosched_sim::simulate_stream(
-            &platform,
-            spec.workload.app_source(&platform)?,
-            policy.as_mut(),
-            &config,
-        )
-    }
-    .map_err(|e| e.to_string())?;
-    let steady = result
-        .steady
-        .clone()
-        .ok_or("engine produced no steady-state summary")?;
-    let mut out = format!(
-        "{} under {} on {} ({} events over {:.0}s simulated)\n\n",
-        spec.workload.label(),
-        spec.policy.name(),
-        platform.name,
-        result.events,
-        result.end_time.as_secs(),
-    );
-    let _ = writeln!(
-        out,
-        "applications: {} admitted, {} completed in the window, {} left in the system",
-        steady.admitted, steady.completed, steady.left_in_system,
-    );
-    let _ = writeln!(
-        out,
-        "steady state over [{:.0}s, {:.0}s] ({:.0}s observed):",
-        steady.warmup_secs,
-        result.end_time.as_secs(),
-        steady.window_secs,
-    );
-    let _ = writeln!(
-        out,
-        "  stretch      mean {:.2}  max {:.2}",
-        steady.mean_stretch, steady.max_stretch,
-    );
-    let _ = writeln!(
-        out,
-        "  I/O queue    mean {:.2} applications",
-        steady.mean_queue,
-    );
-    let _ = writeln!(
-        out,
-        "  utilization  mean {:.3} of the PFS",
-        steady.mean_utilization,
-    );
-    let _ = writeln!(
-        out,
-        "  throughput   {:.1} completions/hour",
-        steady.throughput_per_hour,
-    );
-    if let Some(telemetry) = &result.telemetry {
-        let _ = writeln!(
-            out,
-            "telemetry: contention mean {:.2} p99 {:.2}, peak backlog {:.1} GiB, peak pending {}",
-            telemetry.mean_contention,
-            telemetry.contention.p99,
-            telemetry.peak_backlog_gib,
-            telemetry.peak_pending,
-        );
-    }
-    let json = serde_json::to_string_pretty(&StreamRecord {
-        workload: spec.workload.label(),
-        policy: spec.policy.name(),
-        events: result.events,
-        end_secs: result.end_time.as_secs(),
-        steady,
-        telemetry: result.telemetry,
-    })
-    .map_err(|e| e.to_string())?;
-    Ok((out, json))
-}
-
-/// JSON export of one `iosched stream` run: the windowed record.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct StreamRecord {
-    /// Workload label (seed-free).
-    pub workload: String,
-    /// Policy name.
-    pub policy: String,
-    /// Scheduling events processed.
-    pub events: usize,
-    /// Final simulated second.
-    pub end_secs: f64,
-    /// The warmup-trimmed steady-state window.
-    pub steady: iosched_sim::SteadySummary,
-    /// Per-run congestion record (present iff the config set
-    /// `telemetry`).
-    pub telemetry: Option<iosched_sim::TelemetrySummary>,
-}
-
 /// `iosched periodic`: run the §3.2 period search over a scenario of
-/// periodic applications.
-pub fn cmd_periodic(
-    scenario: &ScenarioFile,
-    objective: &str,
-    epsilon: f64,
-) -> Result<String, String> {
-    scenario.validate()?;
-    let (objective, heuristic) = match objective {
-        "dilation" => (PeriodicObjective::Dilation, InsertionHeuristic::Congestion),
-        "syseff" | "sysefficiency" => (
-            PeriodicObjective::SysEfficiency,
-            InsertionHeuristic::Throughput,
-        ),
+/// periodic applications (the spec's policy and config play no part).
+pub fn cmd_periodic(spec: &ScenarioSpec, objective: &str, epsilon: f64) -> Result<String, String> {
+    let heuristic = match objective {
+        "dilation" => InsertionHeuristic::Congestion,
+        "syseff" | "sysefficiency" => InsertionHeuristic::Throughput,
         other => return Err(format!("unknown objective '{other}' (dilation | syseff)")),
     };
-    if epsilon <= 0.0 {
-        return Err("epsilon must be positive".into());
-    }
-    let apps: Result<Vec<PeriodicAppSpec>, _> = scenario
-        .apps
+    let search = PeriodicFactory::new(heuristic)
+        .with_epsilon(epsilon)
+        .search()?;
+    let platform = spec.platform.build()?;
+    let apps = spec
+        .workload
+        .materialize(&platform)?
         .iter()
         .map(PeriodicAppSpec::from_app)
-        .collect();
-    let apps = apps.map_err(|e| e.to_string())?;
-    let search = PeriodSearch::new(objective).with_epsilon(epsilon);
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| e.to_string())?;
     let result = search
-        .run(&scenario.platform, &apps, heuristic)
+        .run(&platform, &apps, heuristic)
         .ok_or("empty application set")?;
     result
         .schedule
-        .validate(&scenario.platform)
+        .validate(&platform)
         .map_err(|e| e.to_string())?;
     let mut out = format!(
         "best period T = {:.2}s  ({} candidates, {})\n\
@@ -821,103 +858,6 @@ pub fn cmd_merge(dir: &std::path::Path) -> Result<(CampaignResult, String), Stri
     Ok((merged.result, out))
 }
 
-/// `iosched trace`: run a simulation with a bounded decision trace
-/// attached and export it as JSONL — one structured scheduling decision
-/// (admission, grant set, capacity-screen fallback, retirement, policy
-/// wakeup, journal flush) per line, oldest first.
-///
-/// Two sources share the machinery: a scenario file plus a policy name
-/// (the `simulate` shape), or a serve journal (the arrivals of a live —
-/// possibly drained-and-resumed — daemon session, replayed through
-/// `simulate_stream` exactly like `iosched serve --replay`). The trace
-/// is observation-only: the outcome with it attached is bit-identical
-/// to one without, a contract pinned by the workspace obs-identity
-/// tests.
-///
-/// Returns `(jsonl, summary)`. Every line is re-parsed and re-serialized
-/// before being returned — the export is self-verifying.
-pub fn cmd_trace_scenario(
-    scenario: &ScenarioFile,
-    policy_name: &str,
-    capacity: usize,
-) -> Result<(String, String), String> {
-    scenario.validate()?;
-    let mut policy = policy_for_scenario(policy_name, scenario)?;
-    let config = SimConfig::default();
-    let mut sim =
-        iosched_sim::Simulation::new(&scenario.platform, &scenario.apps, policy.as_mut(), &config)
-            .map_err(|e| e.to_string())?;
-    sim.enable_decision_trace(capacity);
-    let outcome = sim.run_to_completion().map_err(|e| e.to_string())?;
-    render_trace(
-        &outcome,
-        &format!(
-            "{} applications on {} under {policy_name}",
-            scenario.apps.len(),
-            scenario.platform.name
-        ),
-    )
-}
-
-/// `iosched trace --journal`: trace the replay of a serve journal (see
-/// [`cmd_trace_scenario`] for the export contract).
-pub fn cmd_trace_journal(
-    journal: &std::path::Path,
-    capacity: usize,
-) -> Result<(String, String), String> {
-    let contents = iosched_serve::Journal::load(journal)?;
-    contents.spec.validate()?;
-    if contents.arrivals.is_empty() {
-        return Err(format!(
-            "journal {} holds no arrivals; nothing to trace",
-            journal.display()
-        ));
-    }
-    let arrivals = contents.arrivals.len();
-    let mut policy = contents.spec.policy.build_online(&contents.spec.platform)?;
-    let mut sim = iosched_sim::Simulation::from_stream(
-        &contents.spec.platform,
-        contents.arrivals.into_iter(),
-        policy.as_mut(),
-        &contents.spec.config,
-    )
-    .map_err(|e| e.to_string())?;
-    sim.enable_decision_trace(capacity);
-    let outcome = sim.run_to_completion().map_err(|e| e.to_string())?;
-    render_trace(
-        &outcome,
-        &format!("journal {} ({arrivals} arrivals)", journal.display()),
-    )
-}
-
-/// Export a finished run's decision trace, re-parsing every emitted
-/// line (parse + re-serialize must reproduce the line byte-for-byte —
-/// the lossless float encoding makes that a meaningful check).
-fn render_trace(outcome: &iosched_sim::SimOutcome, what: &str) -> Result<(String, String), String> {
-    let trace = outcome
-        .decision_trace
-        .as_ref()
-        .ok_or("engine returned no decision trace")?;
-    let jsonl = trace.to_jsonl();
-    for line in jsonl.lines() {
-        let record = iosched_sim::DecisionTrace::parse_line(line)?;
-        let back = serde_json::to_string(&record).map_err(|e| e.to_string())?;
-        if back != line {
-            return Err(format!(
-                "trace line failed the roundtrip check:\n  emitted: {line}\n  reparsed: {back}"
-            ));
-        }
-    }
-    let summary = format!(
-        "traced {what}: {} engine events, kept {} of {} trace records ({} dropped by the ring)\n",
-        outcome.events,
-        trace.len(),
-        trace.total(),
-        trace.dropped(),
-    );
-    Ok((jsonl, summary))
-}
-
 /// The usage string printed on `--help` or argument errors.
 pub const USAGE: &str = "\
 iosched — global HPC I/O scheduling (IPDPS'15 reproduction)
@@ -927,10 +867,8 @@ USAGE:
   iosched policies
   iosched generate --kind <congested|mix-a|mix-b|mix-c>
                    --platform <intrepid|mira|vesta> [--seed N] [-o FILE]
-  iosched simulate <scenario.json> --policy <name|all> [--burst-buffer]
-  iosched telemetry <scenario.json> --policy <name>
-                    [--external-load PERIOD,BUSY,FRACTION] [-o FILE]
-  iosched stream <stream-scenario.json> [-o FILE]
+  iosched run <scenario.json> [--policy <name|all>] [--trace FILE] [-o FILE]
+  iosched run --journal FILE [--trace FILE] [-o FILE]
   iosched periodic <scenario.json> [--objective <dilation|syseff>] [--epsilon E]
   iosched campaign <campaign.json> [--threads N] [--json FILE]
                    [--shards N [--out DIR]]
@@ -940,9 +878,22 @@ USAGE:
                 [--socket PATH] [--accelerate N]
   iosched serve --replay --journal FILE
   iosched serve --connect SOCKET
-  iosched trace <scenario.json> --policy <name> [--capacity N] [-o FILE]
-  iosched trace --journal FILE [--capacity N] [-o FILE]
   iosched repro [<target>|all] [--runs N]
+
+RUN (see README 'The campaign layer'):
+  `iosched run` runs one scenario spec, the file `iosched generate` writes;
+  examples/storm_scenario.json is a hand-written one:
+  {\"label\": \"storm-demo\", \"platform\": \"intrepid\",
+   \"workload\": {\"Congestion\": {\"seed\": 7}}, \"policy\": \"control:pi\",
+   \"config\": {\"telemetry\": true, \"external_load\":
+              {\"period\": 240.0, \"busy\": 90.0, \"fraction\": 0.7}}}
+  It prints SysEfficiency, Dilation and makespan per policy (--policy
+  overrides the spec's; `all` runs the online roster), then per run the
+  congestion record when the config sets telemetry, and the steady state
+  of open streams (a \"Stream\" workload, see examples/stream_scenario.json)
+  and warmup/horizon windows. -o writes one JSON record per run; --trace
+  writes the decision trace (its last 65536 records) as JSONL; --journal
+  replays a serve journal under its own policy and config.
 
 REPRODUCING THE PAPER:
   `iosched repro` lists the targets: fig01-fig16, table1, table2 and
@@ -959,7 +910,8 @@ CAMPAIGN FILES (see README 'Campaign files' for the full format):
   The platforms x workloads x policies x seeds product expands lazily,
   runs in parallel, and streams into deterministic per-cell aggregates.
   examples/campaign_fig6.json reproduces the paper's Fig. 6 sweep;
-  examples/campaign_fig4.json replays the Fig. 4 periodic schedule.
+  examples/campaign_fig4.json replays the Fig. 4 periodic schedule;
+  examples/campaign_stream.json sweeps open-stream arrival rates.
 
 SHARDED CAMPAIGNS (see README 'Sharded campaigns'):
   --shards N launches N OS processes, each appending finished seed
@@ -981,13 +933,6 @@ POLICIES (`iosched policies` lists the whole roster):
            feedback loop on the engine's congestion telemetry
            (examples/campaign_control.json sweeps it under storms).
 
-TELEMETRY:
-  `iosched telemetry` runs one policy with the per-event congestion
-  series enabled and prints/exports the per-run record (utilization and
-  contention means + p95/p99 tails, peak backlog, peak pending).
-  --external-load 240,90,0.7 squeezes 70% of the PFS away for the first
-  90s of every 240s cycle (the storm used by campaign_control.json).
-
 SCHEDULER AS A SERVICE (see README 'Scheduler as a service'):
   `iosched serve` runs the engine as a long-lived daemon speaking a
   line-delimited JSON protocol on stdin and/or a Unix socket: submit,
@@ -1000,51 +945,45 @@ SCHEDULER AS A SERVICE (see README 'Scheduler as a service'):
   shutdown). `--replay` re-simulates a journal and prints the same
   {\"final\":…} line the live session printed; `--connect` pipes stdin
   to a daemon's socket (client mode).
-
-DECISION TRACES (see README 'Observability'):
-  `iosched trace` re-runs a scenario (or replays a serve journal) with
-  the engine's bounded decision trace attached and streams it as JSONL
-  on stdout (or to -o FILE): one structured record per scheduling
-  decision — admission, grant set, capacity-screen fallback,
-  retirement, policy wakeup, journal flush — each tagged with a global
-  sequence number. The ring keeps the last N records (--capacity,
-  default 65536; older records are counted, then dropped). The trace
-  is observation-only: outcomes are bit-identical with it on or off.
-
-OPEN-SYSTEM STREAMS:
-  `iosched stream` runs one scenario-spec file whose workload is a
-  dynamic arrival stream (see README 'Open-system streams'):
-  {\"label\": \"demo\", \"platform\": \"intrepid\",
-   \"workload\": {\"Stream\": {\"arrivals\": {\"Poisson\": {\"rate\": 0.001}},
-                            \"template\": {\"Congestion\": {\"seed\": 0}},
-                            \"stop\": {\"Apps\": 500}, \"seed\": 0}},
-   \"policy\": \"fairshare\", \"config\": {\"warmup\": 2000.0}}
-  Online/control policies drive the stream lazily (peak memory tracks
-  concurrency, not stream length); the warmup-trimmed steady-state
-  record (stretch, queue, utilization, throughput) prints and exports
-  as JSON with -o. examples/campaign_stream.json sweeps arrival rates
-  x policies into per-cell saturation curves via `iosched campaign`.
 ";
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn scenario() -> ScenarioFile {
+    fn scenario() -> ScenarioSpec {
         cmd_generate(GenerateKind::Congested, "vesta", 3).unwrap()
+    }
+
+    /// `scenario()` with its workload's applications.
+    fn apps(spec: &ScenarioSpec) -> &[AppSpec] {
+        match &spec.workload {
+            WorkloadSpec::Explicit(apps) => apps,
+            other => panic!("generate writes explicit workloads, not {other:?}"),
+        }
+    }
+
+    fn build(
+        name: &str,
+        platform: &Platform,
+        apps: &[AppSpec],
+    ) -> Result<Box<dyn OnlinePolicy>, String> {
+        PolicySpec::parse(name)?.build(platform, apps)
     }
 
     #[test]
     fn platform_lookup() {
-        assert!(platform_by_name("intrepid").is_ok());
-        assert!(platform_by_name("mira").is_ok());
-        assert!(platform_by_name("vesta").is_ok());
-        assert!(platform_by_name("summit").is_err());
+        assert!(platform_preset("intrepid").is_ok());
+        assert!(platform_preset("mira").is_ok());
+        assert!(platform_preset("vesta").is_ok());
+        assert!(platform_preset("summit").is_err());
+        assert_eq!(scenario().platform, PlatformSpec::Preset("vesta".into()));
     }
 
     #[test]
     fn policy_lookup_covers_the_roster() {
         let s = scenario();
+        let platform = s.platform.build().unwrap();
         for name in [
             "roundrobin",
             "mindilation",
@@ -1055,79 +994,73 @@ mod tests {
             "fairshare",
             "fcfs",
         ] {
-            let p = policy_for_scenario(name, &s).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let p = build(name, &platform, apps(&s)).unwrap_or_else(|e| panic!("{name}: {e}"));
             assert!(!p.name().is_empty());
         }
         // The offline branch builds a schedule for the scenario, so give
         // it one that both insertion heuristics can pack fully.
-        let platform = platform_by_name("vesta").unwrap();
-        let mild = ScenarioFile {
-            apps: vec![
-                iosched_model::AppSpec::periodic(
-                    0,
-                    iosched_model::Time::ZERO,
-                    256,
-                    iosched_model::Time::secs(60.0),
-                    iosched_model::Bytes::gib(100.0),
-                    3,
-                ),
-                iosched_model::AppSpec::periodic(
-                    1,
-                    iosched_model::Time::ZERO,
-                    512,
-                    iosched_model::Time::secs(45.0),
-                    iosched_model::Bytes::gib(150.0),
-                    3,
-                ),
-            ],
-            platform,
-        };
+        let mild = [
+            AppSpec::periodic(
+                0,
+                iosched_model::Time::ZERO,
+                256,
+                iosched_model::Time::secs(60.0),
+                iosched_model::Bytes::gib(100.0),
+                3,
+            ),
+            AppSpec::periodic(
+                1,
+                iosched_model::Time::ZERO,
+                512,
+                iosched_model::Time::secs(45.0),
+                iosched_model::Bytes::gib(150.0),
+                3,
+            ),
+        ];
         for name in ["periodic:cong", "periodic:throu"] {
-            let p = policy_for_scenario(name, &mild).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let p = build(name, &platform, &mild).unwrap_or_else(|e| panic!("{name}: {e}"));
             assert_eq!(p.name(), name);
         }
-        assert!(policy_for_scenario("lottery", &s).is_err());
-        assert!(policy_for_scenario("minmax-1.5", &s).is_err());
-        assert!(policy_for_scenario("priority-fairshare", &s).is_err());
+        assert!(build("lottery", &platform, apps(&s)).is_err());
+        assert!(build("minmax-1.5", &platform, apps(&s)).is_err());
+        assert!(build("priority-fairshare", &platform, apps(&s)).is_err());
         // A starving schedule surfaces as a labeled error, not a hang:
         // two pure-I/O hogs each need the whole PFS for the entire
         // single candidate period (tmax = 1), so the second one cannot
         // be placed at any bandwidth-ladder rung.
-        let starving = ScenarioFile {
-            platform: iosched_model::Platform::new(
-                "t",
-                1_000,
-                iosched_model::Bw::gib_per_sec(0.01),
-                iosched_model::Bw::gib_per_sec(0.5),
+        let tiny = Platform::new(
+            "t",
+            1_000,
+            iosched_model::Bw::gib_per_sec(0.01),
+            iosched_model::Bw::gib_per_sec(0.5),
+        );
+        let starving = [
+            AppSpec::periodic(
+                0,
+                iosched_model::Time::ZERO,
+                50,
+                iosched_model::Time::secs(1_000.0),
+                iosched_model::Bytes::gib(0.1),
+                1,
             ),
-            apps: vec![
-                iosched_model::AppSpec::periodic(
-                    0,
-                    iosched_model::Time::ZERO,
-                    50,
-                    iosched_model::Time::secs(1_000.0),
-                    iosched_model::Bytes::gib(0.1),
-                    1,
-                ),
-                iosched_model::AppSpec::periodic(
-                    1,
-                    iosched_model::Time::ZERO,
-                    50,
-                    iosched_model::Time::secs(0.0),
-                    iosched_model::Bytes::gib(500.0),
-                    1,
-                ),
-                iosched_model::AppSpec::periodic(
-                    2,
-                    iosched_model::Time::ZERO,
-                    50,
-                    iosched_model::Time::secs(0.0),
-                    iosched_model::Bytes::gib(500.0),
-                    1,
-                ),
-            ],
-        };
-        let Err(err) = policy_for_scenario("periodic:throu:tmax=1", &starving) else {
+            AppSpec::periodic(
+                1,
+                iosched_model::Time::ZERO,
+                50,
+                iosched_model::Time::secs(0.0),
+                iosched_model::Bytes::gib(500.0),
+                1,
+            ),
+            AppSpec::periodic(
+                2,
+                iosched_model::Time::ZERO,
+                50,
+                iosched_model::Time::secs(0.0),
+                iosched_model::Bytes::gib(500.0),
+                1,
+            ),
+        ];
+        let Err(err) = build("periodic:throu:tmax=1", &tiny, &starving) else {
             panic!("the second hog cannot be scheduled");
         };
         assert!(err.contains("periodic:throu"), "{err}");
@@ -1155,13 +1088,17 @@ mod tests {
 
     #[test]
     fn telemetry_command_reports_and_exports_the_congestion_record() {
-        let s = scenario();
-        let storm = iosched_sim::ExternalLoad {
-            period: iosched_model::Time::secs(240.0),
-            busy: iosched_model::Time::secs(90.0),
-            fraction: 0.7,
-        };
-        let (report, json) = cmd_telemetry(&s, "control:pi", Some(storm)).unwrap();
+        // The storm of examples/storm_scenario.json: 70% of the PFS away
+        // for the first 90s of every 240s cycle.
+        let mut s = scenario();
+        s.config = Some(
+            serde_json::from_str(
+                r#"{"telemetry": true,
+                    "external_load": {"period": 240.0, "busy": 90.0, "fraction": 0.7}}"#,
+            )
+            .unwrap(),
+        );
+        let run = cmd_run(&s, Some("control:pi"), false).unwrap();
         for needle in [
             "utilization",
             "contention",
@@ -1169,14 +1106,25 @@ mod tests {
             "peak backlog",
             "control:pi",
         ] {
-            assert!(report.contains(needle), "missing {needle} in:\n{report}");
+            assert!(
+                run.report.contains(needle),
+                "missing {needle} in:\n{}",
+                run.report
+            );
         }
-        // The JSON export is a deserializable TelemetrySummary.
-        let parsed: iosched_sim::TelemetrySummary = serde_json::from_str(&json).unwrap();
-        assert!(parsed.samples > 0);
-        assert!(parsed.mean_contention > 0.0, "congested moments contend");
-        // Unknown policies and invalid scenarios error cleanly.
-        assert!(cmd_telemetry(&s, "lottery", None).is_err());
+        // The record carries the TelemetrySummary.
+        let [record] = run.records.as_slice() else {
+            panic!("one policy, one record");
+        };
+        let telemetry = record.telemetry.as_ref().expect("telemetry was on");
+        assert!(telemetry.samples > 0);
+        assert!(telemetry.mean_contention > 0.0, "congested moments contend");
+        assert!(
+            record.steady.is_none(),
+            "closed unwindowed runs have no steady block"
+        );
+        // Unknown policies error cleanly.
+        assert!(cmd_run(&s, Some("lottery"), false).is_err());
     }
 
     fn stream_spec_json(policy: &str) -> String {
@@ -1198,9 +1146,8 @@ mod tests {
 
     #[test]
     fn stream_command_reports_and_exports_the_windowed_record() {
-        let spec: iosched_bench::campaign::ScenarioSpec =
-            serde_json::from_str(&stream_spec_json("fairshare")).unwrap();
-        let (report, json) = cmd_stream(&spec).unwrap();
+        let spec = parse_scenario(&stream_spec_json("fairshare")).unwrap();
+        let run = cmd_run(&spec, None, false).unwrap();
         for needle in [
             "stream(poisson@0.001/s->congestionx80)",
             "fairshare",
@@ -1211,13 +1158,25 @@ mod tests {
             "throughput",
             "telemetry",
         ] {
-            assert!(report.contains(needle), "missing {needle} in:\n{report}");
+            assert!(
+                run.report.contains(needle),
+                "missing {needle} in:\n{}",
+                run.report
+            );
         }
-        // The JSON export is a deserializable StreamRecord.
-        let record: StreamRecord = serde_json::from_str(&json).unwrap();
+        // The record round-trips through its JSON export.
+        let json = serde_json::to_string_pretty(&run.records).unwrap();
+        let records: Vec<RunRecord> = serde_json::from_str(&json).unwrap();
+        let [record] = records.as_slice() else {
+            panic!("one policy, one record");
+        };
         assert_eq!(record.policy, "fairshare");
-        assert_eq!(record.steady.admitted, 80);
-        assert!(record.steady.mean_stretch >= 1.0);
+        let steady = record
+            .steady
+            .as_ref()
+            .expect("streams carry a steady window");
+        assert_eq!(steady.admitted, 80);
+        assert!(steady.mean_stretch >= 1.0);
         assert!(record.telemetry.is_some());
     }
 
@@ -1225,15 +1184,18 @@ mod tests {
     fn stream_command_materializes_for_offline_policies() {
         // periodic:* needs the whole roster to plan; the stretched-tmax
         // form packs the 80-app stream roster.
-        let spec: iosched_bench::campaign::ScenarioSpec =
-            serde_json::from_str(&stream_spec_json("periodic:cong:tmax=32")).unwrap();
-        let (report, _) = cmd_stream(&spec).unwrap();
-        assert!(report.contains("periodic:cong:tmax=32"), "{report}");
-        assert!(report.contains("steady state"));
+        let spec = parse_scenario(&stream_spec_json("periodic:cong:tmax=32")).unwrap();
+        let run = cmd_run(&spec, None, false).unwrap();
+        assert!(
+            run.report.contains("periodic:cong:tmax=32"),
+            "{}",
+            run.report
+        );
+        assert!(run.report.contains("steady state"));
     }
 
     #[test]
-    fn stream_command_rejects_unwindowed_closed_scenarios() {
+    fn run_prints_the_steady_block_only_for_windowed_or_open_runs() {
         let closed = r#"{
             "label": "closed",
             "platform": "vesta",
@@ -1241,14 +1203,14 @@ mod tests {
             "policy": "fairshare",
             "config": null
         }"#;
-        let spec: iosched_bench::campaign::ScenarioSpec = serde_json::from_str(closed).unwrap();
-        let err = cmd_stream(&spec).unwrap_err();
-        assert!(err.contains("iosched simulate"), "{err}");
-        // …but a windowed closed scenario is fine (horizon semantics).
+        let run = cmd_run(&parse_scenario(closed).unwrap(), None, false).unwrap();
+        assert!(!run.report.contains("steady state"), "{}", run.report);
+        assert!(run.records[0].steady.is_none());
+        // …but a windowed closed scenario carries one (horizon semantics).
         let windowed = closed.replace("null", r#"{"warmup": 100.0}"#);
-        let spec: iosched_bench::campaign::ScenarioSpec = serde_json::from_str(&windowed).unwrap();
-        let (report, _) = cmd_stream(&spec).unwrap();
-        assert!(report.contains("steady state"), "{report}");
+        let run = cmd_run(&parse_scenario(&windowed).unwrap(), None, false).unwrap();
+        assert!(run.report.contains("steady state"), "{}", run.report);
+        assert!(run.records[0].steady.is_some());
     }
 
     #[test]
@@ -1284,62 +1246,84 @@ mod tests {
     #[test]
     fn scenario_json_roundtrip() {
         let s = scenario();
-        let json = s.to_json().unwrap();
-        let back = ScenarioFile::from_json(&json).unwrap();
-        assert_eq!(s, back);
+        let json = serde_json::to_string_pretty(&s).unwrap();
+        assert_eq!(parse_scenario(&json).unwrap(), s);
+        assert_eq!(s.policy, PolicySpec::FairShare);
+        assert_eq!(s.config, None);
     }
 
     #[test]
     fn from_json_rejects_invalid_scenarios() {
         let mut s = scenario();
+        let platform = s.platform.build().unwrap();
+        let WorkloadSpec::Explicit(apps) = &mut s.workload else {
+            unreachable!()
+        };
         // Blow the processor budget.
-        let app = iosched_model::AppSpec::periodic(
-            s.apps.len(),
+        apps.push(AppSpec::periodic(
+            apps.len(),
             iosched_model::Time::ZERO,
-            s.platform.procs, // the whole machine again
+            platform.procs, // the whole machine again
             iosched_model::Time::secs(1.0),
             iosched_model::Bytes::gib(1.0),
             1,
-        );
-        s.apps.push(app);
+        ));
         let json = serde_json::to_string(&s).unwrap();
-        assert!(ScenarioFile::from_json(&json).is_err());
+        assert!(cmd_run(&parse_scenario(&json).unwrap(), None, false).is_err());
+        // A bare platform + application list is not a scenario spec; the
+        // error names the shape to write instead.
+        let bare = format!(
+            r#"{{"platform": {}, "apps": []}}"#,
+            serde_json::to_string(&platform).unwrap()
+        );
+        let err = parse_scenario(&bare).unwrap_err();
+        assert!(err.contains("\"workload\""), "{err}");
     }
 
     #[test]
     fn simulate_single_policy_renders_a_report() {
-        let s = scenario();
-        let out = cmd_simulate(&s, "maxsyseff", false).unwrap();
-        assert!(out.contains("maxsyseff"));
-        assert!(out.contains("upper limit"));
+        let run = cmd_run(&scenario(), Some("maxsyseff"), false).unwrap();
+        assert!(run.report.contains("maxsyseff"));
+        assert!(run.report.contains("upper limit"));
+        assert!(run.trace.is_none());
     }
 
     #[test]
     fn simulate_all_runs_the_full_roster() {
-        let s = scenario();
-        let out = cmd_simulate(&s, "all", false).unwrap();
+        let run = cmd_run(&scenario(), Some("all"), false).unwrap();
         for name in ["roundrobin", "priority-maxsyseff", "fairshare", "fcfs"] {
-            assert!(out.contains(name), "missing {name} in:\n{out}");
+            assert!(
+                run.report.contains(name),
+                "missing {name} in:\n{}",
+                run.report
+            );
         }
+        assert_eq!(run.records.len(), PolicySpec::full_roster().len());
+        assert!(
+            cmd_run(&scenario(), Some("all"), true).is_err(),
+            "one trace, one run"
+        );
     }
 
     #[test]
     fn simulate_runs_an_offline_periodic_policy() {
         // Congested-moment scenarios are periodic, so the offline branch
-        // of the roster works through plain `iosched simulate` too.
-        let s = scenario();
-        let out = cmd_simulate(&s, "periodic:cong", false).unwrap();
-        assert!(out.contains("periodic:cong"), "{out}");
-        assert!(out.contains("upper limit"));
+        // of the roster runs through plain `iosched run` too.
+        let run = cmd_run(&scenario(), Some("periodic:cong"), false).unwrap();
+        assert!(run.report.contains("periodic:cong"), "{}", run.report);
+        assert!(run.report.contains("upper limit"));
     }
 
     #[test]
     fn simulate_with_burst_buffer_requires_spec() {
         let mut s = scenario();
-        s.platform.burst_buffer = None;
-        assert!(cmd_simulate(&s, "fairshare", true).is_err());
-        s.platform = s.platform.with_default_burst_buffer();
-        assert!(cmd_simulate(&s, "fairshare", true).is_ok());
+        s.config = Some(SimConfig::with_burst_buffer());
+        let bare = s.platform.build().unwrap();
+        assert!(bare.burst_buffer.is_none());
+        assert!(cmd_run(&s, None, false).is_err());
+        s.platform = PlatformSpec::Custom(bare.with_default_burst_buffer());
+        let run = cmd_run(&s, None, false).unwrap();
+        assert!(run.report.contains("burst buffer on"), "{}", run.report);
     }
 
     #[test]
@@ -1349,7 +1333,9 @@ mod tests {
         assert!(out.contains("best period"));
         assert!(out.contains("n_per"));
         assert!(cmd_periodic(&s, "bogus", 0.1).is_err());
-        assert!(cmd_periodic(&s, "dilation", -1.0).is_err());
+        for bad in [-1.0, 0.0, f64::NAN, f64::INFINITY, 1e-17] {
+            assert!(cmd_periodic(&s, "dilation", bad).is_err(), "epsilon {bad}");
+        }
     }
 
     #[test]
@@ -1401,18 +1387,14 @@ mod tests {
         let out = cmd_campaign(&spec).unwrap();
         // Recompute maxsyseff's mean SysEfficiency sequentially: the
         // congestion workload at campaign seeds 1..3 on vesta.
-        let platform = platform_by_name("vesta").unwrap();
+        let platform = platform_preset("vesta").unwrap();
         let mut effs = Vec::new();
         for seed in [1, 2, 3] {
             let apps = congested_moment(&platform, seed);
-            let result = simulate(
+            let result = iosched_sim::simulate(
                 &platform,
                 &apps,
-                PolicySpec::parse("maxsyseff")
-                    .unwrap()
-                    .build(&platform, &apps)
-                    .unwrap()
-                    .as_mut(),
+                build("maxsyseff", &platform, &apps).unwrap().as_mut(),
                 &SimConfig::default(),
             )
             .unwrap();

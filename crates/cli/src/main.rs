@@ -1,11 +1,12 @@
 //! `iosched` binary: thin argument parsing over [`iosched_cli`].
 
-use iosched_bench::campaign::{CampaignSpec, ScenarioSpec};
+use iosched_bench::campaign::{platform_preset, CampaignSpec, ScenarioSpec};
 use iosched_cli::{
     cmd_campaign_result, cmd_campaign_sharded, cmd_generate, cmd_merge, cmd_periodic,
-    cmd_platforms, cmd_policies, cmd_shard, cmd_simulate, cmd_stream, cmd_telemetry,
-    cmd_trace_journal, cmd_trace_scenario, GenerateKind, ScenarioFile, USAGE,
+    cmd_platforms, cmd_policies, cmd_run, cmd_run_journal, cmd_shard, parse_scenario, GenerateKind,
+    USAGE,
 };
+use std::fmt::Write as _;
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -73,66 +74,21 @@ fn run(args: &[String]) -> Result<String, String> {
                 .map(|s| s.parse().map_err(|_| format!("bad seed '{s}'")))
                 .transpose()?
                 .unwrap_or(0);
-            let file = cmd_generate(kind, &platform, seed)?;
-            let json = file.to_json()?;
+            let spec = cmd_generate(kind, &platform, seed)?;
+            let json = serde_json::to_string_pretty(&spec).map_err(|e| e.to_string())?;
             match flag_value(args, "-o").or_else(|| flag_value(args, "--output")) {
                 Some(path) => {
                     std::fs::write(&path, &json).map_err(|e| format!("{path}: {e}"))?;
                     Ok(format!(
-                        "wrote {} applications on {} to {path}\n",
-                        file.apps.len(),
-                        file.platform.name
+                        "wrote {} on {} to {path}\n",
+                        spec.workload.label(),
+                        spec.platform.label()
                     ))
                 }
                 None => Ok(json),
             }
         }
-        Some("simulate") => {
-            let path = args.get(1).ok_or("simulate needs a scenario file")?;
-            if path.starts_with("--") {
-                return Err("simulate needs a scenario file as its first argument".into());
-            }
-            let scenario = load(path)?;
-            let policy = flag_value(args, "--policy").ok_or("simulate needs --policy")?;
-            cmd_simulate(&scenario, &policy, has_flag(args, "--burst-buffer"))
-        }
-        Some("telemetry") => {
-            let path = args.get(1).ok_or("telemetry needs a scenario file")?;
-            if path.starts_with("--") {
-                return Err("telemetry needs a scenario file as its first argument".into());
-            }
-            let scenario = load(path)?;
-            let policy = flag_value(args, "--policy").ok_or("telemetry needs --policy")?;
-            let load_spec = flag_value(args, "--external-load")
-                .map(|s| parse_external_load(&s))
-                .transpose()?;
-            let (report, json) = cmd_telemetry(&scenario, &policy, load_spec)?;
-            match flag_value(args, "-o").or_else(|| flag_value(args, "--output")) {
-                Some(out_path) => {
-                    std::fs::write(&out_path, json + "\n")
-                        .map_err(|e| format!("{out_path}: {e}"))?;
-                    Ok(format!("{report}\nwrote telemetry summary to {out_path}\n"))
-                }
-                None => Ok(report),
-            }
-        }
-        Some("stream") => {
-            let path = args.get(1).ok_or("stream needs a scenario spec file")?;
-            if path.starts_with("--") {
-                return Err("stream needs a scenario spec file as its first argument".into());
-            }
-            let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            let spec: ScenarioSpec = serde_json::from_str(&text).map_err(|e| e.to_string())?;
-            let (report, json) = cmd_stream(&spec)?;
-            match flag_value(args, "-o").or_else(|| flag_value(args, "--output")) {
-                Some(out_path) => {
-                    std::fs::write(&out_path, json + "\n")
-                        .map_err(|e| format!("{out_path}: {e}"))?;
-                    Ok(format!("{report}\nwrote stream record to {out_path}\n"))
-                }
-                None => Ok(report),
-            }
-        }
+        Some("run") => cmd_run_args(args),
         Some("periodic") => {
             let path = args.get(1).ok_or("periodic needs a scenario file")?;
             if path.starts_with("--") {
@@ -208,43 +164,63 @@ fn run(args: &[String]) -> Result<String, String> {
                 None => Ok(out),
             }
         }
-        Some("trace") => {
-            let capacity = int_flag(args, "--capacity")?.unwrap_or(65_536);
-            if capacity == 0 {
-                return Err("--capacity must be at least 1".into());
-            }
-            let (jsonl, summary) = match flag_value(args, "--journal") {
-                Some(journal) => cmd_trace_journal(std::path::Path::new(&journal), capacity)?,
-                None => {
-                    let path = positional(args, &["--policy", "--capacity", "-o", "--output"])
-                        .ok_or("trace needs a scenario file or --journal FILE")?;
-                    let scenario = load(&path)?;
-                    let policy = flag_value(args, "--policy")
-                        .ok_or("trace needs --policy (or --journal)")?;
-                    cmd_trace_scenario(&scenario, &policy, capacity)?
-                }
-            };
-            match flag_value(args, "-o").or_else(|| flag_value(args, "--output")) {
-                Some(out_path) => {
-                    std::fs::write(&out_path, &jsonl).map_err(|e| format!("{out_path}: {e}"))?;
-                    Ok(format!(
-                        "{summary}wrote {} trace line(s) to {out_path}\n",
-                        jsonl.lines().count()
-                    ))
-                }
-                None => {
-                    // JSONL on stdout, summary on stderr: the stream
-                    // stays machine-parseable when piped.
-                    eprint!("{summary}");
-                    Ok(jsonl)
-                }
-            }
-        }
         Some("serve") => cmd_serve(args),
         Some("repro") => cmd_repro(args),
         Some("--help") | Some("-h") | None => Ok(USAGE.to_string()),
         Some(other) => Err(format!("unknown command '{other}'")),
     }
+}
+
+/// `iosched run <scenario.json> [--policy NAME|all] [--trace FILE] [-o
+/// FILE]` or `iosched run --journal FILE [--trace FILE] [-o FILE]`: one
+/// run path for closed rosters, open streams and serve journals.
+fn cmd_run_args(args: &[String]) -> Result<String, String> {
+    let (mut scenario, mut policy, mut journal, mut trace, mut output) =
+        (None, None, None, None, None);
+    let mut rest = args[1..].iter();
+    while let Some(arg) = rest.next() {
+        let slot = match arg.as_str() {
+            "--policy" => &mut policy,
+            "--journal" => &mut journal,
+            "--trace" => &mut trace,
+            "-o" | "--output" => &mut output,
+            flag if flag.starts_with('-') => return Err(format!("unknown run flag '{flag}'")),
+            path if scenario.is_none() => {
+                scenario = Some(path.to_string());
+                continue;
+            }
+            extra => return Err(format!("unexpected run argument '{extra}'")),
+        };
+        *slot = Some(rest.next().ok_or(format!("{arg} needs a value"))?.clone());
+    }
+    let run = match (scenario, journal) {
+        (Some(_), Some(_)) => return Err("run takes a scenario file or --journal, not both".into()),
+        (None, Some(_)) if policy.is_some() => {
+            return Err("--journal replays the journal's own policy; drop --policy".into())
+        }
+        (None, Some(journal)) => cmd_run_journal(std::path::Path::new(&journal), trace.is_some())?,
+        (Some(path), None) => cmd_run(&load(&path)?, policy.as_deref(), trace.is_some())?,
+        (None, None) => return Err("run needs a scenario file or --journal FILE".into()),
+    };
+    let mut out = run.report;
+    if let (Some(path), Some((jsonl, summary))) = (trace, run.trace) {
+        std::fs::write(&path, &jsonl).map_err(|e| format!("{path}: {e}"))?;
+        let _ = write!(
+            out,
+            "\n{summary}wrote {} trace line(s) to {path}\n",
+            jsonl.lines().count()
+        );
+    }
+    if let Some(path) = output {
+        let json = serde_json::to_string_pretty(&run.records).map_err(|e| e.to_string())?;
+        std::fs::write(&path, json + "\n").map_err(|e| format!("{path}: {e}"))?;
+        let _ = write!(
+            out,
+            "\nwrote {} run record(s) to {path}\n",
+            run.records.len()
+        );
+    }
+    Ok(out)
 }
 
 /// `iosched repro [<target>|all] [--runs N]`: render the paper's
@@ -281,10 +257,11 @@ fn cmd_serve(args: &[String]) -> Result<String, String> {
         return Ok(String::new());
     }
     let journal = flag_value(args, "--journal").ok_or("serve needs --journal FILE")?;
-    // Batch mode: replay a journal through `simulate_stream` and print
+    // Batch mode: replay a journal through the stream engine and print
     // the `{\"final\":…}` line a live session would have produced.
     if has_flag(args, "--replay") {
-        return iosched_serve::replay(std::path::Path::new(&journal)).map(|line| line + "\n");
+        let (_, outcome, accepted) = iosched_serve::replay(std::path::Path::new(&journal), None)?;
+        return Ok(iosched_serve::protocol::final_line(&outcome, accepted) + "\n");
     }
     let platform = flag_value(args, "--platform").ok_or("serve needs --platform")?;
     let policy = flag_value(args, "--policy").ok_or("serve needs --policy")?;
@@ -302,7 +279,7 @@ fn cmd_serve(args: &[String]) -> Result<String, String> {
         ..iosched_sim::SimConfig::default()
     };
     let spec = iosched_serve::ServeSpec {
-        platform: iosched_cli::platform_by_name(&platform)?,
+        platform: platform_preset(&platform)?,
         policy: iosched_core::registry::PolicyFactory::parse(&policy)?,
         accel,
         config,
@@ -315,30 +292,7 @@ fn cmd_serve(args: &[String]) -> Result<String, String> {
     Ok(String::new())
 }
 
-fn load(path: &str) -> Result<ScenarioFile, String> {
+fn load(path: &str) -> Result<ScenarioSpec, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    ScenarioFile::from_json(&text)
-}
-
-/// Parse a `--external-load PERIOD,BUSY,FRACTION` triple (seconds,
-/// seconds, fraction of B) into the §7 square wave.
-fn parse_external_load(s: &str) -> Result<iosched_sim::ExternalLoad, String> {
-    let parts: Vec<&str> = s.split(',').collect();
-    let [period, busy, fraction] = parts.as_slice() else {
-        return Err(format!(
-            "bad external load '{s}' (expected PERIOD,BUSY,FRACTION, e.g. 240,90,0.7)"
-        ));
-    };
-    let num = |v: &str| -> Result<f64, String> {
-        v.trim()
-            .parse::<f64>()
-            .map_err(|_| format!("bad external load component '{v}'"))
-    };
-    let load = iosched_sim::ExternalLoad {
-        period: iosched_model::Time::secs(num(period)?),
-        busy: iosched_model::Time::secs(num(busy)?),
-        fraction: num(fraction)?,
-    };
-    load.validate().map_err(|e| e.to_string())?;
-    Ok(load)
+    parse_scenario(&text).map_err(|e| format!("{path}: {e}"))
 }

@@ -8,9 +8,9 @@
 //! round trip with the scheduler thread.
 
 use crate::protocol::{ToApp, ToScheduler};
-use crossbeam::channel::{Receiver, Sender};
 use iosched_model::{AppSpec, Time};
 use iosched_sim::VirtualClock;
+use std::sync::mpsc::{Receiver, Sender};
 use std::thread::sleep;
 
 /// Timestamped record of one application thread's run.
@@ -67,15 +67,15 @@ pub fn run_app(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
     use iosched_model::{AppId, Bytes};
+    use std::sync::mpsc::channel;
 
     #[test]
     fn app_issues_one_request_per_instance() {
         let spec = AppSpec::periodic(0, Time::ZERO, 10, Time::secs(1.0), Bytes::gib(1.0), 3);
         let clock = VirtualClock::new(Time::ZERO, 10_000.0);
-        let (to_sched, sched_rx) = unbounded();
-        let (complete_tx, from_sched) = unbounded();
+        let (to_sched, sched_rx) = channel();
+        let (complete_tx, from_sched) = channel();
 
         // Fake scheduler granting instantly.
         let fake = std::thread::spawn(move || {
@@ -112,8 +112,8 @@ mod tests {
     fn app_survives_scheduler_disappearing() {
         let spec = AppSpec::periodic(0, Time::ZERO, 10, Time::secs(1.0), Bytes::gib(1.0), 5);
         let clock = VirtualClock::new(Time::ZERO, 100_000.0);
-        let (to_sched, sched_rx) = unbounded();
-        let (_complete_tx, from_sched) = unbounded::<ToApp>();
+        let (to_sched, sched_rx) = channel();
+        let (_complete_tx, from_sched) = channel::<ToApp>();
         drop(sched_rx); // scheduler never existed
         drop(_complete_tx);
         let log = run_app(&spec, clock, &to_sched, &from_sched);

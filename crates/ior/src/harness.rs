@@ -4,12 +4,12 @@
 use crate::app_thread::run_app;
 use crate::protocol::{ToApp, ToScheduler};
 use crate::scheduler::{Scheduler, SchedulerStats};
-use crossbeam::channel::unbounded;
 use iosched_core::policy::OnlinePolicy;
 use iosched_model::{
     app::validate_scenario, AppOutcome, AppSpec, ModelError, ObjectiveReport, Platform, Time,
 };
 use iosched_sim::VirtualClock;
+use std::sync::mpsc::channel;
 use std::time::{Duration, Instant};
 
 /// Harness configuration.
@@ -89,11 +89,11 @@ pub fn run_ior(
     apps.sort_by_key(AppSpec::id);
     let started = Instant::now();
     let clock = start_clock(config.speedup);
-    let (to_sched, sched_rx) = unbounded::<ToScheduler>();
+    let (to_sched, sched_rx) = channel::<ToScheduler>();
     let mut complete_txs = Vec::with_capacity(apps.len());
     let mut complete_rxs = Vec::with_capacity(apps.len());
     for _ in &apps {
-        let (tx, rx) = unbounded::<ToApp>();
+        let (tx, rx) = channel::<ToApp>();
         complete_txs.push(tx);
         complete_rxs.push(rx);
     }

@@ -10,11 +10,11 @@
 //! — are *real* and show up in the measured overhead (Fig. 14).
 
 use crate::protocol::{ToApp, ToScheduler};
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use iosched_core::policy::{AllocScratch, AppState, OnlinePolicy, StateBuffer};
 use iosched_model::{AppProgress, AppSpec, Bw, Bytes, Platform, Time};
 use iosched_sim::burst_buffer::BurstBufferState;
 use iosched_sim::VirtualClock;
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::time::Duration;
 
 /// A transfer is fluid-complete when less than one byte remains.
@@ -297,9 +297,9 @@ impl<'a> Scheduler<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
     use iosched_core::heuristics::RoundRobin;
     use iosched_model::AppId;
+    use std::sync::mpsc::channel;
 
     fn platform() -> Platform {
         Platform::new("t", 1_000, Bw::gib_per_sec(0.1), Bw::gib_per_sec(10.0))
@@ -311,8 +311,8 @@ mod tests {
         let spec = AppSpec::periodic(0, Time::ZERO, 100, Time::secs(1.0), Bytes::gib(5.0), 2);
         let clock = VirtualClock::new(Time::ZERO, 2_000.0);
         let sched = Scheduler::new(&p, &[spec], clock, false, false);
-        let (tx, rx) = unbounded();
-        let (ctx0, crx0) = unbounded();
+        let (tx, rx) = channel();
+        let (ctx0, crx0) = channel();
 
         // Drive the protocol from this thread.
         let driver = std::thread::spawn(move || {

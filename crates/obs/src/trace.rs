@@ -12,8 +12,8 @@
 //! simulation results (the engine's bit-identity pins run with it on
 //! and off), and the events themselves are a pure function of the
 //! simulated trajectory — two runs of the same scenario produce
-//! byte-identical JSONL, which is what makes `iosched trace` replayable
-//! alongside `serve --replay`.
+//! byte-identical JSONL, which is what makes `iosched run --trace`
+//! replayable alongside `serve --replay`.
 //!
 //! Every float is encoded with [`iosched_model::lossless`], so a parsed
 //! line reproduces the written event bit-for-bit (NaN payloads, `-0.0`

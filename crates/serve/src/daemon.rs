@@ -32,7 +32,7 @@ use crate::protocol::{
 use crate::session::Session;
 use iosched_model::Time;
 use iosched_obs::Stopwatch;
-use iosched_sim::{Simulation, VirtualClock};
+use iosched_sim::{SimOutcome, Simulation, VirtualClock};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -341,11 +341,18 @@ fn broadcast(writers: &mut HashMap<ClientId, ClientWriter>, line: &str) {
     writers.retain(|_, w| w.send(line));
 }
 
-/// Batch-replay a journal: run `simulate_stream` over its arrivals and
-/// return the `{"final":…}` line — byte-identical to what the recorded
-/// session printed (or would have printed) at shutdown. The CI smoke
-/// and the resume tests diff against this.
-pub fn replay(journal: &Path) -> Result<String, String> {
+/// Batch-replay a journal: load it, check its recipe, and run its
+/// arrivals through the stream engine under the recorded policy and
+/// config, with a decision trace of `trace_capacity` records attached
+/// when asked (observation-only). Returns the recipe, the outcome and
+/// the number of arrivals replayed. `iosched serve --replay` renders the
+/// outcome as the `{"final":…}` line ([`final_line`]) — byte-identical to
+/// what the recorded session printed (or would have printed) at
+/// shutdown; the CI smoke and the resume tests diff against it.
+pub fn replay(
+    journal: &Path,
+    trace_capacity: Option<usize>,
+) -> Result<(ServeSpec, SimOutcome, usize), String> {
     let contents = Journal::load(journal)?;
     contents.spec.validate()?;
     if contents.arrivals.is_empty() {
@@ -354,16 +361,21 @@ pub fn replay(journal: &Path) -> Result<String, String> {
             journal.display()
         ));
     }
+    let spec = contents.spec;
     let accepted = contents.arrivals.len();
-    let mut policy = contents.spec.policy.build_online(&contents.spec.platform)?;
-    let outcome = iosched_sim::simulate_stream(
-        &contents.spec.platform,
+    let mut policy = spec.policy.build_online(&spec.platform)?;
+    let mut sim = Simulation::from_stream(
+        &spec.platform,
         contents.arrivals.into_iter(),
         policy.as_mut(),
-        &contents.spec.config,
+        &spec.config,
     )
     .map_err(|e| e.to_string())?;
-    Ok(final_line(&outcome, accepted))
+    if let Some(capacity) = trace_capacity {
+        sim.enable_decision_trace(capacity);
+    }
+    let outcome = sim.run_to_completion().map_err(|e| e.to_string())?;
+    Ok((spec, outcome, accepted))
 }
 
 /// Client mode: pipe stdin lines to a daemon's socket and its response

@@ -295,9 +295,9 @@ impl Telemetry {
     }
 }
 
-/// Exportable per-run congestion record (the `iosched telemetry`
-/// command prints and serializes this; campaign cells aggregate the
-/// time-weighted mean utilization across seeds).
+/// Exportable per-run congestion record (`iosched run` prints and
+/// exports this when the config sets `telemetry`; campaign cells
+/// aggregate the time-weighted mean utilization across seeds).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetrySummary {
     /// Positive-length inter-event intervals observed.
