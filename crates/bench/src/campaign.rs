@@ -1,12 +1,11 @@
 //! Declarative experiment campaigns: every experiment is data.
 //!
-//! A [`ScenarioSpec`] is the serializable counterpart of a
-//! [`Scenario`] — platform, workload, policy and engine configuration,
-//! all as *specs* rather than materialized objects. A [`CampaignSpec`]
-//! describes a whole sweep as the cartesian product
-//! `platforms × workloads × policies × seeds` and expands it lazily:
-//! scenarios are built (and their workloads materialized) on the worker
-//! threads as the runner reaches them, never all at once.
+//! A [`ScenarioSpec`] describes one run — platform, workload, policy and
+//! engine configuration, all as *specs* rather than materialized
+//! objects. A [`CampaignSpec`] describes a whole sweep as the cartesian
+//! product `platforms × workloads × policies × seeds` and expands it
+//! lazily: workloads are materialized on the worker threads as the
+//! runner reaches them, never all at once.
 //!
 //! [`run_campaign`] executes a campaign through the streaming
 //! [`ScenarioRunner::fold`] and aggregates outcomes into one
@@ -16,14 +15,100 @@
 //! sample buffers — a 200-mix × 8-policy Fig. 6 campaign holds
 //! `O(cells)` summaries plus one group of samples, not `O(runs)`
 //! simulation outcomes.
+//!
+//! [`run_policy`] is the one place a [`PolicySpec`] meets its arrivals:
+//! the seed blocks (so every campaign experiment, Fig. 1 included) and
+//! `iosched run` drive the engine through it.
 
 use crate::runner::ScenarioRunner;
-use crate::scenario::{PolicySpec, Scenario};
+use crate::PolicySpec;
 use iosched_core::baselines::native_platform;
+use iosched_core::policy::OnlinePolicy;
+use iosched_model::app::validate_open_scenario;
 use iosched_model::stats::Summary;
-use iosched_sim::{simulate, simulate_open, SimConfig, SimOutcome};
+use iosched_model::{AppSpec, Platform};
+use iosched_sim::{SimConfig, SimError, SimOutcome, Simulation};
 use iosched_workload::WorkloadSpec;
 use serde::{Deserialize, Serialize};
+use std::fmt;
+
+/// The applications a run feeds the engine, as the caller holds them.
+#[derive(Debug, Clone, Copy)]
+pub enum Arrivals<'a> {
+    /// A closed roster, validated as a whole (dense ids, `Σβ ≤ N`).
+    Closed(&'a [AppSpec]),
+    /// A materialized open stream: release-sorted, each application
+    /// checked on its own instead of against the closed budget.
+    Open(&'a [AppSpec]),
+    /// An open stream's spec, pulled lazily so peak memory tracks the
+    /// stream's concurrency, never its length.
+    Lazy(&'a WorkloadSpec),
+}
+
+/// Why [`run_policy`] produced no outcome.
+#[derive(Debug)]
+pub enum RunError {
+    /// The policy could not be built for these arrivals (an offline
+    /// schedule that starves an application, a non-periodic roster), or
+    /// a lazy stream could not be opened or materialized.
+    Build(String),
+    /// The engine refused the arrivals or failed mid-run.
+    Engine(SimError),
+}
+
+impl fmt::Display for RunError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Build(e) => f.write_str(e),
+            Self::Engine(e) => e.fmt(f),
+        }
+    }
+}
+
+/// Build `policy` for `arrivals` and drive the engine to completion.
+///
+/// A closed roster runs through [`Simulation::new`]; an open stream
+/// through [`Simulation::from_stream`]. A materialized stream is first
+/// validated as [`iosched_sim::simulate_open`] validates it. Offline
+/// `periodic:*` policies plan over the whole roster, so a lazy stream is
+/// materialized for them first; every other policy pulls it lazily.
+/// `trace` attaches a decision trace keeping the last that many records.
+pub fn run_policy(
+    platform: &Platform,
+    arrivals: Arrivals<'_>,
+    policy: PolicySpec,
+    config: &SimConfig,
+    trace: Option<usize>,
+) -> Result<SimOutcome, RunError> {
+    let mut built: Box<dyn OnlinePolicy>;
+    let sim = match arrivals {
+        Arrivals::Closed(apps) => {
+            built = policy.build(platform, apps).map_err(RunError::Build)?;
+            Simulation::new(platform, apps, built.as_mut(), config)
+        }
+        Arrivals::Open(apps) => {
+            built = policy.build(platform, apps).map_err(RunError::Build)?;
+            validate_open_scenario(platform, apps)
+                .map_err(|e| RunError::Engine(SimError::InvalidScenario(e.to_string())))?;
+            Simulation::from_stream(platform, apps.iter().cloned(), built.as_mut(), config)
+        }
+        Arrivals::Lazy(workload) if policy.is_offline() => {
+            let apps = workload.materialize(platform).map_err(RunError::Build)?;
+            built = policy.build(platform, &apps).map_err(RunError::Build)?;
+            Simulation::from_stream(platform, apps.into_iter(), built.as_mut(), config)
+        }
+        Arrivals::Lazy(workload) => {
+            built = policy.build(platform, &[]).map_err(RunError::Build)?;
+            let source = workload.app_source(platform).map_err(RunError::Build)?;
+            Simulation::from_stream(platform, source, built.as_mut(), config)
+        }
+    };
+    let mut sim = sim.map_err(RunError::Engine)?;
+    if let Some(capacity) = trace {
+        sim.enable_decision_trace(capacity);
+    }
+    sim.run_to_completion().map_err(RunError::Engine)
+}
 
 /// Resolve a platform preset by name (`intrepid`, `mira`, `vesta`) — the
 /// one name table shared by the CLI, campaign files and experiments.
@@ -108,10 +193,9 @@ impl serde::Deserialize for PlatformSpec {
     }
 }
 
-/// One simulate-one-scenario unit of work, as pure data. The
-/// serializable counterpart of [`Scenario`]: [`ScenarioSpec::build`]
-/// resolves the platform, materializes the workload and instantiates the
-/// policy.
+/// One simulate-one-scenario unit of work, as pure data: the scenario
+/// file `iosched generate` writes and `iosched run` runs, and the unit a
+/// campaign expands into ([`CampaignSpec::scenario_spec`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioSpec {
     /// Free-form tag carried into reports.
@@ -124,21 +208,6 @@ pub struct ScenarioSpec {
     pub policy: PolicySpec,
     /// Engine configuration (`None` = [`SimConfig::default`]).
     pub config: Option<SimConfig>,
-}
-
-impl ScenarioSpec {
-    /// Materialize into a runnable [`Scenario`]. Stream workloads mark
-    /// the scenario open-system, so the runner admits applications on
-    /// release instead of requiring the closed processor budget.
-    pub fn build(&self) -> Result<Scenario, String> {
-        let platform = self.platform.build()?;
-        let apps = self.workload.materialize(&platform)?;
-        Ok(
-            Scenario::new(self.label.clone(), platform, apps, self.policy)
-                .with_config(self.config.clone().unwrap_or_default())
-                .open(self.workload.is_open()),
-        )
-    }
 }
 
 /// A whole sweep as data: the cartesian product
@@ -301,13 +370,6 @@ impl CampaignSpec {
     /// Lazily expand into scenario specs, in run order.
     pub fn scenario_specs(&self) -> impl Iterator<Item = ScenarioSpec> + '_ {
         (0..self.total_runs()).map(|idx| self.scenario_spec(idx))
-    }
-
-    /// Lazily expand into runnable scenarios (platform resolution and
-    /// workload materialization happen per item, as the iterator is
-    /// advanced).
-    pub fn scenarios(&self) -> impl Iterator<Item = Result<Scenario, String>> + '_ {
-        self.scenario_specs().map(|spec| spec.build())
     }
 
     /// Labels of the aggregation cells, in cell order. Policies are
@@ -576,21 +638,23 @@ impl CellFold {
 /// never surfaced to callers, only used to keep the real error message.
 const ABORTED: &str = "\u{0}aborted";
 
-/// Streaming seed-block executor shared by [`run_campaign`] and
-/// [`fold_outcomes`].
+/// Streaming seed-block executor shared by [`run_campaign`],
+/// [`fold_outcomes`] and the shards (`crate::shard`), over the seed
+/// blocks of `spec` named by their **global** indices.
 ///
 /// The unit of parallel work is one **seed block** — a
 /// `(platform, workload, seed)` triple: the workload is materialized
 /// *once* per block and every policy runs over the shared application
-/// list (mirroring what the hand-written figure runners did, instead of
-/// regenerating the same mix once per policy). The flip side of the
-/// shared materialization is the parallel grain: a campaign with few
-/// seed blocks but many policies (a wide γ sweep over a handful of
-/// cases) exposes only `blocks` units of parallelism, each running its
-/// policies sequentially.
+/// list through [`run_policy`]. The flip side of the shared
+/// materialization is the parallel grain: a campaign with few seed
+/// blocks but many policies (a wide γ sweep over a handful of cases)
+/// exposes only `blocks` units of parallelism, each running its policies
+/// sequentially.
 ///
-/// Blocks stream back in input order; `fold` receives each block's
-/// outcomes as `(block index, Vec<SimOutcome>)` (one outcome per policy,
+/// Blocks stream back in `blocks` order (each block's simulation is
+/// bit-identical wherever and with whomever it runs: the workload is
+/// rebound from the spec's seed, never from neighbouring blocks); `fold`
+/// receives each block's global index and its outcomes (one per policy,
 /// in policy order) and is never called after an error. Once any block
 /// fails, the remaining queued blocks return immediately instead of
 /// simulating, and the first executed error (with its scenario label) is
@@ -599,25 +663,6 @@ const ABORTED: &str = "\u{0}aborted";
 /// a later block's failure may abort an earlier queued one before it
 /// runs. Successful results stay bit-deterministic; only the failure
 /// message is timing-dependent.
-fn fold_blocks<A, F>(
-    spec: &CampaignSpec,
-    runner: &ScenarioRunner,
-    init: A,
-    fold: F,
-) -> Result<A, String>
-where
-    F: FnMut(A, usize, &[SimOutcome]) -> A,
-{
-    let blocks: Vec<usize> = (0..spec.block_count()).collect();
-    fold_block_subset(spec, runner, &blocks, init, fold)
-}
-
-/// [`fold_blocks`] over an arbitrary subset of the campaign's seed
-/// blocks, identified by their **global** block indices — the shard
-/// execution primitive. Blocks stream back in `blocks` order (each
-/// block's simulation is bit-identical wherever and with whomever it
-/// runs: the workload is rebound from the spec's seed, never from
-/// neighbouring blocks), and `fold` receives the global block index.
 pub(crate) fn fold_block_subset<A, F>(
     spec: &CampaignSpec,
     runner: &ScenarioRunner,
@@ -667,35 +712,32 @@ where
                     workload.label()
                 )
             };
-            let run_all = || -> Result<Vec<SimOutcome>, String> {
+            let run_block = || -> Result<Vec<SimOutcome>, String> {
                 let apps = workload
                     .materialize(&platforms[p])
                     .map_err(|e| format!("{}: {e}", block_label()))?;
-                // Stream workloads run under open-system semantics
-                // (admission on release, per-app feasibility).
-                let run = if workload.is_open() {
-                    simulate_open
+                // Every policy runs over this one materialization; stream
+                // workloads run under open-system semantics.
+                let arrivals = if workload.is_open() {
+                    Arrivals::Open(&apps)
                 } else {
-                    simulate
+                    Arrivals::Closed(&apps)
                 };
                 spec.policies
                     .iter()
-                    .map(|policy_spec| {
-                        // Scenario-aware instantiation (stage 2 of the
-                        // registry): offline `periodic:*` policies build
-                        // their schedule right here, against the one
-                        // workload materialization this seed block shares
-                        // across the whole policy axis.
-                        let mut policy = policy_spec
-                            .build(&platforms[p], &apps)
-                            .map_err(|e| format!("{}/{e}", block_label()))?;
-                        run(&platforms[p], &apps, policy.as_mut(), &config).map_err(|e| {
-                            format!("{}/{}: {e}", block_label(), policy_spec.serde_name())
+                    .map(|&policy| {
+                        run_policy(&platforms[p], arrivals, policy, &config, None).map_err(|e| {
+                            match e {
+                                RunError::Build(e) => format!("{}/{e}", block_label()),
+                                RunError::Engine(e) => {
+                                    format!("{}/{}: {e}", block_label(), policy.serde_name())
+                                }
+                            }
                         })
                     })
                     .collect()
             };
-            run_all().inspect_err(|_| abort.store(true, Ordering::Relaxed))
+            run_block().inspect_err(|_| abort.store(true, Ordering::Relaxed))
         },
         (init, None::<String>),
         |(acc, error), i, result| {
@@ -737,7 +779,8 @@ where
 {
     let rpc = spec.runs_per_cell();
     let n_policies = spec.policies.len();
-    fold_blocks(spec, runner, init, |mut acc, b, outcomes| {
+    let blocks: Vec<usize> = (0..spec.block_count()).collect();
+    fold_block_subset(spec, runner, &blocks, init, |mut acc, b, outcomes| {
         let (group, j) = (b / rpc, b % rpc);
         for (pol, outcome) in outcomes.iter().enumerate() {
             acc = fold(acc, (group * n_policies + pol) * rpc + j, outcome);
@@ -749,7 +792,7 @@ where
 /// Execute a campaign on `runner`, folding outcomes into per-cell
 /// summaries as they stream back in input order.
 ///
-/// Built on the seed-block executor (`fold_blocks`): the fold holds
+/// Built on the seed-block executor (`fold_block_subset`): the fold holds
 /// the sample buffers of the one `(platform, workload)` group currently
 /// in flight plus the finished [`CellSummary`]s —
 /// `O(cells + policies × seeds)` numbers, never `O(runs)` simulation
@@ -774,9 +817,11 @@ pub fn run_campaign_observed(
     mut observer: impl FnMut(&CellSummary),
 ) -> Result<CampaignResult, String> {
     let mut seen = 0usize;
-    let fold = fold_blocks(
+    let blocks: Vec<usize> = (0..spec.block_count()).collect();
+    let fold = fold_block_subset(
         spec,
         runner,
+        &blocks,
         CellFold::new(spec),
         |mut fold, b, outcomes| {
             let runs: Vec<RunMetrics> = outcomes.iter().map(RunMetrics::from_outcome).collect();
@@ -799,7 +844,25 @@ pub fn run_campaign_observed(
 mod tests {
     use super::*;
     use iosched_core::heuristics::{BasePolicy, PolicyKind};
+    use iosched_model::{Bytes, Time};
+    use iosched_sim::{simulate, simulate_open};
     use iosched_workload::MixConfig;
+
+    /// Run `idx` of `spec`, computed without [`run_policy`]: materialize
+    /// its scenario spec and call the engine's one-shot entry points.
+    fn reference_run(spec: &CampaignSpec, idx: usize) -> SimOutcome {
+        let scenario = spec.scenario_spec(idx);
+        let platform = scenario.platform.build().unwrap();
+        let apps = scenario.workload.materialize(&platform).unwrap();
+        let mut policy = scenario.policy.build(&platform, &apps).unwrap();
+        let config = scenario.config.unwrap_or_default();
+        let run = if scenario.workload.is_open() {
+            simulate_open
+        } else {
+            simulate
+        };
+        run(&platform, &apps, policy.as_mut(), &config).unwrap()
+    }
 
     fn small_campaign() -> CampaignSpec {
         CampaignSpec {
@@ -879,10 +942,10 @@ mod tests {
     fn run_campaign_matches_manual_sequential_fold() {
         let spec = small_campaign();
         let result = run_campaign(&spec, &ScenarioRunner::with_threads(4)).unwrap();
-        // Reference: build + run every scenario sequentially, fold by hand.
+        // Reference: run every scenario sequentially, fold by hand.
         let mut cell_effs: Vec<Vec<f64>> = vec![Vec::new(); spec.cell_count()];
-        for (idx, scenario) in spec.scenarios().enumerate() {
-            let outcome = scenario.unwrap().run().unwrap();
+        for idx in 0..spec.total_runs() {
+            let outcome = reference_run(&spec, idx);
             cell_effs[idx / spec.runs_per_cell()].push(outcome.report.sys_efficiency);
         }
         for (cell, effs) in result.cells.iter().zip(&cell_effs) {
@@ -914,10 +977,10 @@ mod tests {
         .unwrap();
         // Every run index observed exactly once, bit-identical to the
         // per-scenario expansion at the same index.
-        for (idx, scenario) in spec.scenarios().enumerate() {
-            let direct = scenario.unwrap().run().unwrap();
+        for (idx, folded) in by_idx.iter().enumerate() {
+            let direct = reference_run(&spec, idx);
             assert_eq!(
-                by_idx[idx].expect("run folded").to_bits(),
+                folded.expect("run folded").to_bits(),
                 direct.report.sys_efficiency.to_bits(),
                 "run {idx} diverged"
             );
@@ -930,10 +993,10 @@ mod tests {
         let result = run_campaign(&spec, &ScenarioRunner::with_threads(2)).unwrap();
         // Reference: every fairshare run's dilation as one flat sample.
         let mut all = Vec::new();
-        for (idx, scenario) in spec.scenarios().enumerate() {
+        for idx in 0..spec.total_runs() {
             let (_, _, pol, _) = spec.decompose(idx);
             if spec.policies[pol].name() == "fairshare" {
-                all.push(scenario.unwrap().run().unwrap().report.dilation);
+                all.push(reference_run(&spec, idx).report.dilation);
             }
         }
         let pooled = result.pooled_dilation("fairshare").expect("policy exists");
@@ -978,10 +1041,8 @@ mod tests {
         assert!(spec.validate().is_err());
     }
 
-    fn iosched_bench_periodic_factory() -> crate::scenario::PeriodicFactory {
-        crate::scenario::PeriodicFactory::new(
-            iosched_core::periodic::InsertionHeuristic::Congestion,
-        )
+    fn iosched_bench_periodic_factory() -> crate::PeriodicFactory {
+        crate::PeriodicFactory::new(iosched_core::periodic::InsertionHeuristic::Congestion)
     }
 
     #[test]
@@ -1012,10 +1073,135 @@ mod tests {
         let json = serde_json::to_string_pretty(&spec).unwrap();
         let back: ScenarioSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(spec, back);
-        let scenario = back.build().unwrap();
-        assert!(scenario.config.use_burst_buffer);
-        assert_eq!(scenario.policy.name(), "priority-minmax-0.25");
-        assert!(!scenario.apps.is_empty());
+        // The parsed spec resolves into a run: the native platform
+        // carries the burst buffer its config asks for.
+        let platform = back.platform.build().unwrap();
+        let apps = back.workload.materialize(&platform).unwrap();
+        assert!(!apps.is_empty());
+        let config = back.config.unwrap();
+        assert!(config.use_burst_buffer);
+        assert_eq!(back.policy.name(), "priority-minmax-0.25");
+        let out = run_policy(
+            &platform,
+            Arrivals::Closed(&apps),
+            back.policy,
+            &config,
+            None,
+        )
+        .unwrap();
+        assert_eq!(out.report.per_app.len(), apps.len());
+    }
+
+    fn two_periodic_apps() -> Vec<AppSpec> {
+        vec![
+            AppSpec::periodic(0, Time::ZERO, 256, Time::secs(60.0), Bytes::gib(100.0), 3),
+            AppSpec::periodic(1, Time::ZERO, 512, Time::secs(45.0), Bytes::gib(150.0), 3),
+        ]
+    }
+
+    #[test]
+    fn run_policy_runs_like_a_direct_simulate_call() {
+        let platform = Platform::vesta();
+        let apps = two_periodic_apps();
+        let config = SimConfig::default();
+        let policy = PolicySpec::parse("maxsyseff").unwrap();
+        let out = run_policy(&platform, Arrivals::Closed(&apps), policy, &config, None).unwrap();
+        let direct = simulate(
+            &platform,
+            &apps,
+            &mut iosched_core::heuristics::MaxSysEff,
+            &config,
+        )
+        .unwrap();
+        assert_eq!(out.events, direct.events);
+        assert_eq!(
+            out.report.sys_efficiency.to_bits(),
+            direct.report.sys_efficiency.to_bits()
+        );
+        assert!(out.decision_trace.is_none());
+        // The trace attaches once, before the run, and moves no bit.
+        let traced = run_policy(
+            &platform,
+            Arrivals::Closed(&apps),
+            policy,
+            &config,
+            Some(64),
+        )
+        .unwrap();
+        assert_eq!(traced.events, direct.events);
+        assert_eq!(
+            traced.report.dilation.to_bits(),
+            direct.report.dilation.to_bits()
+        );
+        assert!(traced.decision_trace.is_some_and(|t| t.len() <= 64));
+    }
+
+    #[test]
+    fn run_policy_runs_an_offline_periodic_policy() {
+        let platform = Platform::vesta();
+        let apps = two_periodic_apps();
+        let policy = PolicySpec::parse("periodic:cong").unwrap();
+        let out = run_policy(
+            &platform,
+            Arrivals::Closed(&apps),
+            policy,
+            &SimConfig::default(),
+            None,
+        )
+        .unwrap();
+        assert!(out.report.sys_efficiency > 0.0);
+        assert!(out.report.dilation >= 1.0);
+        // A roster the search cannot plan is a build error, not an
+        // engine error.
+        let err = run_policy(
+            &platform,
+            Arrivals::Closed(&[]),
+            policy,
+            &SimConfig::default(),
+            None,
+        )
+        .unwrap_err();
+        assert!(matches!(err, RunError::Build(_)), "{err:?}");
+    }
+
+    #[test]
+    fn run_policy_pulls_a_stream_lazily_or_materialized_alike() {
+        let platform = Platform::intrepid();
+        let stream = WorkloadSpec::Stream {
+            arrivals: iosched_workload::ArrivalProcess::Poisson { rate: 0.001 },
+            template: Box::new(WorkloadSpec::Congestion { seed: 0 }),
+            stop: iosched_workload::StopRule::Apps(40),
+            seed: 1,
+        };
+        let apps = stream.materialize(&platform).unwrap();
+        let config = SimConfig::default();
+        for name in ["fairshare", "control:pi", "periodic:cong:tmax=32"] {
+            let policy = PolicySpec::parse(name).unwrap();
+            let lazy = run_policy(&platform, Arrivals::Lazy(&stream), policy, &config, None)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            let open = run_policy(&platform, Arrivals::Open(&apps), policy, &config, None)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(lazy.events, open.events, "{name}");
+            assert_eq!(
+                lazy.report.dilation.to_bits(),
+                open.report.dilation.to_bits(),
+                "{name}"
+            );
+            assert_eq!(lazy.steady, open.steady, "{name}");
+        }
+        // A materialized stream is validated as `simulate_open` validates
+        // it: a release out of order is an engine error.
+        let mut shuffled = apps.clone();
+        shuffled.swap(0, 5);
+        let err = run_policy(
+            &platform,
+            Arrivals::Open(&shuffled),
+            PolicySpec::FairShare,
+            &config,
+            None,
+        )
+        .unwrap_err();
+        assert!(matches!(err, RunError::Engine(_)), "{err:?}");
     }
 
     #[test]

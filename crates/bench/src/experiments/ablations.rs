@@ -14,7 +14,7 @@
 
 use crate::campaign::{run_campaign, CampaignSpec, PlatformSpec};
 use crate::runner::ScenarioRunner;
-use crate::scenario::{PeriodicFactory, PolicySpec};
+use crate::{PeriodicFactory, PolicySpec};
 use iosched_core::baselines::native_platform;
 use iosched_core::heuristics::{BasePolicy, PolicyKind};
 use iosched_core::periodic::{InsertionHeuristic, PeriodicAppSpec};

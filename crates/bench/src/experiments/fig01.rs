@@ -7,10 +7,11 @@
 //! mode. The paper's headline: decreases reach ~70 % ("a decrease in I/O
 //! throughput of 67 %", abstract).
 
+use crate::campaign::{fold_outcomes, CampaignSpec, PlatformSpec};
 use crate::runner::ScenarioRunner;
-use crate::scenario::{PolicySpec, Scenario};
+use crate::PolicySpec;
 use iosched_model::{stats, Interference, Platform};
-use iosched_workload::congestion::congested_moment;
+use iosched_workload::WorkloadSpec;
 
 /// Distribution of per-application throughput decrease.
 #[derive(Debug, Clone)]
@@ -41,35 +42,36 @@ impl Fig01Result {
 /// Collect at least `target_apps` application samples (the paper uses
 /// 400) from successive congested moments.
 ///
-/// Seeds are swept in parallel batches through the [`ScenarioRunner`];
-/// since results come back seed-ordered, the collected distribution is
-/// identical to the old sequential sweep.
+/// Seeds are swept in batches of 16, each batch one campaign folded in
+/// seed order, so the collected distribution is identical to a
+/// sequential sweep.
 #[must_use]
 pub fn run(target_apps: usize) -> Fig01Result {
     const BATCH: u64 = 16;
-    let platform = Platform::intrepid().with_interference(Interference::default_penalty());
+    // The native stack without burst buffers: uncoordinated fair sharing
+    // on the penalized platform.
+    let platform = PlatformSpec::Custom(
+        Platform::intrepid().with_interference(Interference::default_penalty()),
+    );
     let runner = ScenarioRunner::new();
     let mut decreases = Vec::with_capacity(target_apps);
     let mut seed = 0u64;
     while decreases.len() < target_apps && seed < 10_000 {
-        // The native stack without burst buffers: uncoordinated fair
-        // sharing on the penalized platform.
-        let scenarios: Vec<Scenario> = (seed..seed + BATCH)
-            .map(|s| {
-                Scenario::new(
-                    format!("fig01/{s}"),
-                    platform.clone(),
-                    congested_moment(&platform, s),
-                    PolicySpec::FairShare,
-                )
-            })
-            .collect();
-        for result in runner.run_all(&scenarios) {
-            let out = result.expect("congested moments are valid scenarios");
+        let spec = CampaignSpec {
+            name: "fig01".into(),
+            platforms: vec![platform.clone()],
+            workloads: vec![WorkloadSpec::Congestion { seed: 0 }],
+            policies: vec![PolicySpec::FairShare],
+            seeds: (seed..seed + BATCH).collect(),
+            config: None,
+            threads: None,
+        };
+        fold_outcomes(&spec, &runner, (), |(), _, out| {
             for o in &out.report.per_app {
                 decreases.push(o.io_throughput_decrease());
             }
-        }
+        })
+        .expect("congested moments are valid scenarios");
         seed += BATCH;
     }
     decreases.truncate(target_apps);

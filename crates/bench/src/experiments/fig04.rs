@@ -25,7 +25,7 @@
 
 use crate::campaign::{run_campaign, CampaignSpec, CellSummary, PlatformSpec};
 use crate::runner::ScenarioRunner;
-use crate::scenario::{PeriodicFactory, PolicySpec};
+use crate::{PeriodicFactory, PolicySpec};
 use iosched_core::periodic::{
     InsertionHeuristic, PeriodicAppSpec, PeriodicSchedule, SteadyStateReport,
 };

@@ -13,7 +13,7 @@
 
 use crate::campaign::{run_campaign, CampaignSpec, PlatformSpec};
 use crate::runner::ScenarioRunner;
-use crate::scenario::PolicySpec;
+use crate::PolicySpec;
 use iosched_core::heuristics::{BasePolicy, PolicyKind};
 use iosched_workload::{MixConfig, WorkloadSpec};
 

@@ -21,7 +21,7 @@
 
 use crate::campaign::{run_campaign, CampaignResult, CampaignSpec, PlatformSpec};
 use crate::runner::ScenarioRunner;
-use crate::scenario::PolicySpec;
+use crate::PolicySpec;
 use iosched_model::Time;
 use iosched_sim::SimConfig;
 use iosched_workload::{ArrivalProcess, StopRule, WorkloadSpec};

@@ -23,7 +23,7 @@
 
 use crate::campaign::{fold_outcomes, CampaignSpec, PlatformSpec};
 use crate::runner::ScenarioRunner;
-use crate::scenario::PolicySpec;
+use crate::PolicySpec;
 use iosched_core::heuristics::PolicyKind;
 use iosched_model::{stats, Platform};
 use iosched_sim::SimConfig;

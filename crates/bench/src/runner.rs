@@ -1,47 +1,48 @@
-//! Parallel batch execution of [`Scenario`]s with deterministic,
-//! input-ordered results.
+//! Parallel streaming fold with deterministic, input-ordered results.
 //!
 //! Every figure/table of the paper is an embarrassingly parallel sweep of
-//! independent scenarios; this module is the one place that knows how to
-//! fan such a sweep out over threads. Guarantees:
+//! independent runs; this module is the one place that knows how to fan
+//! such a sweep out over threads. The campaign layer
+//! ([`crate::campaign`]) hands it one seed block per item. Guarantees:
 //!
-//! * **Determinism** — results come back in input order, and each
-//!   scenario's outcome is a pure function of the scenario itself (the
-//!   engine is deterministic), so the thread count never changes any
-//!   result. `ScenarioRunner` honors the `RAYON_NUM_THREADS` convention
-//!   (set it to `1` to force sequential execution).
-//! * **Work stealing** — workers pull the next scenario off a shared
-//!   atomic cursor, so heterogeneous scenario sizes (a 5-app moment next
-//!   to a 50-app mix) don't leave threads idle.
+//! * **Determinism** — results are folded in input order, and each
+//!   item's result is a pure function of the item (the engine is
+//!   deterministic), so the thread count never changes any result.
+//!   `ScenarioRunner` honors the `RAYON_NUM_THREADS` convention (set it
+//!   to `1` to force sequential execution).
+//! * **Work stealing** — workers pull the next item off a shared atomic
+//!   cursor, so heterogeneous run sizes (a 5-app moment next to a 50-app
+//!   mix) don't leave threads idle.
 //!
 //! ```
+//! use iosched_bench::campaign::{run_policy, Arrivals};
 //! use iosched_bench::runner::ScenarioRunner;
-//! use iosched_bench::scenario::{PolicySpec, Scenario};
-//! use iosched_model::{AppSpec, Bytes, Platform, Time};
+//! use iosched_bench::PolicySpec;
+//! use iosched_model::Platform;
+//! use iosched_sim::SimConfig;
+//! use iosched_workload::congested_moment;
 //!
-//! let scenarios: Vec<Scenario> = (0..4)
-//!     .map(|seed| {
-//!         let apps = vec![AppSpec::periodic(
-//!             0, Time::ZERO, 128, Time::secs(30.0 + seed as f64), Bytes::gib(50.0), 4,
-//!         )];
-//!         Scenario::new(
-//!             format!("seed-{seed}"),
-//!             Platform::vesta(),
-//!             apps,
-//!             PolicySpec::parse("maxsyseff").unwrap(),
-//!         )
-//!     })
-//!     .collect();
-//! let results = ScenarioRunner::new().run_all(&scenarios);
-//! assert_eq!(results.len(), 4);
-//! assert!(results.iter().all(|r| r.is_ok()));
+//! let platform = Platform::vesta();
+//! let policy = PolicySpec::parse("maxsyseff").unwrap();
+//! let config = SimConfig::default();
+//! let effs = ScenarioRunner::new().fold(
+//!     0..4u64,
+//!     |_, &seed| {
+//!         let apps = congested_moment(&platform, seed);
+//!         run_policy(&platform, Arrivals::Closed(&apps), policy, &config, None)
+//!     },
+//!     Vec::new(),
+//!     |mut effs, _, outcome| {
+//!         effs.push(outcome.unwrap().report.sys_efficiency);
+//!         effs
+//!     },
+//! );
+//! assert_eq!(effs.len(), 4);
 //! ```
 
-use crate::scenario::Scenario;
-use iosched_sim::{SimError, SimOutcome};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Parallel, deterministic batch executor for [`Scenario`]s.
+/// Parallel, deterministic streaming fold over independent runs.
 #[derive(Debug, Clone)]
 pub struct ScenarioRunner {
     threads: usize,
@@ -85,39 +86,17 @@ impl ScenarioRunner {
         self.threads
     }
 
-    /// Execute every scenario, in parallel, returning results in input
-    /// order.
-    #[must_use]
-    pub fn run_all(&self, scenarios: &[Scenario]) -> Vec<Result<SimOutcome, SimError>> {
-        self.map(scenarios, |_, s| s.run())
-    }
-
-    /// Streaming parallel execution: run every scenario of a (possibly
-    /// lazy) iterator and fold the outcomes into `init` **in input
-    /// order**, without ever materializing the full outcome vector.
+    /// Streaming parallel map-and-fold: map every item of a (possibly
+    /// lazy) iterator and fold the results into `init` **in input
+    /// order**, without ever materializing the full result vector. The
+    /// campaign layer maps seed blocks through it; experiments whose unit
+    /// of work is not a fluid simulation (workload-synthesis shards) use
+    /// it too.
     ///
-    /// This is the campaign primitive: a 200-mix × 8-policy sweep holds
-    /// one chunk of outcomes (`O(threads)`) plus whatever the fold
-    /// accumulates (per-cell aggregates), not `O(runs)` simulation
-    /// outcomes. Because outcomes are folded in input order and each
-    /// outcome is a pure function of its scenario, the result is
-    /// bit-identical to a sequential `for` loop over `scenarios` — the
-    /// thread count only changes wall-clock time.
-    pub fn run_fold<A, F>(
-        &self,
-        scenarios: impl IntoIterator<Item = Scenario>,
-        init: A,
-        fold: F,
-    ) -> A
-    where
-        F: FnMut(A, usize, Result<SimOutcome, SimError>) -> A,
-    {
-        self.fold(scenarios, |_, s: &Scenario| s.run(), init, fold)
-    }
-
-    /// Generic streaming fold over a parallel map — the machinery behind
-    /// [`ScenarioRunner::run_fold`], also used by experiments whose unit
-    /// of work is not a fluid simulation (workload-synthesis shards).
+    /// Because results are folded in input order and each result is a
+    /// pure function of its item, the outcome is bit-identical to a
+    /// sequential `for` loop over `items` — the thread count only changes
+    /// wall-clock time.
     ///
     /// Items are pulled from the iterator in chunks of a few times the
     /// worker count and each chunk is mapped in parallel, but results
@@ -204,59 +183,17 @@ impl ScenarioRunner {
         }
         acc
     }
-
-    /// Generic parallel map with input-ordered results — the batch
-    /// primitive behind [`ScenarioRunner::run_all`], also used by
-    /// experiments whose unit of work is not a fluid simulation (workload
-    /// synthesis shards, period searches).
-    pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        let workers = self.threads.min(items.len());
-        if workers <= 1 {
-            return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-        }
-        let cursor = AtomicUsize::new(0);
-        let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut produced: Vec<(usize, R)> = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= items.len() {
-                                break;
-                            }
-                            produced.push((i, f(i, &items[i])));
-                        }
-                        produced
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (i, r) in handle.join().expect("scenario worker panicked") {
-                    slots[i] = Some(r);
-                }
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| s.expect("every input index produced a result"))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::PolicySpec;
+    use crate::campaign::{run_policy, Arrivals, RunError};
+    use crate::PolicySpec;
     use iosched_model::{AppSpec, Bytes, Platform, Time};
+    use iosched_sim::{SimConfig, SimOutcome};
 
-    fn batch(n: usize) -> Vec<Scenario> {
+    fn batch(n: usize) -> Vec<(Vec<AppSpec>, PolicySpec)> {
         (0..n)
             .map(|i| {
                 let apps = vec![
@@ -277,27 +214,42 @@ mod tests {
                         2,
                     ),
                 ];
-                Scenario::new(
-                    format!("s{i}"),
-                    Platform::vesta(),
-                    apps,
-                    PolicySpec::parse(if i % 2 == 0 {
-                        "maxsyseff"
-                    } else {
-                        "mindilation"
-                    })
-                    .unwrap(),
-                )
+                let policy = if i % 2 == 0 {
+                    "maxsyseff"
+                } else {
+                    "mindilation"
+                };
+                (apps, PolicySpec::parse(policy).unwrap())
             })
             .collect()
     }
 
+    /// Run every batch item on `runner`, collecting in fold order.
+    fn run(
+        runner: &ScenarioRunner,
+        batch: &[(Vec<AppSpec>, PolicySpec)],
+    ) -> Vec<Result<SimOutcome, RunError>> {
+        let platform = Platform::vesta();
+        let config = SimConfig::default();
+        runner.fold(
+            batch,
+            |_, (apps, policy)| {
+                run_policy(&platform, Arrivals::Closed(apps), *policy, &config, None)
+            },
+            Vec::new(),
+            |mut results, _, r| {
+                results.push(r);
+                results
+            },
+        )
+    }
+
     #[test]
     fn results_are_input_ordered_and_thread_count_invariant() {
-        let scenarios = batch(12);
-        let parallel = ScenarioRunner::with_threads(4).run_all(&scenarios);
-        let sequential = ScenarioRunner::with_threads(1).run_all(&scenarios);
-        assert_eq!(parallel.len(), scenarios.len());
+        let batch = batch(12);
+        let parallel = run(&ScenarioRunner::with_threads(4), &batch);
+        let sequential = run(&ScenarioRunner::with_threads(1), &batch);
+        assert_eq!(parallel.len(), batch.len());
         for (p, s) in parallel.iter().zip(&sequential) {
             let (p, s) = (p.as_ref().unwrap(), s.as_ref().unwrap());
             assert_eq!(p.events, s.events);
@@ -310,9 +262,19 @@ mod tests {
 
     #[test]
     fn map_preserves_indices() {
+        // The map sees each item's global input index, across chunks.
         let runner = ScenarioRunner::with_threads(3);
         let items: Vec<usize> = (0..100).collect();
-        let out = runner.map(&items, |i, &x| i * 1000 + x);
+        let out = runner.fold(
+            &items,
+            |i, &x| i * 1000 + x,
+            Vec::new(),
+            |mut out, _, r| {
+                out.push(r);
+                out
+            },
+        );
+        assert_eq!(out.len(), items.len());
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, i * 1000 + i);
         }
@@ -338,41 +300,20 @@ mod tests {
     }
 
     #[test]
-    fn run_fold_is_bit_identical_to_run_all() {
-        let scenarios = batch(10);
-        let collected = ScenarioRunner::with_threads(3).run_all(&scenarios);
-        let folded: Vec<f64> = ScenarioRunner::with_threads(3).run_fold(
-            scenarios.iter().cloned(),
-            Vec::new(),
-            |mut acc, _, r| {
-                acc.push(r.unwrap().report.sys_efficiency);
-                acc
-            },
-        );
-        assert_eq!(folded.len(), collected.len());
-        for (f, c) in folded.iter().zip(&collected) {
-            assert_eq!(
-                f.to_bits(),
-                c.as_ref().unwrap().report.sys_efficiency.to_bits()
-            );
-        }
-    }
-
-    #[test]
     fn errors_surface_in_place() {
-        let mut scenarios = batch(3);
-        // Blow the processor budget of the middle scenario.
-        scenarios[1].apps.push(AppSpec::periodic(
-            9,
+        let mut batch = batch(3);
+        // Blow the processor budget of the middle item.
+        batch[1].0.push(AppSpec::periodic(
+            2,
             Time::ZERO,
             10_000_000,
             Time::secs(1.0),
             Bytes::gib(1.0),
             1,
         ));
-        let results = ScenarioRunner::with_threads(2).run_all(&scenarios);
+        let results = run(&ScenarioRunner::with_threads(2), &batch);
         assert!(results[0].is_ok());
-        assert!(results[1].is_err());
+        assert!(matches!(results[1], Err(RunError::Engine(_))));
         assert!(results[2].is_ok());
     }
 }

@@ -665,7 +665,7 @@ pub fn pooled_block_time(footers: &[ShardFooter]) -> Option<HistogramSnapshot> {
 mod tests {
     use super::*;
     use crate::campaign::run_campaign;
-    use crate::scenario::PolicySpec;
+    use crate::PolicySpec;
     use iosched_model::{AppSpec, Bytes, Time};
     use iosched_workload::WorkloadSpec;
 

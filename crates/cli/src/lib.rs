@@ -24,11 +24,12 @@
 //! Scenario files are [`ScenarioSpec`] JSON — platform, workload, policy
 //! and engine configuration — so they can be authored by hand or produced
 //! by any external tool; `generate` writes one whose workload is the
-//! explicit application list. Campaign files describe a whole cartesian
-//! sweep — `platforms × workloads × policies × seeds` — that expands
-//! lazily and streams through the parallel
-//! [`iosched_bench::ScenarioRunner`] into per-cell aggregates (see the
-//! README's "Campaign files" section):
+//! explicit application list, and `run` drives it through
+//! [`iosched_bench::run_policy`], the run path campaigns share. Campaign
+//! files describe a whole cartesian sweep — `platforms × workloads ×
+//! policies × seeds` — that expands lazily and streams through the
+//! parallel [`iosched_bench::ScenarioRunner`] into per-cell aggregates
+//! (see the README's "Campaign files" section):
 //!
 //! ```json
 //! {
@@ -43,17 +44,16 @@
 //! ```
 
 use iosched_bench::campaign::{
-    platform_preset, run_campaign_observed, CampaignResult, CampaignSpec, CellSummary,
-    PlatformSpec, ScenarioSpec,
+    platform_preset, run_campaign_observed, run_policy, Arrivals, CampaignResult, CampaignSpec,
+    CellSummary, PlatformSpec, ScenarioSpec,
 };
 use iosched_bench::report::Table;
 use iosched_bench::runner::ScenarioRunner;
-use iosched_bench::scenario::{PeriodicFactory, PolicySpec};
 use iosched_bench::shard;
+use iosched_bench::{PeriodicFactory, PolicySpec};
 use iosched_core::periodic::{InsertionHeuristic, PeriodicAppSpec};
-use iosched_core::policy::OnlinePolicy;
-use iosched_model::{app::validate_scenario, AppSpec, Platform};
-use iosched_sim::{SimConfig, SimOutcome, Simulation, SteadySummary, TelemetrySummary};
+use iosched_model::{app::validate_scenario, Platform};
+use iosched_sim::{SimConfig, SimOutcome, SteadySummary, TelemetrySummary};
 use iosched_workload::congestion::congested_moment;
 use iosched_workload::{MixConfig, WorkloadSpec};
 use serde::{Deserialize, Serialize};
@@ -177,50 +177,6 @@ pub struct RunOutput {
     pub trace: Option<(String, String)>,
 }
 
-/// The applications a scenario feeds the engine: a closed roster,
-/// materialized once for every policy, or an open stream's spec, opened
-/// per run.
-enum Arrivals<'a> {
-    Closed(Vec<AppSpec>),
-    Open(&'a WorkloadSpec),
-}
-
-/// Build and run the engine for one policy. Closed rosters run through
-/// [`Simulation::new`]; open streams through [`Simulation::from_stream`],
-/// pulled lazily by online and `control:*` policies (peak memory tracks
-/// concurrency) and materialized first for offline `periodic:*` ones,
-/// which plan over the whole roster.
-fn run_policy(
-    platform: &Platform,
-    arrivals: &Arrivals,
-    spec: PolicySpec,
-    config: &SimConfig,
-    trace: bool,
-) -> Result<SimOutcome, String> {
-    let mut policy: Box<dyn OnlinePolicy>;
-    let mut sim = match arrivals {
-        Arrivals::Closed(apps) => {
-            policy = spec.build(platform, apps)?;
-            Simulation::new(platform, apps, policy.as_mut(), config)
-        }
-        Arrivals::Open(workload) if spec.is_offline() => {
-            let apps = workload.materialize(platform)?;
-            policy = spec.build(platform, &apps)?;
-            Simulation::from_stream(platform, apps.into_iter(), policy.as_mut(), config)
-        }
-        Arrivals::Open(workload) => {
-            policy = spec.build(platform, &[])?;
-            let source = workload.app_source(platform)?;
-            Simulation::from_stream(platform, source, policy.as_mut(), config)
-        }
-    }
-    .map_err(|e| e.to_string())?;
-    if trace {
-        sim.enable_decision_trace(TRACE_CAPACITY);
-    }
-    sim.run_to_completion().map_err(|e| e.to_string())
-}
-
 /// `iosched run`: run the scenario under its own policy, under `policy`
 /// (a registry name), or under the whole online roster (`"all"`), and
 /// render the report. `trace` attaches the engine's decision trace to
@@ -240,21 +196,24 @@ pub fn cmd_run(
     }
     let platform = spec.platform.build()?;
     let config = spec.config.clone().unwrap_or_default();
-    let arrivals = if spec.workload.is_open() {
-        Arrivals::Open(&spec.workload)
+    // A closed roster is materialized once for every policy; an open
+    // stream is pulled lazily per run, so peak memory tracks concurrency.
+    let apps;
+    let (arrivals, what) = if spec.workload.is_open() {
+        (Arrivals::Lazy(&spec.workload), spec.workload.label())
     } else {
-        Arrivals::Closed(spec.workload.materialize(&platform)?)
-    };
-    let what = match &arrivals {
-        Arrivals::Closed(apps) => format!("{} applications", apps.len()),
-        Arrivals::Open(workload) => workload.label(),
+        apps = spec.workload.materialize(&platform)?;
+        (
+            Arrivals::Closed(&apps),
+            format!("{} applications", apps.len()),
+        )
     };
     let mut runs = Vec::with_capacity(policies.len());
     for p in policies {
-        runs.push((
-            p.name(),
-            run_policy(&platform, &arrivals, p, &config, trace)?,
-        ));
+        let trace = trace.then_some(TRACE_CAPACITY);
+        let outcome =
+            run_policy(&platform, arrivals, p, &config, trace).map_err(|e| e.to_string())?;
+        runs.push((p.name(), outcome));
     }
     render_run(&what, &spec.workload.label(), &platform, &config, &runs)
 }
@@ -594,17 +553,12 @@ fn cell_progress_line(done: usize, total: usize, cell: &CellSummary) -> String {
 }
 
 /// `iosched campaign`: run a declarative cartesian sweep
-/// (`platforms × workloads × policies × seeds`) from a
-/// [`CampaignSpec`] file through the streaming campaign runner and
-/// render the per-cell aggregates.
-pub fn cmd_campaign(spec: &CampaignSpec) -> Result<String, String> {
-    cmd_campaign_result(spec).map(|(_, out)| out)
-}
-
-/// [`cmd_campaign`], also returning the structured [`CampaignResult`]
-/// (the `--json` export — full f64 precision, the artifact sharded and
-/// single-process runs are diffed on). Per-cell rows stream to stderr
-/// the moment each cell's last seed block folds in, so long sweeps show
+/// (`platforms × workloads × policies × seeds`) from a [`CampaignSpec`]
+/// file through the streaming campaign runner, and return the structured
+/// [`CampaignResult`] (the `--json` export — full f64 precision, the
+/// artifact sharded and single-process runs are diffed on) with the
+/// rendered per-cell aggregates. Per-cell rows stream to stderr the
+/// moment each cell's last seed block folds in, so long sweeps show
 /// progress instead of buffering the whole result silently.
 pub fn cmd_campaign_result(spec: &CampaignSpec) -> Result<(CampaignResult, String), String> {
     spec.validate()?;
@@ -950,6 +904,8 @@ SCHEDULER AS A SERVICE (see README 'Scheduler as a service'):
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iosched_core::policy::OnlinePolicy;
+    use iosched_model::AppSpec;
 
     fn scenario() -> ScenarioSpec {
         cmd_generate(GenerateKind::Congested, "vesta", 3).unwrap()
@@ -1227,7 +1183,7 @@ mod tests {
             threads: Some(2),
             ..iosched_bench::experiments::load_sweep::campaign(1)
         };
-        let out = cmd_campaign(&spec).unwrap();
+        let out = cmd_campaign_result(&spec).unwrap().1;
         for needle in ["steady state", "queue", "pooled dilation", "stream("] {
             assert!(out.contains(needle), "missing {needle} in:\n{out}");
         }
@@ -1368,7 +1324,7 @@ mod tests {
 
     #[test]
     fn campaign_reports_every_cell() {
-        let out = cmd_campaign(&campaign_spec()).unwrap();
+        let out = cmd_campaign_result(&campaign_spec()).unwrap().1;
         for needle in [
             "maxsyseff",
             "mindilation",
@@ -1384,7 +1340,7 @@ mod tests {
     #[test]
     fn campaign_aggregates_match_sequential_simulation() {
         let spec = campaign_spec();
-        let out = cmd_campaign(&spec).unwrap();
+        let out = cmd_campaign_result(&spec).unwrap().1;
         // Recompute maxsyseff's mean SysEfficiency sequentially: the
         // congestion workload at campaign seeds 1..3 on vesta.
         let platform = platform_preset("vesta").unwrap();
@@ -1411,10 +1367,13 @@ mod tests {
     fn campaign_rejects_bad_specs() {
         let mut spec = campaign_spec();
         spec.policies.clear();
-        assert!(cmd_campaign(&spec).is_err());
+        assert!(cmd_campaign_result(&spec).is_err());
         let mut spec = campaign_spec();
         spec.threads = Some(0);
-        assert!(cmd_campaign(&spec).is_err(), "zero threads must not panic");
+        assert!(
+            cmd_campaign_result(&spec).is_err(),
+            "zero threads must not panic"
+        );
         // Bad policy names and platforms are rejected at parse time.
         assert!(CampaignSpec::from_json(
             r#"{"name": "x", "platforms": ["vesta"],
@@ -1448,7 +1407,7 @@ mod tests {
             seeds: vec![0, 1],
             ..iosched_bench::experiments::fig06::campaign(2)
         };
-        let out = cmd_campaign(&spec).unwrap();
+        let out = cmd_campaign_result(&spec).unwrap().1;
         assert!(
             out.contains("24 cells") || out.contains("in 24 cells"),
             "{out}"

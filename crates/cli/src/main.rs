@@ -25,60 +25,109 @@ fn main() -> ExitCode {
     }
 }
 
-/// Pull the value following a `--flag` out of `args`.
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// One command's arguments, parsed strictly: its operand, and each flag
+/// it was given with its value (empty for a boolean flag).
+struct Args {
+    operand: Option<String>,
+    flags: Vec<(String, String)>,
 }
 
-fn has_flag(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
-}
-
-/// First positional operand after the subcommand, skipping `--flag
-/// value` pairs (so flags may come before the file, e.g.
-/// `iosched campaign --shards 4 campaign.json`).
-fn positional(args: &[String], value_flags: &[&str]) -> Option<String> {
-    let mut i = 1;
-    while i < args.len() {
-        let arg = &args[i];
-        if value_flags.contains(&arg.as_str()) {
-            i += 2;
-        } else if arg.starts_with('-') {
-            i += 1;
-        } else {
-            return Some(arg.clone());
+impl Args {
+    /// Parse the arguments after `command`. `values` lists the flags
+    /// that take a value, `switches` the boolean ones, and `operand`
+    /// says whether one operand may appear. An unknown flag, a flag given
+    /// twice, a flag missing its value or an extra operand is an error.
+    fn parse(
+        command: &str,
+        args: &[String],
+        values: &[&str],
+        switches: &[&str],
+        operand: bool,
+    ) -> Result<Self, String> {
+        let mut parsed = Self {
+            operand: None,
+            flags: Vec::new(),
+        };
+        let mut rest = args.iter();
+        while let Some(arg) = rest.next() {
+            let value = if values.contains(&arg.as_str()) {
+                rest.next().ok_or(format!("{arg} needs a value"))?.clone()
+            } else if switches.contains(&arg.as_str()) {
+                String::new()
+            } else if arg.starts_with('-') {
+                return Err(format!("unknown {command} flag '{arg}'"));
+            } else if operand && parsed.operand.is_none() {
+                parsed.operand = Some(arg.clone());
+                continue;
+            } else {
+                return Err(format!("unexpected {command} argument '{arg}'"));
+            };
+            if parsed.has(arg) {
+                return Err(format!("{arg} given twice"));
+            }
+            parsed.flags.push((arg.clone(), value));
         }
+        Ok(parsed)
     }
-    None
-}
 
-/// Parse a required integer flag.
-fn int_flag(args: &[String], flag: &str) -> Result<Option<usize>, String> {
-    flag_value(args, flag)
-        .map(|s| s.parse().map_err(|_| format!("bad {flag} value '{s}'")))
-        .transpose()
+    /// The value of `flag`, if given.
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.flags
+            .iter()
+            .find(|(f, _)| f == flag)
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// Whether `flag` was given.
+    fn has(&self, flag: &str) -> bool {
+        self.value(flag).is_some()
+    }
+
+    /// The value of `flag` parsed as a `T`, if given.
+    fn parsed<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
+        self.value(flag)
+            .map(|v| v.parse().map_err(|_| format!("bad {flag} value '{v}'")))
+            .transpose()
+    }
+
+    /// The `-o`/`--output` file, if given.
+    fn output(&self) -> Option<&str> {
+        self.value("-o").or_else(|| self.value("--output"))
+    }
+
+    /// The operand, if given.
+    fn operand(&self) -> Option<&str> {
+        self.operand.as_deref()
+    }
 }
 
 fn run(args: &[String]) -> Result<String, String> {
-    match args.first().map(String::as_str) {
-        Some("platforms") => Ok(cmd_platforms()),
-        Some("policies") => Ok(cmd_policies()),
-        Some("generate") => {
-            let kind =
-                GenerateKind::parse(&flag_value(args, "--kind").ok_or("generate needs --kind")?)?;
-            let platform = flag_value(args, "--platform").ok_or("generate needs --platform")?;
-            let seed: u64 = flag_value(args, "--seed")
-                .map(|s| s.parse().map_err(|_| format!("bad seed '{s}'")))
-                .transpose()?
-                .unwrap_or(0);
-            let spec = cmd_generate(kind, &platform, seed)?;
+    let Some(command) = args.first().map(String::as_str) else {
+        return Ok(USAGE.to_string());
+    };
+    let rest = &args[1..];
+    let parse = |values: &[&str], switches: &[&str], operand: bool| {
+        Args::parse(command, rest, values, switches, operand)
+    };
+    match command {
+        "platforms" => parse(&[], &[], false).map(|_| cmd_platforms()),
+        "policies" => parse(&[], &[], false).map(|_| cmd_policies()),
+        "generate" => {
+            let args = parse(
+                &["--kind", "--platform", "--seed", "-o", "--output"],
+                &[],
+                false,
+            )?;
+            let kind = GenerateKind::parse(args.value("--kind").ok_or("generate needs --kind")?)?;
+            let platform = args
+                .value("--platform")
+                .ok_or("generate needs --platform")?;
+            let seed: u64 = args.parsed("--seed")?.unwrap_or(0);
+            let spec = cmd_generate(kind, platform, seed)?;
             let json = serde_json::to_string_pretty(&spec).map_err(|e| e.to_string())?;
-            match flag_value(args, "-o").or_else(|| flag_value(args, "--output")) {
+            match args.output() {
                 Some(path) => {
-                    std::fs::write(&path, &json).map_err(|e| format!("{path}: {e}"))?;
+                    std::fs::write(path, &json).map_err(|e| format!("{path}: {e}"))?;
                     Ok(format!(
                         "wrote {} on {} to {path}\n",
                         spec.workload.label(),
@@ -88,75 +137,58 @@ fn run(args: &[String]) -> Result<String, String> {
                 None => Ok(json),
             }
         }
-        Some("run") => cmd_run_args(args),
-        Some("periodic") => {
-            let path = args.get(1).ok_or("periodic needs a scenario file")?;
-            if path.starts_with("--") {
-                return Err("periodic needs a scenario file as its first argument".into());
-            }
-            let scenario = load(path)?;
-            let objective = flag_value(args, "--objective").unwrap_or_else(|| "dilation".into());
-            let epsilon: f64 = flag_value(args, "--epsilon")
-                .map(|s| s.parse().map_err(|_| format!("bad epsilon '{s}'")))
-                .transpose()?
-                .unwrap_or(0.05);
-            cmd_periodic(&scenario, &objective, epsilon)
+        "run" => cmd_run_args(&parse(
+            &["--policy", "--journal", "--trace", "-o", "--output"],
+            &[],
+            true,
+        )?),
+        "periodic" => {
+            let args = parse(&["--objective", "--epsilon"], &[], true)?;
+            let scenario = load(args.operand().ok_or("periodic needs a scenario file")?)?;
+            let objective = args.value("--objective").unwrap_or("dilation");
+            let epsilon: f64 = args.parsed("--epsilon")?.unwrap_or(0.05);
+            cmd_periodic(&scenario, objective, epsilon)
         }
-        Some("campaign") => {
-            let path = positional(args, &["--threads", "--shards", "--out", "--json"])
+        "campaign" => {
+            let args = parse(&["--threads", "--shards", "--out", "--json"], &[], true)?;
+            let path = args
+                .operand()
                 .ok_or("campaign needs a campaign spec file")?;
-            let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
-            let mut spec = CampaignSpec::from_json(&text)?;
-            if let Some(n) = int_flag(args, "--threads")? {
-                spec.threads = Some(n);
-            }
-            let (result, out) = match int_flag(args, "--shards")? {
+            let spec = load_campaign(path, &args)?;
+            let (result, out) = match args.parsed("--shards")? {
                 Some(shards) => {
-                    let dir = flag_value(args, "--out").map_or_else(
-                        || PathBuf::from(format!("{}.partials", spec.name)),
-                        PathBuf::from,
-                    );
+                    let dir = partials_dir(&args, &spec);
                     let exe = std::env::current_exe()
                         .map_err(|e| format!("cannot locate own executable: {e}"))?;
-                    cmd_campaign_sharded(&exe, &path, &spec, shards, &dir)?
+                    cmd_campaign_sharded(&exe, path, &spec, shards, &dir)?
                 }
                 None => cmd_campaign_result(&spec)?,
             };
-            match flag_value(args, "--json") {
+            match args.value("--json") {
                 Some(json_path) => {
-                    let json = serde_json::to_string_pretty(&result).map_err(|e| e.to_string())?;
-                    std::fs::write(&json_path, json + "\n")
-                        .map_err(|e| format!("{json_path}: {e}"))?;
+                    write_json(json_path, &result)?;
                     Ok(format!("{out}\nwrote campaign result to {json_path}\n"))
                 }
                 None => Ok(out),
             }
         }
-        Some("shard") => {
-            let path = positional(args, &["--index", "--of", "--out", "--threads"])
-                .ok_or("shard needs a campaign spec file")?;
-            let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
-            let mut spec = CampaignSpec::from_json(&text)?;
-            if let Some(n) = int_flag(args, "--threads")? {
-                spec.threads = Some(n);
-            }
-            let index = int_flag(args, "--index")?.ok_or("shard needs --index")?;
-            let of = int_flag(args, "--of")?.ok_or("shard needs --of")?;
-            let dir = flag_value(args, "--out").map_or_else(
-                || PathBuf::from(format!("{}.partials", spec.name)),
-                PathBuf::from,
-            );
-            cmd_shard(&spec, index, of, &dir)
+        "shard" => {
+            let args = parse(&["--index", "--of", "--out", "--threads"], &[], true)?;
+            let spec = load_campaign(
+                args.operand().ok_or("shard needs a campaign spec file")?,
+                &args,
+            )?;
+            let index = args.parsed("--index")?.ok_or("shard needs --index")?;
+            let of = args.parsed("--of")?.ok_or("shard needs --of")?;
+            cmd_shard(&spec, index, of, &partials_dir(&args, &spec))
         }
-        Some("merge") => {
-            let dir =
-                positional(args, &["-o", "--output"]).ok_or("merge needs a partials directory")?;
-            let (result, out) = cmd_merge(std::path::Path::new(&dir))?;
-            match flag_value(args, "-o").or_else(|| flag_value(args, "--output")) {
+        "merge" => {
+            let args = parse(&["-o", "--output"], &[], true)?;
+            let dir = args.operand().ok_or("merge needs a partials directory")?;
+            let (result, out) = cmd_merge(std::path::Path::new(dir))?;
+            match args.output() {
                 Some(json_path) => {
-                    let json = serde_json::to_string_pretty(&result).map_err(|e| e.to_string())?;
-                    std::fs::write(&json_path, json + "\n")
-                        .map_err(|e| format!("{json_path}: {e}"))?;
+                    write_json(json_path, &result)?;
                     Ok(format!(
                         "{out}\nwrote merged campaign result to {json_path}\n"
                     ))
@@ -164,56 +196,84 @@ fn run(args: &[String]) -> Result<String, String> {
                 None => Ok(out),
             }
         }
-        Some("serve") => cmd_serve(args),
-        Some("repro") => cmd_repro(args),
-        Some("--help") | Some("-h") | None => Ok(USAGE.to_string()),
-        Some(other) => Err(format!("unknown command '{other}'")),
+        "serve" => cmd_serve(&parse(
+            &[
+                "--platform",
+                "--policy",
+                "--journal",
+                "--socket",
+                "--accelerate",
+                "--connect",
+            ],
+            &["--replay"],
+            false,
+        )?),
+        "repro" => {
+            let args = parse(&["--runs"], &[], true)?;
+            let runs = args
+                .value("--runs")
+                .map(|n| {
+                    n.parse::<NonZeroUsize>().map_err(|_| {
+                        format!("bad --runs value '{n}' (expected a positive integer)")
+                    })
+                })
+                .transpose()?;
+            iosched_bench::repro::run(args.operand(), runs)
+        }
+        "--help" | "-h" => Ok(USAGE.to_string()),
+        other => Err(format!("unknown command '{other}'")),
     }
+}
+
+/// Read a campaign spec file, applying a `--threads` override.
+fn load_campaign(path: &str, args: &Args) -> Result<CampaignSpec, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    let mut spec = CampaignSpec::from_json(&text)?;
+    if let Some(n) = args.parsed("--threads")? {
+        spec.threads = Some(n);
+    }
+    Ok(spec)
+}
+
+/// The `--out` partials directory (default `<name>.partials`).
+fn partials_dir(args: &Args, spec: &CampaignSpec) -> PathBuf {
+    args.value("--out").map_or_else(
+        || PathBuf::from(format!("{}.partials", spec.name)),
+        PathBuf::from,
+    )
+}
+
+/// Write `value` as pretty JSON plus a trailing newline.
+fn write_json(path: &str, value: &impl serde::Serialize) -> Result<(), String> {
+    let json = serde_json::to_string_pretty(value).map_err(|e| e.to_string())?;
+    std::fs::write(path, json + "\n").map_err(|e| format!("{path}: {e}"))
 }
 
 /// `iosched run <scenario.json> [--policy NAME|all] [--trace FILE] [-o
 /// FILE]` or `iosched run --journal FILE [--trace FILE] [-o FILE]`: one
 /// run path for closed rosters, open streams and serve journals.
-fn cmd_run_args(args: &[String]) -> Result<String, String> {
-    let (mut scenario, mut policy, mut journal, mut trace, mut output) =
-        (None, None, None, None, None);
-    let mut rest = args[1..].iter();
-    while let Some(arg) = rest.next() {
-        let slot = match arg.as_str() {
-            "--policy" => &mut policy,
-            "--journal" => &mut journal,
-            "--trace" => &mut trace,
-            "-o" | "--output" => &mut output,
-            flag if flag.starts_with('-') => return Err(format!("unknown run flag '{flag}'")),
-            path if scenario.is_none() => {
-                scenario = Some(path.to_string());
-                continue;
-            }
-            extra => return Err(format!("unexpected run argument '{extra}'")),
-        };
-        *slot = Some(rest.next().ok_or(format!("{arg} needs a value"))?.clone());
-    }
-    let run = match (scenario, journal) {
+fn cmd_run_args(args: &Args) -> Result<String, String> {
+    let (policy, trace) = (args.value("--policy"), args.value("--trace"));
+    let run = match (args.operand(), args.value("--journal")) {
         (Some(_), Some(_)) => return Err("run takes a scenario file or --journal, not both".into()),
         (None, Some(_)) if policy.is_some() => {
             return Err("--journal replays the journal's own policy; drop --policy".into())
         }
-        (None, Some(journal)) => cmd_run_journal(std::path::Path::new(&journal), trace.is_some())?,
-        (Some(path), None) => cmd_run(&load(&path)?, policy.as_deref(), trace.is_some())?,
+        (None, Some(journal)) => cmd_run_journal(std::path::Path::new(journal), trace.is_some())?,
+        (Some(path), None) => cmd_run(&load(path)?, policy, trace.is_some())?,
         (None, None) => return Err("run needs a scenario file or --journal FILE".into()),
     };
     let mut out = run.report;
     if let (Some(path), Some((jsonl, summary))) = (trace, run.trace) {
-        std::fs::write(&path, &jsonl).map_err(|e| format!("{path}: {e}"))?;
+        std::fs::write(path, &jsonl).map_err(|e| format!("{path}: {e}"))?;
         let _ = write!(
             out,
             "\n{summary}wrote {} trace line(s) to {path}\n",
             jsonl.lines().count()
         );
     }
-    if let Some(path) = output {
-        let json = serde_json::to_string_pretty(&run.records).map_err(|e| e.to_string())?;
-        std::fs::write(&path, json + "\n").map_err(|e| format!("{path}: {e}"))?;
+    if let Some(path) = args.output() {
+        write_json(path, &run.records)?;
         let _ = write!(
             out,
             "\nwrote {} run record(s) to {path}\n",
@@ -223,55 +283,28 @@ fn cmd_run_args(args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-/// `iosched repro [<target>|all] [--runs N]`: render the paper's
-/// figures and tables (see [`iosched_bench::repro`]).
-fn cmd_repro(args: &[String]) -> Result<String, String> {
-    let mut target = None;
-    let mut runs = None;
-    let mut rest = args[1..].iter();
-    while let Some(arg) = rest.next() {
-        match arg.as_str() {
-            "--runs" => {
-                let n = rest.next().ok_or("--runs needs a count")?;
-                let n = n
-                    .parse::<NonZeroUsize>()
-                    .map_err(|_| format!("bad --runs value '{n}' (expected a positive integer)"))?;
-                runs = Some(n);
-            }
-            flag if flag.starts_with('-') => return Err(format!("unknown repro flag '{flag}'")),
-            name if target.is_none() => target = Some(name),
-            extra => return Err(format!("unexpected repro argument '{extra}'")),
-        }
-    }
-    iosched_bench::repro::run(target, runs)
-}
-
 /// `iosched serve`: the scheduler daemon (and its `--replay` verifier
 /// and `--connect` client). The daemon writes all protocol output
 /// itself (flushed per line); this function returns text only for the
 /// replay and error paths.
-fn cmd_serve(args: &[String]) -> Result<String, String> {
+fn cmd_serve(args: &Args) -> Result<String, String> {
     // Client mode: pipe stdin to a running daemon's socket.
-    if let Some(socket) = flag_value(args, "--connect") {
-        iosched_serve::connect(std::path::Path::new(&socket))?;
+    if let Some(socket) = args.value("--connect") {
+        iosched_serve::connect(std::path::Path::new(socket))?;
         return Ok(String::new());
     }
-    let journal = flag_value(args, "--journal").ok_or("serve needs --journal FILE")?;
+    let journal = args
+        .value("--journal")
+        .ok_or("serve needs --journal FILE")?;
     // Batch mode: replay a journal through the stream engine and print
     // the `{\"final\":…}` line a live session would have produced.
-    if has_flag(args, "--replay") {
-        let (_, outcome, accepted) = iosched_serve::replay(std::path::Path::new(&journal), None)?;
+    if args.has("--replay") {
+        let (_, outcome, accepted) = iosched_serve::replay(std::path::Path::new(journal), None)?;
         return Ok(iosched_serve::protocol::final_line(&outcome, accepted) + "\n");
     }
-    let platform = flag_value(args, "--platform").ok_or("serve needs --platform")?;
-    let policy = flag_value(args, "--policy").ok_or("serve needs --policy")?;
-    let accel: f64 = flag_value(args, "--accelerate")
-        .map(|s| {
-            s.parse()
-                .map_err(|_| format!("bad --accelerate value '{s}'"))
-        })
-        .transpose()?
-        .unwrap_or(0.0);
+    let platform = args.value("--platform").ok_or("serve needs --platform")?;
+    let policy = args.value("--policy").ok_or("serve needs --policy")?;
+    let accel: f64 = args.parsed("--accelerate")?.unwrap_or(0.0);
     let config = iosched_sim::SimConfig {
         // The live feed (`telemetry --follow`) is a serve feature;
         // turning the series on never changes simulated results.
@@ -279,14 +312,14 @@ fn cmd_serve(args: &[String]) -> Result<String, String> {
         ..iosched_sim::SimConfig::default()
     };
     let spec = iosched_serve::ServeSpec {
-        platform: platform_preset(&platform)?,
-        policy: iosched_core::registry::PolicyFactory::parse(&policy)?,
+        platform: platform_preset(platform)?,
+        policy: iosched_core::registry::PolicyFactory::parse(policy)?,
         accel,
         config,
     };
     let opts = iosched_serve::DaemonOptions {
         journal: PathBuf::from(journal),
-        socket: flag_value(args, "--socket").map(PathBuf::from),
+        socket: args.value("--socket").map(PathBuf::from),
     };
     iosched_serve::run_daemon(&spec, &opts)?;
     Ok(String::new())

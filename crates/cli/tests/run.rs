@@ -305,3 +305,60 @@ fn retired_commands_are_unknown() {
         );
     }
 }
+
+#[test]
+fn argument_typos_exit_1_with_an_error() {
+    let scenario = generated("typos.json");
+    let campaign = write(
+        "typos-campaign.json",
+        r#"{"name": "typos", "platforms": ["vesta"],
+            "workloads": [{"Congestion": {"seed": 0}}],
+            "policies": ["fairshare"], "seeds": [0],
+            "config": null, "threads": null}"#,
+    );
+    let seed_typo = tmp("typo-seed.json");
+    for (args, needle) in [
+        (
+            vec![
+                "generate",
+                "--kind",
+                "congested",
+                "--platform",
+                "vesta",
+                "--sed",
+                "7",
+                "-o",
+                s(&seed_typo),
+            ],
+            "unknown generate flag '--sed'",
+        ),
+        (
+            vec!["periodic", s(&scenario), "--objectve", "syseff"],
+            "unknown periodic flag '--objectve'",
+        ),
+        (
+            vec!["periodic", s(&scenario), "--epsilon"],
+            "--epsilon needs a value",
+        ),
+        (
+            vec!["campaign", s(&campaign), "--thread", "2"],
+            "unknown campaign flag '--thread'",
+        ),
+        (
+            vec!["run", s(&scenario), "--policy", "fcfs", "--policy", "all"],
+            "--policy given twice",
+        ),
+        (vec!["merge", "a", "b"], "unexpected merge argument 'b'"),
+        (
+            vec!["platforms", "vesta"],
+            "unexpected platforms argument 'vesta'",
+        ),
+        (
+            vec!["serve", "--replay", "--journal"],
+            "--journal needs a value",
+        ),
+    ] {
+        assert_error(&iosched(&args), needle);
+    }
+    assert!(!seed_typo.exists(), "a rejected generate wrote its file");
+}

@@ -685,6 +685,7 @@ mod tests {
             "periodic:throu:syseff:eps=0.1:tmax=4",
             "control:pi",
             "control:pi:kp=1",
+            "control:pi:kp=1:set=0.85",
             "control:pi:kp=0.25:ki=0.01:set=0.85:win=120",
         ] {
             let factory = PolicyFactory::parse(name).unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -702,6 +703,7 @@ mod tests {
         for bad in [
             "periodic:",
             "periodic:fast",
+            "periodic:best",
             "periodic:cong:bogus",
             "periodic:cong:eps=zero",
             "periodic:cong:eps=-0.1",
@@ -715,6 +717,7 @@ mod tests {
             "lottery",
             "minmax-1.5",
             "priority-fairshare",
+            "priority-fcfs",
             "priority-periodic:cong",
         ] {
             assert!(PolicyFactory::parse(bad).is_err(), "{bad} should not parse");
@@ -970,5 +973,87 @@ mod tests {
         let degenerate = PolicyFactory::Control(ControlFactory::default().with_setpoint(2.0));
         assert!(degenerate.validate().is_err());
         assert!(degenerate.build(&platform, &apps).is_err());
+    }
+
+    #[test]
+    fn parse_name_serde_roundtrip_over_the_complete_roster() {
+        // Every policy the evaluation touches: Fig. 6 roster + Tables 1–2
+        // roster + the baselines + the §3.2 offline periodic forms.
+        let mut roster = PolicyFactory::complete_roster();
+        roster.extend(
+            PolicyKind::tables_roster()
+                .into_iter()
+                .map(PolicyFactory::Kind),
+        );
+        roster.push(PolicyFactory::Periodic(
+            PeriodicFactory::new(InsertionHeuristic::Congestion)
+                .with_epsilon(0.02)
+                .with_max_factor(1.5),
+        ));
+        roster.push(PolicyFactory::Control(
+            ControlFactory::default().with_kp(1.0).with_setpoint(0.85),
+        ));
+        assert!(roster.len() >= 20);
+        for spec in roster {
+            // parse ↔ name.
+            let name = spec.name();
+            assert_eq!(
+                PolicyFactory::parse(&name).unwrap_or_else(|e| panic!("{name}: {e}")),
+                spec,
+                "parse(name()) diverged for {name}"
+            );
+            // name ↔ serde: the serialized form *is* the name string.
+            let value = serde::Serialize::to_value(&spec);
+            assert_eq!(value, serde::Value::Str(name.clone()));
+            let json = serde_json::to_string(&spec).unwrap();
+            assert_eq!(json, format!("\"{name}\""));
+            let back: PolicyFactory = serde_json::from_str(&json).unwrap();
+            assert_eq!(back, spec, "serde roundtrip diverged for {name}");
+        }
+    }
+
+    #[test]
+    fn serde_preserves_gammas_the_display_name_rounds() {
+        let third = PolicyFactory::Kind(PolicyKind::plain(BasePolicy::MinMax(1.0 / 3.0)));
+        assert_eq!(third.name(), "minmax-0.33"); // display rounds…
+        let json = serde_json::to_string(&third).unwrap();
+        let back: PolicyFactory = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, third, "…but serde must not");
+    }
+
+    #[test]
+    fn serde_rejects_invalid_policy_strings() {
+        for bad in [
+            "\"lottery\"",
+            "\"minmax-1.5\"",
+            "\"priority-fairshare\"",
+            "\"periodic:cong:eps=-1\"",
+            "7",
+        ] {
+            assert!(
+                serde_json::from_str::<PolicyFactory>(bad).is_err(),
+                "{bad} should not deserialize"
+            );
+        }
+    }
+
+    #[test]
+    fn full_roster_covers_heuristics_and_baselines() {
+        let names: Vec<String> = PolicyFactory::full_roster()
+            .iter()
+            .map(PolicyFactory::name)
+            .collect();
+        assert_eq!(names.len(), 10);
+        for needle in ["roundrobin", "priority-minmax-0.50", "fairshare", "fcfs"] {
+            assert!(names.contains(&needle.to_string()), "missing {needle}");
+        }
+        // The offline branch extends, not replaces, the paper roster.
+        let complete: Vec<String> = PolicyFactory::complete_roster()
+            .iter()
+            .map(PolicyFactory::name)
+            .collect();
+        assert!(complete.contains(&"periodic:cong".to_string()));
+        assert!(complete.contains(&"periodic:throu".to_string()));
+        assert!(complete.contains(&"control:pi".to_string()));
     }
 }

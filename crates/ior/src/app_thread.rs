@@ -8,32 +8,23 @@
 //! round trip with the scheduler thread.
 
 use crate::protocol::{ToApp, ToScheduler};
-use iosched_model::{AppSpec, Time};
+use iosched_model::AppSpec;
 use iosched_sim::VirtualClock;
 use std::sync::mpsc::{Receiver, Sender};
 use std::thread::sleep;
 
-/// Timestamped record of one application thread's run.
-#[derive(Debug, Clone, Default)]
-pub struct AppThreadLog {
-    /// Simulated completion time of each I/O phase (scheduler-observed).
-    pub io_completions: Vec<Time>,
-    /// Total bytes the group asked to write (all requests issued).
-    pub bytes_requested: f64,
-}
-
-/// Run one application group to completion.
+/// Run one application group to completion: one request per instance,
+/// each answered by a `Complete` before the next compute phase starts.
 ///
-/// Returns early (with a partial log) if the scheduler goes away.
-#[must_use]
+/// Returns early if the scheduler goes away. Returning drops this
+/// thread's sender; once every application has returned, the scheduler's
+/// channel disconnects and its loop ends.
 pub fn run_app(
     spec: &AppSpec,
     clock: VirtualClock,
     to_scheduler: &Sender<ToScheduler>,
     from_scheduler: &Receiver<ToApp>,
-) -> AppThreadLog {
-    let mut log = AppThreadLog::default();
-
+) {
     // Honour the release time.
     let release = spec.release();
     let now = clock.now();
@@ -46,28 +37,21 @@ pub fn run_app(
         // Compute phase: dedicated resources, scaled sleep.
         sleep(clock.wall(inst.work));
         // I/O phase: request → block → complete.
-        log.bytes_requested += inst.vol.get();
         let request = ToScheduler::Request {
             app: spec.id(),
             vol: inst.vol,
             at: clock.now(),
         };
-        if to_scheduler.send(request).is_err() {
-            return log; // scheduler gone
-        }
-        match from_scheduler.recv() {
-            Ok(ToApp::Complete { at }) => log.io_completions.push(at),
-            Err(_) => return log,
+        if to_scheduler.send(request).is_err() || from_scheduler.recv().is_err() {
+            return; // scheduler gone
         }
     }
-    let _ = to_scheduler.send(ToScheduler::Finished { app: spec.id() });
-    log
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iosched_model::{AppId, Bytes};
+    use iosched_model::{AppId, Bytes, Time};
     use std::sync::mpsc::channel;
 
     #[test]
@@ -77,35 +61,29 @@ mod tests {
         let (to_sched, sched_rx) = channel();
         let (complete_tx, from_sched) = channel();
 
-        // Fake scheduler granting instantly.
+        // Fake scheduler granting instantly, until the application hangs
+        // up; it counts the requests it saw and the completions it sent.
         let fake = std::thread::spawn(move || {
-            let mut requests = 0;
-            while let Ok(msg) = sched_rx.recv() {
-                match msg {
-                    ToScheduler::Request { vol, .. } => {
-                        requests += 1;
-                        assert!(vol.approx_eq(Bytes::gib(1.0)));
-                        complete_tx
-                            .send(ToApp::Complete {
-                                at: Time::secs(requests as f64),
-                            })
-                            .unwrap();
-                    }
-                    ToScheduler::Finished { app } => {
-                        assert_eq!(app, AppId(0));
-                        break;
-                    }
+            let (mut requests, mut bytes, mut completions) = (0, 0.0, 0);
+            while let Ok(ToScheduler::Request { app, vol, .. }) = sched_rx.recv() {
+                assert_eq!(app, AppId(0));
+                requests += 1;
+                bytes += vol.get();
+                if complete_tx.send(ToApp::Complete).is_ok() {
+                    completions += 1;
                 }
             }
-            requests
+            (requests, bytes, completions)
         });
 
-        let log = run_app(&spec, clock, &to_sched, &from_sched);
+        run_app(&spec, clock, &to_sched, &from_sched);
         drop(to_sched);
-        let requests = fake.join().unwrap();
+        let (requests, bytes, completions) = fake.join().unwrap();
         assert_eq!(requests, 3);
-        assert_eq!(log.io_completions.len(), 3);
-        assert!((log.bytes_requested - 3.0 * Bytes::gib(1.0).get()).abs() < 1.0);
+        assert_eq!(completions, 3);
+        assert!((bytes - 3.0 * Bytes::gib(1.0).get()).abs() < 1.0);
+        // The application consumed every completion it was sent.
+        assert!(from_sched.try_recv().is_err());
     }
 
     #[test]
@@ -113,10 +91,10 @@ mod tests {
         let spec = AppSpec::periodic(0, Time::ZERO, 10, Time::secs(1.0), Bytes::gib(1.0), 5);
         let clock = VirtualClock::new(Time::ZERO, 100_000.0);
         let (to_sched, sched_rx) = channel();
-        let (_complete_tx, from_sched) = channel::<ToApp>();
+        let (complete_tx, from_sched) = channel::<ToApp>();
         drop(sched_rx); // scheduler never existed
-        drop(_complete_tx);
-        let log = run_app(&spec, clock, &to_sched, &from_sched);
-        assert!(log.io_completions.is_empty());
+        drop(complete_tx);
+        // Returns instead of blocking on a completion that never comes.
+        run_app(&spec, clock, &to_sched, &from_sched);
     }
 }

@@ -15,21 +15,13 @@ pub enum ToScheduler {
         /// Simulated time at which the request was issued.
         at: Time,
     },
-    /// "All my instances are done" (after the last `Complete`).
-    Finished {
-        /// Terminating application.
-        app: AppId,
-    },
 }
 
 /// Scheduler → application.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ToApp {
     /// The requested transfer has fully completed; resume computing.
-    Complete {
-        /// Simulated completion time, as observed by the scheduler.
-        at: Time,
-    },
+    Complete,
 }
 
 #[cfg(test)]
@@ -45,14 +37,7 @@ mod tests {
         };
         let copy = m;
         assert_eq!(m, copy);
-        let c = ToApp::Complete {
-            at: Time::secs(9.0),
-        };
-        assert_eq!(
-            c,
-            ToApp::Complete {
-                at: Time::secs(9.0)
-            }
-        );
+        let c = ToApp::Complete;
+        assert_eq!(c, ToApp::Complete);
     }
 }

@@ -146,7 +146,6 @@ impl<'a> Scheduler<'a> {
                         rate: Bw::ZERO,
                     });
                 }
-                Ok(ToScheduler::Finished { .. }) => {}
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => {
                     // All application threads are gone; whatever is still
@@ -194,7 +193,7 @@ impl<'a> Scheduler<'a> {
                 self.stats.completions += 1;
                 // The application may have crashed; a send error only
                 // means nobody is waiting anymore.
-                let _ = complete_tx[idx].send(ToApp::Complete { at: now });
+                let _ = complete_tx[idx].send(ToApp::Complete);
             }
         }
     }
@@ -323,9 +322,9 @@ mod tests {
                     at: Time::ZERO,
                 })
                 .unwrap();
-                let ToApp::Complete { .. } = crx0.recv().unwrap();
+                let ToApp::Complete = crx0.recv().unwrap();
             }
-            let _ = tx.send(ToScheduler::Finished { app: AppId(0) });
+            // Hanging up ends the scheduler's loop.
         });
 
         let mut policy = RoundRobin;

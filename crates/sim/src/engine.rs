@@ -28,9 +28,10 @@
 //! reaches its release cannot fail. [`Simulation::step`] advances to
 //! exactly one next event, and [`Simulation::run_to_completion`] drives
 //! steps until every application finished and assembles the
-//! [`SimOutcome`]. The free function [`simulate`] wraps the three for
-//! the common one-shot case; steppable use (debuggers, the IOR harness,
-//! the daemon) talks to the struct directly:
+//! [`SimOutcome`]. The free functions [`simulate`], [`simulate_stream`]
+//! and [`simulate_open`] wrap them for the common one-shot case;
+//! steppable use (debuggers, the serve daemon's session) talks to the
+//! struct directly:
 //!
 //! ```
 //! use iosched_model::{AppSpec, Bytes, Platform, Time};
@@ -868,7 +869,7 @@ impl<'a> Simulation<'a> {
     /// itself lives in a dense id-keyed structure; see
     /// [`Simulation::pending_len`] for the allocation-free count). Slots
     /// are recycled, so a slot names an application only while it is
-    /// live: read its id from [`HotState::id`].
+    /// live: read its id from [`Simulation::runtimes`].
     #[must_use]
     pub fn pending_apps(&self) -> Vec<usize> {
         self.pending.entries().iter().map(|&(_, i)| i).collect()
@@ -887,13 +888,6 @@ impl<'a> Simulation<'a> {
     #[must_use]
     pub fn runtimes(&self) -> &[AppRuntime] {
         &self.rts
-    }
-
-    /// Dense hot state parallel to [`Simulation::runtimes`] (phase
-    /// tags, residual volumes, installed rates).
-    #[must_use]
-    pub fn hot(&self) -> &HotState {
-        &self.hot
     }
 
     /// Effective PFS drain bandwidth installed by the last allocation
@@ -969,19 +963,6 @@ impl<'a> Simulation<'a> {
             }
         }
         t_next
-    }
-
-    /// The instant of the next scheduling event, `None` when no event is
-    /// currently scheduled (run finished, or an open engine waiting for
-    /// offers). A daemon uses this to sleep until either the event or
-    /// the next external submission, whichever comes first.
-    #[must_use]
-    pub fn next_event_time(&mut self) -> Option<Time> {
-        if self.is_finished() {
-            return None;
-        }
-        let t = self.peek_next_event();
-        t.is_finite().then_some(t)
     }
 
     /// Drive [`Simulation::step`] through every event scheduled at or
@@ -3016,7 +2997,6 @@ mod tests {
         a.set_release(Time::secs(5.0));
         sim.offer(a).unwrap();
         assert_eq!(sim.queued(), 1);
-        assert_eq!(sim.next_event_time(), Some(Time::secs(5.0)));
         assert_eq!(
             sim.run_until(Time::secs(2.0)).unwrap(),
             RunStatus::Blocked(Time::secs(5.0))

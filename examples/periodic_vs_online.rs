@@ -11,7 +11,7 @@
 
 use iosched_bench::campaign::{run_campaign, CampaignSpec, PlatformSpec};
 use iosched_bench::runner::ScenarioRunner;
-use iosched_bench::scenario::PolicySpec;
+use iosched_bench::PolicySpec;
 use iosched_workload::WorkloadSpec;
 
 fn main() {

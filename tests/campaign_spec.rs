@@ -303,8 +303,8 @@ fn stream_campaign_cells_match_direct_open_simulation() {
     let spec = CampaignSpec {
         workloads: vec![full.workloads[0].clone(), full.workloads[1].clone()],
         policies: vec![
-            iosched_bench::scenario::PolicySpec::parse("fairshare").unwrap(),
-            iosched_bench::scenario::PolicySpec::parse("mindilation").unwrap(),
+            iosched_bench::PolicySpec::parse("fairshare").unwrap(),
+            iosched_bench::PolicySpec::parse("mindilation").unwrap(),
         ],
         seeds: vec![0, 1],
         ..full

@@ -152,7 +152,7 @@ fn control_campaign_cell_is_bit_identical_with_the_trace_attached() {
 
 /// The serve session: a scripted submit/advance/finish run produces the
 /// same outcome bits whether or not the engine carries a decision trace
-/// (and therefore whether or not `iosched trace --journal` is ever used
+/// (and therefore whether or not `iosched run --journal` is ever used
 /// on its journal). The session's metrics registry is always on — so
 /// this also pins that the always-on counters and histograms observe
 /// without steering.

@@ -7,42 +7,48 @@
 //! With a single `#[test]` here, nothing else runs while the
 //! environment changes.
 
+use iosched_bench::campaign::{fold_outcomes, CampaignSpec, PlatformSpec};
 use iosched_bench::runner::ScenarioRunner;
-use iosched_bench::scenario::{PolicySpec, Scenario};
-use iosched_model::Platform;
-use iosched_workload::congestion::congested_moment;
+use iosched_bench::PolicySpec;
+use iosched_sim::SimOutcome;
+use iosched_workload::WorkloadSpec;
+
+/// Every run's outcome in run-index order.
+fn runs(spec: &CampaignSpec, runner: &ScenarioRunner) -> Vec<SimOutcome> {
+    let mut runs = vec![None; spec.total_runs()];
+    fold_outcomes(spec, runner, (), |(), idx, outcome| {
+        runs[idx] = Some(outcome.clone());
+    })
+    .expect("congested moments run");
+    runs.into_iter().map(Option::unwrap).collect()
+}
 
 #[test]
 fn rayon_num_threads_env_is_honored_and_result_invariant() {
-    let vesta = Platform::vesta();
-    let scenarios: Vec<Scenario> = (0..6u64)
-        .map(|seed| {
-            Scenario::new(
-                format!("congested/{seed}"),
-                vesta.clone(),
-                congested_moment(&vesta, seed),
-                PolicySpec::parse(if seed % 2 == 0 {
-                    "maxsyseff"
-                } else {
-                    "mindilation"
-                })
-                .unwrap(),
-            )
-        })
-        .collect();
+    let spec = CampaignSpec {
+        name: "env".into(),
+        platforms: vec![PlatformSpec::Preset("vesta".into())],
+        workloads: vec![WorkloadSpec::Congestion { seed: 0 }],
+        policies: vec![
+            PolicySpec::parse("maxsyseff").unwrap(),
+            PolicySpec::parse("mindilation").unwrap(),
+        ],
+        seeds: (0..6).collect(),
+        config: None,
+        threads: None,
+    };
 
     std::env::set_var("RAYON_NUM_THREADS", "1");
     let single_runner = ScenarioRunner::new();
     assert_eq!(single_runner.threads(), 1, "env override must win");
-    let single = single_runner.run_all(&scenarios);
+    let single = runs(&spec, &single_runner);
     std::env::remove_var("RAYON_NUM_THREADS");
 
     let default_runner = ScenarioRunner::new();
     assert!(default_runner.threads() >= 1);
-    let default = default_runner.run_all(&scenarios);
+    let default = runs(&spec, &default_runner);
 
     for (s, d) in single.iter().zip(&default) {
-        let (s, d) = (s.as_ref().unwrap(), d.as_ref().unwrap());
         assert_eq!(s.events, d.events);
         assert_eq!(
             s.report.sys_efficiency.to_bits(),

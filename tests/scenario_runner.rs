@@ -1,66 +1,113 @@
-//! Integration coverage for the `ScenarioRunner` batch layer: the
-//! parallel executor must be a pure, deterministic fan-out of the
-//! sequential engine — bit-identical outcomes, input-ordered, invariant
-//! under the worker-thread count.
+//! Integration coverage for the campaign layer's parallel execution:
+//! the seed blocks fanned out by `run_campaign`/`fold_outcomes` must be
+//! a pure, deterministic fan-out of the sequential engine — bit-identical
+//! outcomes at every run index, invariant under the worker-thread count.
 
-use iosched_bench::campaign::{run_campaign, CampaignSpec, PlatformSpec};
+use iosched_bench::campaign::{fold_outcomes, run_campaign, CampaignSpec, PlatformSpec};
 use iosched_bench::runner::ScenarioRunner;
-use iosched_bench::scenario::{PolicySpec, Scenario};
-use iosched_core::baselines::native_platform;
+use iosched_bench::PolicySpec;
 use iosched_model::stats::Summary;
-use iosched_model::Platform;
 use iosched_sim::{simulate, SimConfig, SimOutcome};
-use iosched_workload::congestion::congested_moment;
 use iosched_workload::{MixConfig, WorkloadSpec};
 
-/// A mixed 20-scenario batch: two platforms, five policies, congested
-/// moments and Fig. 6 mixes, with and without burst buffers.
-fn mixed_batch() -> Vec<Scenario> {
-    let vesta = Platform::vesta();
-    let intrepid = Platform::intrepid();
-    let native_vesta = native_platform(vesta.clone());
-    let mut scenarios = Vec::new();
-    for seed in 0..5u64 {
-        let apps = congested_moment(&vesta, seed);
-        for policy in ["maxsyseff", "mindilation"] {
-            scenarios.push(Scenario::new(
-                format!("congested/{policy}/{seed}"),
-                vesta.clone(),
-                apps.clone(),
-                PolicySpec::parse(policy).unwrap(),
-            ));
-        }
-    }
-    for seed in 0..3u64 {
-        let apps = MixConfig::fig6a().generate(&intrepid, seed);
-        for policy in ["roundrobin", "priority-maxsyseff"] {
-            scenarios.push(Scenario::new(
-                format!("mix-a/{policy}/{seed}"),
-                intrepid.clone(),
-                apps.clone(),
-                PolicySpec::parse(policy).unwrap(),
-            ));
-        }
-    }
-    for seed in 0..3u64 {
-        scenarios.push(
-            Scenario::new(
-                format!("native/fairshare/{seed}"),
-                native_vesta.clone(),
-                congested_moment(&native_vesta, seed),
-                PolicySpec::parse("fairshare").unwrap(),
+fn policies(names: &[&str]) -> Vec<PolicySpec> {
+    names
+        .iter()
+        .map(|n| PolicySpec::parse(n).unwrap())
+        .collect()
+}
+
+/// A mixed 20-run batch as four campaigns: two platforms, five policies,
+/// congested moments and Fig. 6 mixes, with and without burst buffers.
+fn mixed_batch() -> Vec<CampaignSpec> {
+    let campaign =
+        |name: &str, platform: PlatformSpec, workload, names: &[&str], seeds| CampaignSpec {
+            name: name.into(),
+            platforms: vec![platform],
+            workloads: vec![workload],
+            policies: policies(names),
+            seeds,
+            config: None,
+            threads: None,
+        };
+    let vesta = || PlatformSpec::Preset("vesta".into());
+    let batch = vec![
+        campaign(
+            "congested",
+            vesta(),
+            WorkloadSpec::Congestion { seed: 0 },
+            &["maxsyseff", "mindilation"],
+            (0..5).collect(),
+        ),
+        campaign(
+            "mix-a",
+            PlatformSpec::Preset("intrepid".into()),
+            WorkloadSpec::Mix {
+                config: MixConfig::fig6a(),
+                seed: 0,
+            },
+            &["roundrobin", "priority-maxsyseff"],
+            (0..3).collect(),
+        ),
+        CampaignSpec {
+            config: Some(SimConfig::with_burst_buffer()),
+            ..campaign(
+                "native",
+                PlatformSpec::Native("vesta".into()),
+                WorkloadSpec::Congestion { seed: 0 },
+                &["fairshare"],
+                (0..3).collect(),
             )
-            .with_config(SimConfig::with_burst_buffer()),
-        );
-    }
-    scenarios.push(Scenario::new(
-        "congested/fcfs/9",
-        vesta.clone(),
-        congested_moment(&vesta, 9),
-        PolicySpec::parse("fcfs").unwrap(),
-    ));
-    assert_eq!(scenarios.len(), 20);
-    scenarios
+        },
+        campaign(
+            "congested",
+            vesta(),
+            WorkloadSpec::Congestion { seed: 0 },
+            &["fcfs"],
+            vec![9],
+        ),
+    ];
+    assert_eq!(
+        batch.iter().map(CampaignSpec::total_runs).sum::<usize>(),
+        20
+    );
+    batch
+}
+
+/// Every run of `spec` on `threads` workers, in run-index order.
+fn fold_all(spec: &CampaignSpec, threads: usize) -> Vec<SimOutcome> {
+    let runner = ScenarioRunner::with_threads(threads);
+    let mut runs: Vec<Option<SimOutcome>> = vec![None; spec.total_runs()];
+    fold_outcomes(spec, &runner, (), |(), idx, outcome| {
+        assert!(runs[idx].is_none(), "run {idx} folded twice");
+        runs[idx] = Some(outcome.clone());
+    })
+    .expect("batch campaigns run");
+    runs.into_iter()
+        .map(|r| r.expect("every run folded"))
+        .collect()
+}
+
+/// Run `idx` of `spec` through a direct, sequential engine invocation:
+/// materialize its scenario spec, build its policy, call `simulate`.
+fn direct(spec: &CampaignSpec, idx: usize) -> SimOutcome {
+    let scenario = spec.scenario_spec(idx);
+    let platform = scenario.platform.build().expect("batch platforms resolve");
+    let apps = scenario
+        .workload
+        .materialize(&platform)
+        .expect("batch workloads materialize");
+    let mut policy = scenario
+        .policy
+        .build(&platform, &apps)
+        .expect("batch policies build");
+    simulate(
+        &platform,
+        &apps,
+        policy.as_mut(),
+        &scenario.config.unwrap_or_default(),
+    )
+    .expect("batch scenarios are valid")
 }
 
 /// Bit-level equality of two outcomes (floats compared through their
@@ -107,34 +154,26 @@ fn assert_bit_identical(a: &SimOutcome, b: &SimOutcome, label: &str) {
 
 #[test]
 fn parallel_runner_matches_direct_sequential_simulate() {
-    let scenarios = mixed_batch();
-    let parallel = ScenarioRunner::with_threads(4).run_all(&scenarios);
-    assert_eq!(parallel.len(), scenarios.len());
-    for (scenario, result) in scenarios.iter().zip(&parallel) {
-        // The reference: a direct, sequential engine invocation.
-        let mut policy = scenario
-            .policy
-            .build(&scenario.platform, &scenario.apps)
-            .expect("batch policies build");
-        let direct = simulate(
-            &scenario.platform,
-            &scenario.apps,
-            policy.as_mut(),
-            &scenario.config,
-        )
-        .expect("batch scenarios are valid");
-        let batched = result.as_ref().expect("batch scenarios are valid");
-        assert_bit_identical(batched, &direct, &scenario.label);
+    for spec in mixed_batch() {
+        let parallel = fold_all(&spec, 4);
+        assert_eq!(parallel.len(), spec.total_runs());
+        for (idx, batched) in parallel.iter().enumerate() {
+            let label = spec.scenario_spec(idx).label;
+            assert_bit_identical(batched, &direct(&spec, idx), &label);
+        }
     }
 }
 
 #[test]
 fn results_are_invariant_under_thread_count() {
-    let scenarios = mixed_batch();
-    let wide = ScenarioRunner::with_threads(8).run_all(&scenarios);
-    let narrow = ScenarioRunner::with_threads(1).run_all(&scenarios);
-    for ((scenario, w), n) in scenarios.iter().zip(&wide).zip(&narrow) {
-        assert_bit_identical(w.as_ref().unwrap(), n.as_ref().unwrap(), &scenario.label);
+    for spec in mixed_batch() {
+        let narrow = fold_all(&spec, 1);
+        for threads in [4, 8] {
+            for (idx, (w, n)) in fold_all(&spec, threads).iter().zip(&narrow).enumerate() {
+                let label = format!("threads={threads} {}", spec.scenario_spec(idx).label);
+                assert_bit_identical(w, n, &label);
+            }
+        }
     }
 }
 
@@ -165,54 +204,27 @@ fn mixed_campaign() -> CampaignSpec {
     }
 }
 
-/// Campaign determinism: expanding a `CampaignSpec` and streaming it
-/// through the parallel `run_fold` is bit-identical to building every
-/// scenario sequentially, calling `Scenario::run` by hand and folding
-/// manually — and invariant under the worker-thread count.
+/// Campaign determinism: streaming a `CampaignSpec`'s seed blocks
+/// through the parallel runner is bit-identical to running every
+/// scenario spec sequentially by hand and folding manually — and
+/// invariant under the worker-thread count.
 #[test]
 fn campaign_run_fold_matches_sequential_manual_fold() {
     let spec = mixed_campaign();
     let rpc = spec.runs_per_cell();
 
     // Reference: strictly sequential expansion + per-cell manual fold.
-    let mut manual_cells: Vec<Vec<SimOutcome>> = Vec::new();
-    let mut current: Vec<SimOutcome> = Vec::new();
-    for (idx, scenario) in spec.scenarios().enumerate() {
-        let outcome = scenario
-            .expect("campaign scenarios build")
-            .run()
-            .expect("campaign scenarios simulate");
-        current.push(outcome);
-        if (idx + 1) % rpc == 0 {
-            manual_cells.push(std::mem::take(&mut current));
-        }
-    }
+    let manual: Vec<SimOutcome> = (0..spec.total_runs())
+        .map(|idx| direct(&spec, idx))
+        .collect();
+    let manual_cells: Vec<&[SimOutcome]> = manual.chunks(rpc).collect();
     assert_eq!(manual_cells.len(), spec.cell_count());
 
-    // run_fold over the lazily expanded scenarios, folding outcomes per
-    // cell, on several thread counts.
+    // The seed blocks streamed back on several thread counts.
     for threads in [1, 4, 7] {
-        let folded: Vec<Vec<SimOutcome>> = {
-            let mut cells = Vec::new();
-            let mut buf = Vec::new();
-            ScenarioRunner::with_threads(threads).run_fold(
-                spec.scenarios()
-                    .map(|s| s.expect("campaign scenarios build")),
-                (),
-                |(), idx, result| {
-                    buf.push(result.expect("campaign scenarios simulate"));
-                    if (idx + 1) % rpc == 0 {
-                        cells.push(std::mem::take(&mut buf));
-                    }
-                },
-            );
-            cells
-        };
-        assert_eq!(folded.len(), manual_cells.len());
-        for (c, (fold_cell, manual_cell)) in folded.iter().zip(&manual_cells).enumerate() {
-            for (f, m) in fold_cell.iter().zip(manual_cell) {
-                assert_bit_identical(f, m, &format!("threads={threads} cell={c}"));
-            }
+        let folded = fold_all(&spec, threads);
+        for (idx, (f, m)) in folded.iter().zip(&manual).enumerate() {
+            assert_bit_identical(f, m, &format!("threads={threads} run={idx}"));
         }
     }
 
