@@ -83,6 +83,17 @@ impl Args {
         self.value(flag).is_some()
     }
 
+    /// Refuse the first flag given outside `allowed` with the error
+    /// `<mode>; drop <flag>`: the chosen mode never reads that flag, so
+    /// accepting it would ignore it silently.
+    fn only(&self, allowed: &[&str], mode: &str) -> Result<(), String> {
+        let mut given = self.flags.iter().map(|(f, _)| f);
+        match given.find(|f| !allowed.contains(&f.as_str())) {
+            Some(flag) => Err(format!("{mode}; drop {flag}")),
+            None => Ok(()),
+        }
+    }
+
     /// The value of `flag` parsed as a `T`, if given.
     fn parsed<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
         self.value(flag)
@@ -151,6 +162,11 @@ fn run(args: &[String]) -> Result<String, String> {
         }
         "campaign" => {
             let args = parse(&["--threads", "--shards", "--out", "--json"], &[], true)?;
+            if args.has("--out") && !args.has("--shards") {
+                return Err("--out names the partials directory of a --shards run; \
+                            add --shards N or drop --out"
+                    .into());
+            }
             let path = args
                 .operand()
                 .ok_or("campaign needs a campaign spec file")?;
@@ -290,6 +306,10 @@ fn cmd_run_args(args: &Args) -> Result<String, String> {
 fn cmd_serve(args: &Args) -> Result<String, String> {
     // Client mode: pipe stdin to a running daemon's socket.
     if let Some(socket) = args.value("--connect") {
+        args.only(
+            &["--connect"],
+            "serve --connect only pipes stdin to a running daemon",
+        )?;
         iosched_serve::connect(std::path::Path::new(socket))?;
         return Ok(String::new());
     }
@@ -299,6 +319,10 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
     // Batch mode: replay a journal through the stream engine and print
     // the `{\"final\":…}` line a live session would have produced.
     if args.has("--replay") {
+        args.only(
+            &["--replay", "--journal"],
+            "serve --replay re-runs the journal under its own recipe and serves nothing",
+        )?;
         let (_, outcome, accepted) = iosched_serve::replay(std::path::Path::new(journal), None)?;
         return Ok(iosched_serve::protocol::final_line(&outcome, accepted) + "\n");
     }

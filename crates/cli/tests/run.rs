@@ -1,7 +1,10 @@
 //! `iosched run` end to end: generated scenarios run under one policy or
 //! the whole roster, `-o` and `--trace` write parseable exports, a serve
 //! journal replays, and hostile inputs exit 1 with an `error: …` line
-//! instead of a panic. The retired run-style commands are unknown.
+//! instead of a panic. The retired run-style commands are unknown, and
+//! a flag the chosen mode never reads (`campaign --out` without
+//! `--shards`, daemon flags on `serve --replay` or `serve --connect`) is
+//! an error, not silently ignored.
 
 use iosched_cli::RunRecord;
 use std::path::{Path, PathBuf};
@@ -151,10 +154,12 @@ fn trace_writes_jsonl_from_seq_0() {
     );
 }
 
-#[test]
-fn journal_replays_a_frozen_clock_daemon() {
+/// Run a frozen-clock daemon over two submissions and a shutdown into
+/// a fresh journal; return the journal and the daemon's last stdout
+/// line (its `{"final":…}` report).
+fn frozen_daemon_journal(name: &str) -> (PathBuf, String) {
     use std::io::Write as _;
-    let journal = tmp("journal.jsonl");
+    let journal = tmp(name);
     let mut daemon = Command::new(EXE)
         .args(["serve", "--platform", "intrepid", "--policy", "maxsyseff"])
         .args(["--journal", s(&journal)])
@@ -173,8 +178,14 @@ fn journal_replays_a_frozen_clock_daemon() {
         }
     }
     let live = String::from_utf8(daemon.wait_with_output().unwrap().stdout).unwrap();
-    let last = live.lines().last().expect("final line");
-    let live_final: serde::Value = serde_json::from_str(last).unwrap();
+    let last = live.lines().last().expect("final line").to_string();
+    (journal, last)
+}
+
+#[test]
+fn journal_replays_a_frozen_clock_daemon() {
+    let (journal, last) = frozen_daemon_journal("journal.jsonl");
+    let live_final: serde::Value = serde_json::from_str(&last).unwrap();
     let live_final = serde::map_get(live_final.as_map().unwrap(), "final")
         .as_map()
         .expect("a {\"final\":…} line");
@@ -361,4 +372,96 @@ fn argument_typos_exit_1_with_an_error() {
         assert_error(&iosched(&args), needle);
     }
     assert!(!seed_typo.exists(), "a rejected generate wrote its file");
+}
+
+/// `campaign --out` names the partials directory of a `--shards` run;
+/// without `--shards` nothing would be written there.
+#[test]
+fn campaign_out_without_shards_is_an_error() {
+    let campaign = write(
+        "unsharded-campaign.json",
+        r#"{"name": "unsharded", "platforms": ["vesta"],
+            "workloads": [{"Congestion": {"seed": 0}}],
+            "policies": ["fairshare"], "seeds": [0],
+            "config": null, "threads": null}"#,
+    );
+    let out = tmp("unsharded-partials");
+    assert_error(
+        &iosched(&["campaign", s(&campaign), "--out", s(&out)]),
+        "--out names the partials directory of a --shards run; add --shards N or drop --out",
+    );
+    assert!(!out.exists(), "a rejected campaign created its --out");
+}
+
+/// `serve --replay` re-runs the journal under the recipe in its
+/// manifest: the daemon's platform, policy, socket and clock flags
+/// would be ignored, so each is an error. The bare replay still prints
+/// the live session's final line.
+#[test]
+fn serve_replay_rejects_the_daemon_flags() {
+    let (journal, live_final) = frozen_daemon_journal("replay-flags.jsonl");
+    let socket = tmp("replay-flags.sock");
+    for flag in [
+        ["--platform", "mira"],
+        ["--policy", "fcfs"],
+        ["--socket", s(&socket)],
+        ["--accelerate", "1000"],
+    ] {
+        let mut args = vec!["serve", "--replay", "--journal", s(&journal)];
+        args.extend(flag);
+        assert_error(
+            &iosched(&args),
+            &format!(
+                "serve --replay re-runs the journal under its own recipe and serves nothing; \
+                 drop {}",
+                flag[0]
+            ),
+        );
+    }
+    assert!(!socket.exists(), "a rejected replay bound its --socket");
+    let replayed = stdout(&iosched(&["serve", "--replay", "--journal", s(&journal)]));
+    assert_eq!(replayed, live_final + "\n");
+}
+
+/// `serve --connect` only pipes stdin to a running daemon, so every
+/// other serve flag is an error. The daemon launch with a socket still
+/// parses: it gets as far as binding its socket.
+#[test]
+fn serve_connect_rejects_every_other_flag() {
+    let socket = tmp("connect-flags.sock");
+    let journal = tmp("connect-flags.jsonl");
+    for flag in [
+        vec!["--journal", s(&journal)],
+        vec!["--platform", "intrepid"],
+        vec!["--policy", "maxsyseff"],
+        vec!["--socket", s(&socket)],
+        vec!["--accelerate", "1000"],
+        vec!["--replay"],
+    ] {
+        let mut args = vec!["serve", "--connect", s(&socket)];
+        args.extend(&flag);
+        assert_error(
+            &iosched(&args),
+            &format!(
+                "serve --connect only pipes stdin to a running daemon; drop {}",
+                flag[0]
+            ),
+        );
+    }
+    assert!(!journal.exists(), "a rejected client created a journal");
+    let unbindable = tmp("no-such-dir").join("d.sock");
+    assert_error(
+        &iosched(&[
+            "serve",
+            "--platform",
+            "intrepid",
+            "--policy",
+            "maxsyseff",
+            "--journal",
+            s(&journal),
+            "--socket",
+            s(&unbindable),
+        ]),
+        s(&unbindable),
+    );
 }

@@ -125,7 +125,8 @@ pub struct JournalContents {
     pub spec: ServeSpec,
     /// Every intact journaled arrival, in acceptance order.
     pub arrivals: Vec<AppSpec>,
-    /// The largest drain marker's virtual clock, if any pass drained.
+    /// The largest drain marker's virtual clock (finite and
+    /// non-negative), if any pass drained.
     pub drained_at_secs: Option<f64>,
 }
 
@@ -212,29 +213,32 @@ impl Journal {
     }
 
     /// Scan a journal: manifest, intact arrivals, drain markers. A torn
-    /// tail (no final `\n`) is dropped; a whole line that does not parse
-    /// is corruption and errors out.
+    /// tail (no final `\n`) is dropped. The load converts line by line:
+    /// each line is parsed, turned into its arrival or drain marker and
+    /// dropped before the next is parsed, so no more than one line's
+    /// JSON tree is held at a time. It stops at the first damaged line
+    /// in file order (one that does not parse, or is not a well-formed
+    /// arrival or drain marker) and names it in the error.
     pub fn load(path: &Path) -> Result<JournalContents, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
         let (lines, _torn) = append_log::split(&text);
-        let parsed = lines
-            .enumerate()
-            .map(|(k, line)| {
-                serde_json::parse(line).map_err(|e| {
-                    format!(
-                        "{}: line {} is corrupt ({e}); refusing to resume from a damaged journal",
-                        path.display(),
-                        k + 1
-                    )
-                })
-            })
-            .collect::<Result<Vec<serde::Value>, String>>()?;
-        let Some(first) = parsed.first() else {
+        let mut parsed = lines.enumerate().map(|(k, line)| {
+            let value = serde_json::parse(line).map_err(|e| {
+                format!(
+                    "{}: line {} is corrupt ({e}); refusing to resume from a damaged journal",
+                    path.display(),
+                    k + 1
+                )
+            })?;
+            Ok::<_, String>((k + 1, value))
+        });
+        let Some(first) = parsed.next() else {
             return Err(format!(
                 "{}: journal holds no intact manifest line",
                 path.display()
             ));
         };
+        let (_, first) = first?;
         let spec_value = first
             .as_map()
             .map(|m| serde::map_get(m, "serve"))
@@ -244,30 +248,41 @@ impl Journal {
             .map_err(|e| format!("{}: bad manifest: {e}", path.display()))?;
         let mut arrivals = Vec::new();
         let mut drained_at_secs: Option<f64> = None;
-        for (k, value) in parsed.iter().enumerate().skip(1) {
+        for line in parsed {
+            let (n, value) = line?;
             let m = value.as_map().unwrap_or(&[]);
             if let Some(app) = match serde::map_get(m, "arrival") {
                 serde::Value::Null => None,
                 v => Some(v),
             } {
                 let app = AppSpec::from_value(app)
-                    .map_err(|e| format!("{}: line {}: bad arrival: {e}", path.display(), k + 1))?;
+                    .map_err(|e| format!("{}: line {n}: bad arrival: {e}", path.display()))?;
                 arrivals.push(app);
             } else if let Some(drain) = match serde::map_get(m, "drain") {
                 serde::Value::Null => None,
                 v => Some(v),
             } {
-                let dm = drain.as_map().ok_or_else(|| {
-                    format!("{}: line {}: bad drain marker", path.display(), k + 1)
-                })?;
+                let dm = drain
+                    .as_map()
+                    .ok_or_else(|| format!("{}: line {n}: bad drain marker", path.display()))?;
+                // A resumed daemon starts its clock past the largest drain
+                // instant; an infinite one would stamp every release-less
+                // submission with a release the engine refuses.
                 let at = float_from_value(serde::map_get(dm, "virtual_secs"))
-                    .map_err(|e| format!("{}: line {}: {e}", path.display(), k + 1))?;
+                    .ok()
+                    .filter(|at| at.is_finite() && *at >= 0.0)
+                    .ok_or_else(|| {
+                        format!(
+                            "{}: line {n}: bad drain marker: virtual_secs must be a finite, \
+                             non-negative virtual time",
+                            path.display()
+                        )
+                    })?;
                 drained_at_secs = Some(drained_at_secs.map_or(at, |prev| prev.max(at)));
             } else {
                 return Err(format!(
-                    "{}: line {} is neither an arrival nor a drain marker",
-                    path.display(),
-                    k + 1
+                    "{}: line {n} is neither an arrival nor a drain marker",
+                    path.display()
                 ));
             }
         }
@@ -364,6 +379,46 @@ mod tests {
         drop(f);
         let err = Journal::load(&path).unwrap_err();
         assert!(err.contains("corrupt"), "{err}");
+    }
+
+    /// The load stops at the first damaged line in file order: a line
+    /// that is neither an arrival nor a drain marker is reported even
+    /// when a later line is not JSON at all.
+    #[test]
+    fn the_first_damaged_line_is_the_one_reported() {
+        let path = tmp("order.jsonl");
+        let _ = std::fs::remove_file(&path);
+        drop(Journal::create(&path, &spec()).unwrap());
+        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(b"{\"checkpoint\":{}}\n{\"arrival\":\n")
+            .unwrap();
+        drop(f);
+        let err = Journal::load(&path).unwrap_err();
+        assert!(
+            err.contains("line 2 is neither an arrival nor a drain marker"),
+            "{err}"
+        );
+    }
+
+    /// A drain marker sets a resumed daemon's clock, so one off the time
+    /// line (infinite, NaN or negative) is damage, not a clock to resume.
+    #[test]
+    fn a_drain_marker_off_the_time_line_is_damage() {
+        let path = tmp("drain-inf.jsonl");
+        for at in ["\"inf\"", "\"nan:7ff8000000000000\"", "-5"] {
+            let _ = std::fs::remove_file(&path);
+            let mut journal = Journal::create(&path, &spec()).unwrap();
+            journal.append(&arrival(0, 1.0)).unwrap();
+            drop(journal);
+            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+            writeln!(f, "{{\"drain\":{{\"virtual_secs\":{at},\"arrivals\":1}}}}").unwrap();
+            drop(f);
+            let err = Journal::load(&path).unwrap_err();
+            assert!(
+                err.contains("line 3: bad drain marker: virtual_secs"),
+                "{at}: {err}"
+            );
+        }
     }
 
     /// A crash can cut the journal at any byte past its manifest.

@@ -17,7 +17,7 @@
 use iosched_bench::experiments::load_sweep::stream_10k;
 use iosched_core::heuristics::MinDilation;
 use iosched_core::registry::PolicyFactory;
-use iosched_model::{AppSpec, Platform, Time};
+use iosched_model::{AppSpec, Bytes, Platform, Time};
 use iosched_serve::journal::{Journal, ServeSpec};
 use iosched_serve::protocol::{parse_request, Request};
 use iosched_serve::session::Session;
@@ -85,6 +85,7 @@ fn allocation_and_rate_bars() {
     let dir = std::env::temp_dir().join(format!("iosched-perf-bars-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     serve_admission(&dir);
+    journal_load_memory(&dir);
     std::fs::remove_dir_all(&dir).expect("temp dir cleanup");
 }
 
@@ -302,5 +303,52 @@ fn serve_admission(dir: &Path) {
     assert!(
         per_resident < 256.0 * 1024.0,
         "per-resident-app peak allocation {per_resident:.0} B >= 256 KiB"
+    );
+}
+
+/// A resume's `Journal::load` on a 20,000-arrival journal written by the
+/// production writer, with arrival shapes like the daemon's benchmark
+/// journal. It must return exactly the written arrivals. Bar: its peak
+/// live allocation stays under 3× the file size. Converting each line as
+/// it is parsed holds the file's text and the recovered arrivals (about
+/// 2×); parsing every line before converting the first held all their
+/// JSON trees as well (about 10×).
+fn journal_load_memory(dir: &Path) {
+    const N: usize = 20_000;
+    let apps: Vec<AppSpec> = (0..N)
+        .map(|k| {
+            AppSpec::periodic(
+                k,
+                Time::secs(10.0 * (k + 1) as f64 + (k % 997) as f64 / 1000.0),
+                64 << (k % 5),
+                Time::secs(10.0 + (k * 37 % 9_000) as f64 / 100.0),
+                Bytes::gib(1.0 + (k * 53 % 1_900) as f64 / 100.0),
+                1 + k % 3,
+            )
+        })
+        .collect();
+    let path = dir.join("resume.jsonl");
+    let mut journal = Journal::create(&path, &serve_spec()).unwrap();
+    for app in &apps {
+        journal.append(app).unwrap();
+    }
+    drop(journal);
+    let file_bytes = std::fs::metadata(&path).unwrap().len() as f64;
+
+    let phase = Phase::start();
+    let contents = Journal::load(&path).expect("journal loads");
+    let (peak_bytes, secs) = phase.end();
+    assert!(contents.arrivals == apps, "load changed the arrivals");
+
+    let ratio = peak_bytes as f64 / file_bytes;
+    println!(
+        "journal load: {N} arrivals, {:.1} MB file, peak +{peak_bytes} B ({ratio:.2}x the file), \
+         {:.0} ms",
+        file_bytes / 1e6,
+        secs * 1e3
+    );
+    assert!(
+        ratio < 3.0,
+        "journal load peak allocation {ratio:.2}x the file size >= 3x"
     );
 }
