@@ -330,8 +330,9 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
     let policy = args.value("--policy").ok_or("serve needs --policy")?;
     let accel: f64 = args.parsed("--accelerate")?.unwrap_or(0.0);
     let config = iosched_sim::SimConfig {
-        // The live feed (`telemetry --follow`) is a serve feature;
-        // turning the series on never changes simulated results.
+        // Recorded in the journal's recipe, so `serve --replay` and `run
+        // --journal` report the telemetry block; the live engine runs
+        // without the series (`run_daemon`).
         telemetry: true,
         ..iosched_sim::SimConfig::default()
     };

@@ -32,7 +32,7 @@ use crate::protocol::{
 use crate::session::Session;
 use iosched_model::Time;
 use iosched_obs::Stopwatch;
-use iosched_sim::{SimOutcome, Simulation, VirtualClock};
+use iosched_sim::{SimConfig, SimOutcome, Simulation, VirtualClock};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -142,9 +142,17 @@ pub fn run_daemon(spec: &ServeSpec, opts: &DaemonOptions) -> Result<(), String> 
     });
     let clock = VirtualClock::new(base, spec.accel);
 
+    // The live engine keeps no telemetry series: the feed reads the
+    // always-on ring, the final line carries no telemetry, and the
+    // series never changes a simulated result. The journal keeps the
+    // recipe as given, so a replay still reports its telemetry block.
+    let config = SimConfig {
+        telemetry: false,
+        ..spec.config.clone()
+    };
     let mut policy = spec.policy.build_online(&spec.platform)?;
-    let sim = Simulation::open(&spec.platform, policy.as_mut(), &spec.config)
-        .map_err(|e| e.to_string())?;
+    let sim =
+        Simulation::open(&spec.platform, policy.as_mut(), &config).map_err(|e| e.to_string())?;
     let arrivals = recovered.map(|c| c.arrivals).unwrap_or_default();
     let session = Session::new(sim, journal, &arrivals)?;
     // The engine keeps its own copies: free the recovered list (7 MB at

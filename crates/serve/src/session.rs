@@ -543,9 +543,8 @@ mod tests {
         session.finish().unwrap();
     }
 
-    /// A release past `64 · 2^64` s is accepted and journaled like any
-    /// other, so `finish` must return on it, although such an event
-    /// saturates the engine calendar queue's bucket index.
+    /// A release at `1e22` s is accepted and journaled like any other,
+    /// so `finish` must return on it.
     #[test]
     fn far_future_release_finishes() {
         let spec = spec();

@@ -56,7 +56,7 @@
 //! either side of the policy boundary: the pending set (indices of
 //! applications that currently want I/O) is maintained incrementally
 //! across events instead of rescanned, arrivals wait in the
-//! release-ordered queue, compute completions in a calendar queue,
+//! release-ordered queue, compute completions in a binary heap,
 //! retired slots are recycled, and the predicted-completion scratch, the
 //! [`StateBuffer`] policy snapshot and the policy's [`AllocScratch`]
 //! (which receives the grants through
@@ -95,7 +95,6 @@
 //! [`iosched_model::units`].
 
 use crate::burst_buffer::BurstBufferState;
-use crate::calendar::{CalendarQueue, ComputeEvent};
 use crate::error::SimError;
 use crate::external_load::ExternalLoad;
 use crate::outcome::SimOutcome;
@@ -110,7 +109,8 @@ use iosched_model::{
     EPS,
 };
 use iosched_obs::{DecisionTrace, TraceEvent};
-use std::collections::VecDeque;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Engine configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -399,6 +399,42 @@ impl PendingSet {
     }
 }
 
+/// A compute completion on the engine's compute heap, ordered so that
+/// `BinaryHeap::peek` yields the *earliest* completion, ties broken by
+/// ascending `AppId` (stable under roster permutation and slot reuse —
+/// the slot `idx` is only the access path).
+#[derive(Debug, Clone, Copy)]
+struct ComputeEvent {
+    at: Time,
+    id: AppId,
+    idx: usize,
+}
+
+impl PartialEq for ComputeEvent {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for ComputeEvent {}
+
+impl PartialOrd for ComputeEvent {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for ComputeEvent {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reversed: the max-heap surfaces the minimum time.
+        other
+            .at
+            .get()
+            .total_cmp(&self.at.get())
+            .then_with(|| other.id.cmp(&self.id))
+    }
+}
+
 /// Where applications come from: arrivals wait in release order on
 /// `queue` until the clock reaches them. The queue has three writers —
 /// a closed roster queued whole at construction, an optional `feeder`
@@ -472,10 +508,9 @@ pub struct Simulation<'a> {
     /// Applications currently in the `Io` phase. Maintained
     /// incrementally by the transition handlers.
     pending: PendingSet,
-    /// Outstanding compute completions (bucket queue with a far-future
-    /// heap fallback; pop order is identical to the former binary
-    /// heap's).
-    compute: CalendarQueue,
+    /// Outstanding compute completions, earliest first (ties by
+    /// `AppId`).
+    compute: BinaryHeap<ComputeEvent>,
     /// Reused scratch: predicted I/O completions, as *absolute* times.
     /// Valid across events as long as no grant, capacity or phase
     /// changed: a transfer at constant rate completes at the same
@@ -687,7 +722,7 @@ impl<'a> Simulation<'a> {
             drain_bw: platform.total_bw,
             inflow: Bw::ZERO,
             pending: PendingSet::with_capacity(n),
-            compute: CalendarQueue::new(),
+            compute: BinaryHeap::new(),
             predicted: Vec::with_capacity(n),
             predicted_next: Vec::with_capacity(n),
             predicted_min: Time::INFINITY,
@@ -905,17 +940,16 @@ impl<'a> Simulation<'a> {
     }
 
     /// Min-fold over every event source: the earliest instant at which
-    /// anything can happen (`INFINITY` when nothing ever will). Mutating
-    /// only through the predicted-completion cache fill — the exact scan
-    /// [`Simulation::step`] would run — so peeking then stepping is
-    /// bit-identical to stepping directly.
+    /// anything can happen (`INFINITY` when nothing ever will). Mutates
+    /// only the predicted-completion cache and the wakeup candidate;
+    /// [`Simulation::next_event`] runs it once per decision.
     fn peek_next_event(&mut self) -> Time {
         let mut t_next = Time::INFINITY;
         if let Some(app) = self.admission.queue.front() {
             t_next = t_next.min(app.release());
         }
-        if let Some(at) = self.compute.peek_min_at() {
-            t_next = t_next.min(at);
+        if let Some(ev) = self.compute.peek() {
+            t_next = t_next.min(ev.at);
         }
         // Predicted I/O completions (to zero residues exactly). The
         // absolute completion instants only move when a rate, the
@@ -965,9 +999,9 @@ impl<'a> Simulation<'a> {
         t_next
     }
 
-    /// Drive [`Simulation::step`] through every event scheduled at or
-    /// before `bound`, then report why the drive stopped. The clock only
-    /// ever sits on event instants — a bound between events does **not**
+    /// Drive the engine through every event scheduled at or before
+    /// `bound`, then report why the drive stopped. The clock only ever
+    /// sits on event instants — a bound between events does **not**
     /// advance the fluid state to the bound, so driving in bounded
     /// increments is bit-identical to free running (same events, same
     /// telemetry intervals, same outcome). This is the daemon's main
@@ -975,23 +1009,9 @@ impl<'a> Simulation<'a> {
     /// the earlier of the next event and the next submission.
     pub fn run_until(&mut self, bound: Time) -> Result<RunStatus, SimError> {
         loop {
-            if self.is_finished() {
-                return Ok(RunStatus::Finished);
+            if let Some(status) = self.next_event(bound)? {
+                return Ok(status);
             }
-            let next = self.peek_next_event();
-            if !next.is_finite() {
-                if self.admission_open() && self.live() == 0 {
-                    return Ok(RunStatus::Idle);
-                }
-                return Err(SimError::PolicyStalledSystem {
-                    policy: self.policy.name(),
-                    at: self.now.as_secs(),
-                });
-            }
-            if next.approx_gt(bound) {
-                return Ok(RunStatus::Blocked(next));
-            }
-            self.step()?;
         }
     }
 
@@ -999,8 +1019,42 @@ impl<'a> Simulation<'a> {
     /// time, move the fluid state there, fire the enabled transitions and
     /// re-run the policy.
     pub fn step(&mut self) -> Result<StepStatus, SimError> {
+        Ok(match self.next_event(Time::INFINITY)? {
+            None => StepStatus::Advanced,
+            Some(RunStatus::Finished) => StepStatus::Finished,
+            Some(RunStatus::Idle) => StepStatus::Idle,
+            Some(RunStatus::Blocked(_)) => unreachable!("no event lies past an infinite bound"),
+        })
+    }
+
+    /// The one event decision behind [`Simulation::step`] and
+    /// [`Simulation::run_until`]: scan every event source once, then
+    /// either stop — finished, idle, or blocked past `bound` — or consume
+    /// one event and execute it (`None`). A stop consumes no event and
+    /// leaves the clock where it was.
+    fn next_event(&mut self, bound: Time) -> Result<Option<RunStatus>, SimError> {
         if self.is_finished() {
-            return Ok(StepStatus::Finished);
+            return Ok(Some(RunStatus::Finished));
+        }
+        let t_next = self.peek_next_event();
+        if !t_next.is_finite() {
+            if self.admission_open() && self.live() == 0 {
+                // Nothing in the system and admission still open: the
+                // engine is waiting for an external offer. An idle poll
+                // consumes nothing, so the event count stays bit-identical
+                // to a run where the poll never happened.
+                return Ok(Some(RunStatus::Idle));
+            }
+            // Applications remain but nothing can ever happen again. A
+            // horizon must not convert this diagnostic into
+            // plausible-looking idle time.
+            return Err(SimError::PolicyStalledSystem {
+                policy: self.policy.name(),
+                at: self.now.as_secs(),
+            });
+        }
+        if t_next.approx_gt(bound) {
+            return Ok(Some(RunStatus::Blocked(t_next)));
         }
         self.events += 1;
         if self.events > self.config.max_events {
@@ -1008,9 +1062,6 @@ impl<'a> Simulation<'a> {
                 limit: self.config.max_events,
             });
         }
-
-        // --- Find the next event. ------------------------------------
-        let t_next = self.peek_next_event();
         // The horizon halts the run before the next event would land
         // past it: advance the fluid state to exactly the horizon (so
         // the windowed integrals cover it) and stop. No transition is
@@ -1020,36 +1071,16 @@ impl<'a> Simulation<'a> {
         // guard means a just-past-horizon event may already have put
         // `now` a hair beyond `h`; the clock never moves backwards (a
         // regressing clock would emit a negative-length telemetry
-        // sample and a trace segment with `end < start`). An *infinite*
-        // t_next deliberately falls through to the stalled-system error
-        // below — while the run is unfinished it can only mean a policy
-        // stalled every pending application, and a horizon must not
-        // convert that diagnostic into plausible-looking idle time.
+        // sample and a trace segment with `end < start`).
         if let Some(h) = self.config.horizon {
-            if t_next.is_finite() && t_next.approx_gt(h) {
+            if t_next.approx_gt(h) {
                 let h = h.max(self.now);
                 self.advance_to(h, false);
                 self.now = h;
                 self.close_interval();
                 self.halted = true;
-                return Ok(StepStatus::Advanced);
+                return Ok(None);
             }
-        }
-        if !t_next.is_finite() {
-            if self.admission_open() && self.live() == 0 {
-                // Nothing in the system and admission still open: the
-                // engine is waiting for an external offer. Hand the
-                // event number back — an idle poll consumed nothing, and
-                // the count must stay bit-identical to a run where the
-                // poll never happened.
-                self.events -= 1;
-                return Ok(StepStatus::Idle);
-            }
-            // Applications remain but nothing can ever happen again.
-            return Err(SimError::PolicyStalledSystem {
-                policy: self.policy.name(),
-                at: self.now.as_secs(),
-            });
         }
         // Decision trace: attribute the step to a policy-scheduled
         // wakeup when that is what won the event scan (the candidate
@@ -1071,7 +1102,7 @@ impl<'a> Simulation<'a> {
         // --- State transitions and re-allocation. ---------------------
         self.settle_transitions()?;
         self.allocate()?;
-        Ok(StepStatus::Advanced)
+        Ok(None)
     }
 
     /// Drive [`Simulation::step`] until every application finished (or
@@ -1285,12 +1316,12 @@ impl<'a> Simulation<'a> {
             self.admit(app);
             self.refill()?;
         }
-        while let Some(at) = self.compute.peek_min_at() {
-            if !at.approx_le(self.now) {
-                break;
-            }
-            let ev = self.compute.pop_min().expect("peeked above");
-            let i = ev.idx;
+        while self
+            .compute
+            .peek()
+            .is_some_and(|ev| ev.at.approx_le(self.now))
+        {
+            let i = self.compute.pop().expect("checked above").idx;
             let rt = &self.rts[i];
             let inst = rt.spec.instance(rt.instance);
             self.hot.io_requested_at[i] = self.now;
@@ -1940,10 +1971,9 @@ mod tests {
         assert!((o.rho_tilde - 0.8).abs() < 1e-9, "late app ran dedicated");
     }
 
-    /// Compute completions at or past `64 · 2^64` s saturate the
-    /// calendar queue's bucket index, where a window test written as
-    /// `cur + BUCKETS` wraps and `settle` never returns. Each such run
-    /// must terminate, alone and together.
+    /// Releases and compute completions far past any realistic clock
+    /// (`1e22` s, `1e308` s) are ordinary events: each such run must
+    /// terminate, alone and together.
     #[test]
     fn far_future_releases_terminate() {
         let p = platform();
@@ -3119,5 +3149,189 @@ mod tests {
         let sim = Simulation::open(&p, &mut pol, &config).unwrap();
         let err = sim.run_to_completion().unwrap_err();
         assert!(err.to_string().contains("close_admission"), "{err}");
+    }
+
+    /// The always-on tap answers the same with the telemetry series on
+    /// or off: the serve daemon's feed (`samples`, `recent`, `last`) and
+    /// the policy signal read it, never the series.
+    #[test]
+    fn telemetry_feed_is_the_same_with_the_series_on_or_off() {
+        fn bits(s: &TelemetrySample) -> [u64; 8] {
+            [
+                s.start.get().to_bits(),
+                s.end.get().to_bits(),
+                s.offered.get().to_bits(),
+                s.granted.get().to_bits(),
+                s.delivered.get().to_bits(),
+                s.capacity.get().to_bits(),
+                s.backlog.get().to_bits(),
+                s.pending as u64,
+            ]
+        }
+        /// `samples()`, `recent(samples())`, `last()` and `signal()`.
+        type Feed = (usize, Vec<[u64; 8]>, Option<[u64; 8]>, Option<[u64; 4]>);
+        fn feed(t: &Telemetry) -> Feed {
+            (
+                t.samples(),
+                t.recent(t.samples()).iter().map(bits).collect(),
+                t.last().map(bits),
+                t.signal().map(|s| {
+                    [
+                        s.utilization.to_bits(),
+                        s.contention.to_bits(),
+                        s.backlog.get().to_bits(),
+                        s.pending as u64,
+                    ]
+                }),
+            )
+        }
+        let p = platform();
+        let apps = staggered(6);
+        let on = SimConfig {
+            telemetry: true,
+            ..SimConfig::default()
+        };
+        let off = SimConfig::default();
+        let (mut pol_on, mut pol_off) = (MinDilation, MinDilation);
+        let mut with = Simulation::open(&p, &mut pol_on, &on).unwrap();
+        let mut without = Simulation::open(&p, &mut pol_off, &off).unwrap();
+        for sim in [&mut with, &mut without] {
+            for a in &apps {
+                sim.offer(a.clone()).unwrap();
+            }
+            sim.close_admission();
+        }
+        // Compare after every hop, so the ring is read mid-run too.
+        let mut bound = Time::ZERO;
+        while !with.is_finished() {
+            with.run_until(bound).unwrap();
+            without.run_until(bound).unwrap();
+            assert_eq!(feed(with.telemetry()), feed(without.telemetry()));
+            bound += Time::secs(1.5);
+        }
+        assert!(without.is_finished());
+        assert!(with.telemetry().samples() > 0);
+        assert!(with.into_outcome().telemetry.is_some());
+        assert!(without.into_outcome().telemetry.is_none());
+    }
+
+    /// The compute heap pops earliest first and breaks `at` ties by
+    /// ascending `AppId`, up to the largest finite times.
+    #[test]
+    fn compute_events_pop_earliest_first_ties_by_app_id() {
+        let events = [
+            (10.0, 3),
+            (10.0, 1),
+            (10.0, 2),
+            (5.0, 7),
+            (70.0, 0),
+            (70.0, 9),
+            (5.0, 4),
+            (20_000.0, 5),
+            (20_000.0, 6),
+            (2e21, 10),
+            (f64::MAX, 11),
+            (1e300, 12),
+            (2e21, 8),
+            (f64::MAX, 13),
+        ];
+        let mut heap: BinaryHeap<ComputeEvent> = events
+            .iter()
+            .map(|&(at, id)| ComputeEvent {
+                at: Time::secs(at),
+                id: AppId(id),
+                idx: id,
+            })
+            .collect();
+        let mut popped = Vec::new();
+        while let Some(ev) = heap.pop() {
+            popped.push((ev.at.as_secs(), ev.id.0));
+        }
+        assert_eq!(
+            popped,
+            [
+                (5.0, 4),
+                (5.0, 7),
+                (10.0, 1),
+                (10.0, 2),
+                (10.0, 3),
+                (70.0, 0),
+                (70.0, 9),
+                (20_000.0, 5),
+                (20_000.0, 6),
+                (2e21, 8),
+                (2e21, 10),
+                (1e300, 12),
+                (f64::MAX, 11),
+                (f64::MAX, 13),
+            ]
+        );
+    }
+
+    /// Two applications released together with one zero-volume instance
+    /// of equal work finish computing at the same instant; the compute
+    /// heap's tie order retires them in ascending `AppId` order, whatever
+    /// the roster order.
+    #[test]
+    fn simultaneous_compute_completions_retire_in_app_id_order() {
+        let p = platform();
+        let config = SimConfig::default();
+        let compute_only =
+            |id: usize| AppSpec::periodic(id, Time::ZERO, 100, Time::secs(5.0), Bytes::ZERO, 1);
+        for roster in [
+            [compute_only(0), compute_only(1)],
+            [compute_only(1), compute_only(0)],
+        ] {
+            let mut pol = RoundRobin;
+            let mut sim = Simulation::new(&p, &roster, &mut pol, &config).unwrap();
+            sim.enable_decision_trace(64);
+            let out = sim.run_to_completion().unwrap();
+            let retired: Vec<(u64, f64)> = out
+                .decision_trace
+                .expect("trace was attached")
+                .records()
+                .filter_map(|r| match r.event {
+                    TraceEvent::Retirement { id, t } => Some((id, t)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(retired, [(0, 5.0), (1, 5.0)]);
+        }
+    }
+
+    /// A `run_until` drive asks the policy for its next wakeup once per
+    /// event: the bound, idle and stall checks and the event itself share
+    /// one scan.
+    #[test]
+    fn run_until_asks_for_the_next_wakeup_once_per_event() {
+        struct Counting {
+            inner: MinDilation,
+            wakeups: std::cell::Cell<usize>,
+        }
+        impl OnlinePolicy for Counting {
+            fn name(&self) -> String {
+                self.inner.name()
+            }
+            fn allocate_into(&mut self, ctx: &SchedContext<'_>, scratch: &mut AllocScratch) {
+                self.inner.allocate_into(ctx, scratch);
+            }
+            fn next_wakeup(&self, now: Time) -> Option<Time> {
+                self.wakeups.set(self.wakeups.get() + 1);
+                self.inner.next_wakeup(now)
+            }
+        }
+        let p = platform();
+        let config = SimConfig::default();
+        let apps: Vec<AppSpec> = (0..4).map(|id| app(id, 3)).collect();
+        let mut pol = Counting {
+            inner: MinDilation,
+            wakeups: std::cell::Cell::new(0),
+        };
+        let mut sim = Simulation::new(&p, &apps, &mut pol, &config).unwrap();
+        assert_eq!(sim.run_until(Time::INFINITY).unwrap(), RunStatus::Finished);
+        let events = sim.events();
+        drop(sim);
+        assert!(events > 0);
+        assert_eq!(pol.wakeups.get(), events);
     }
 }

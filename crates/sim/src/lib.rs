@@ -36,7 +36,6 @@
 //! ```
 
 pub mod burst_buffer;
-mod calendar;
 pub mod clock;
 pub mod engine;
 pub mod error;

@@ -1,8 +1,8 @@
 //! Property tests pinning the data-oriented engine core bit-exactly.
 //!
-//! The SoA hot-state split, the calendar event queue and the fused
-//! decay+grant pass are pure reorganizations: none of them may change a
-//! single bit of any simulated result. These tests drive randomized
+//! The SoA hot-state split and the fused decay+grant pass are pure
+//! reorganizations: neither may change a single bit of any simulated
+//! result. These tests drive randomized
 //! closed rosters and open streams (including horizon and warmup
 //! windows) through the engine and assert, via `f64::to_bits`
 //! fingerprints, that
@@ -14,8 +14,8 @@
 //! * the lazy stream path and the materialized open-roster path agree
 //!   exactly, under horizons and warmup windows included.
 //!
-//! The calendar-queue vs binary-heap ordering pin (ties included) lives
-//! next to the queue in `crates/sim/src/calendar.rs`.
+//! The compute heap's tie order (ascending `AppId` at equal times) is
+//! pinned next to it, in the engine's unit tests.
 
 use iosched_core::heuristics::PolicyKind;
 use iosched_model::{AppSpec, Bytes, Platform, Time};
