@@ -86,10 +86,11 @@ pub fn policies() -> Vec<PolicySpec> {
 /// instant (mean I/O queue ≈ 8, peak live ≈ 52), 80× longer than the
 /// sweep streams. `tests/perf_bars.rs` runs it both lazily
 /// (`WorkloadSpec::app_source` + `simulate_stream`) and fully
-/// materialized to hold the bounded-memory bar; the `sim_throughput`
-/// `stream_10k_sim` case and the decision-trace overhead bar in
-/// `tests/obs_identity.rs` replay a pre-collected arrival list, so they
-/// time the engine without the workload synthesis.
+/// materialized to hold the bounded-memory bar, and perfbench's
+/// `open_stream` workload times the lazy run end to end; the
+/// decision-trace overhead bar in `tests/obs_identity.rs` replays a
+/// pre-collected arrival list, so it times the engine without the
+/// workload synthesis.
 #[must_use]
 pub fn stream_10k() -> WorkloadSpec {
     WorkloadSpec::Stream {

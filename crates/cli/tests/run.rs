@@ -298,6 +298,62 @@ fn hostile_inputs_exit_1_with_an_error() {
     );
 }
 
+/// A count of 2^53, the largest integer a JSON number carries exactly,
+/// on one line of input is refused before anything is sized by it: an
+/// application's instance count in a scenario file or a journal
+/// arrival, a mix's application count, a Darshan log's job count.
+#[test]
+fn a_huge_count_is_an_error_not_an_abort() {
+    const HUGE: &str = "9007199254740992";
+    let workload = format!(r#"{{"Explicit": [{}]}}"#, app(0, 0.0, 256, 60.0, 100.0))
+        .replace(r#""count": 1"#, &format!(r#""count": {HUGE}"#));
+    let scenario = write("huge-count.json", &spec(r#""vesta""#, &workload, "null"));
+    assert_error(
+        &iosched(&["run", s(&scenario)]),
+        "more than the 10000000 allowed",
+    );
+
+    let (journal, _) = frozen_daemon_journal("huge-count-journal.jsonl");
+    let text = std::fs::read_to_string(&journal).unwrap();
+    assert!(text.contains(r#""count":2"#), "{text}");
+    let hostile = write(
+        "huge-count-hostile.jsonl",
+        &text.replace(r#""count":2"#, &format!(r#""count":{HUGE}"#)),
+    );
+    assert_error(
+        &iosched(&["serve", "--replay", "--journal", s(&hostile)]),
+        "more than the 10000000 allowed",
+    );
+
+    let mix = format!(
+        r#"{{"Mix": {{"config": {{"small": {HUGE}, "large": 0, "very_large": 0,
+             "io_ratio": 0.2, "work_range": [100, 400], "instances": [8, 12],
+             "release_jitter": 1}}, "seed": 0}}}}"#
+    );
+    let darshan = format!(
+        r#"{{"Darshan": {{"jobs": {HUGE}, "log_seed": 0, "window_start": 0,
+             "window_secs": 1000, "coverage": 0.5, "seed": 0}}}}"#
+    );
+    for (name, workload, needle) in [
+        ("huge-mix.json", mix, "only 2048 processors"),
+        (
+            "huge-darshan.json",
+            darshan,
+            "more than the 1000000 allowed",
+        ),
+    ] {
+        let campaign = write(
+            name,
+            &format!(
+                r#"{{"name": "huge", "platforms": ["vesta"], "workloads": [{workload}],
+                     "policies": ["fairshare"], "seeds": [0], "config": null,
+                     "threads": null}}"#
+            ),
+        );
+        assert_error(&iosched(&["campaign", s(&campaign)]), needle);
+    }
+}
+
 #[test]
 fn far_future_release_finishes() {
     let workload = format!(r#"{{"Explicit": [{}]}}"#, app(0, 1e308, 256, 60.0, 100.0));

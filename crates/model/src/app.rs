@@ -18,6 +18,13 @@ use crate::units::{Bytes, Time};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
+/// Most instances `n_tot(k)` one application may have. Progress
+/// accounting keeps `n_tot + 1` prefix sums per application, and counts
+/// arrive from untrusted files and protocol lines: without a bound, one
+/// line can ask for more memory than the machine has. 10^7 instances
+/// already exceed the engine's default event budget.
+pub const MAX_INSTANCES: usize = 10_000_000;
+
 /// Identifier of an application within a scenario (dense, 0-based).
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
@@ -244,6 +251,13 @@ impl AppSpec {
                 self.id
             )));
         }
+        if self.instance_count() > MAX_INSTANCES {
+            return Err(ModelError::InvalidApp(format!(
+                "{} has {} instances, more than the {MAX_INSTANCES} allowed",
+                self.id,
+                self.instance_count()
+            )));
+        }
         if !self.release.is_finite() || self.release.get() < 0.0 {
             return Err(ModelError::InvalidApp(format!(
                 "{} release time must be finite and non-negative, got {}",
@@ -460,6 +474,18 @@ mod tests {
 
         let empty_instance = AppSpec::periodic(0, Time::ZERO, 1, Time::ZERO, Bytes::ZERO, 1);
         assert!(empty_instance.validate().is_err());
+    }
+
+    #[test]
+    fn validation_bounds_the_instance_count() {
+        let app =
+            |count| AppSpec::periodic(0, Time::ZERO, 1, Time::secs(1.0), Bytes::gib(1.0), count);
+        app(MAX_INSTANCES).validate().unwrap();
+        let err = app(MAX_INSTANCES + 1).validate().unwrap_err().to_string();
+        assert!(err.contains("more than the 10000000 allowed"), "{err}");
+        // 2^53, the largest integer a JSON number carries exactly: refused
+        // before anything sizes a table by it.
+        assert!(app(1 << 53).validate().is_err());
     }
 
     #[test]

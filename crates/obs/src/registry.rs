@@ -5,8 +5,8 @@
 //! every observation after that is a relaxed atomic operation — no
 //! allocation, no lock, safe from the engine hot loop and the daemon
 //! request path. [`Registry::snapshot`] freezes the catalog into a
-//! [`MetricsSnapshot`] with a stable (sorted) name order, renderable as
-//! text lines or a JSON value tree.
+//! [`MetricsSnapshot`] with a stable (sorted) name order, serialized as
+//! a JSON value tree.
 //!
 //! Histograms are fixed log₂-bucketed: bucket 0 holds the value `0`,
 //! bucket `b ∈ 1..63` holds `[2^(b-1), 2^b)`, bucket 63 holds
@@ -225,9 +225,11 @@ impl HistogramSnapshot {
         let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
         for &(b, n) in &self.buckets {
-            seen += n;
+            seen = seen.saturating_add(n);
             if seen >= rank {
-                return bucket_high(b as usize).clamp(self.min, self.max);
+                // Not `clamp`: it panics when `min > max`, which only a
+                // snapshot read back from a file can carry.
+                return bucket_high(b as usize).max(self.min).min(self.max);
             }
         }
         self.max
@@ -235,6 +237,8 @@ impl HistogramSnapshot {
 
     /// Fold another snapshot into this one (bucket-wise addition; the
     /// result is what one histogram observing both streams would hold).
+    /// The additions saturate at `u64::MAX`: snapshots read back from
+    /// partial files carry whatever counts the file holds.
     pub fn merge(&mut self, other: &HistogramSnapshot) {
         if other.count == 0 {
             return;
@@ -243,13 +247,13 @@ impl HistogramSnapshot {
             *self = other.clone();
             return;
         }
-        self.count += other.count;
-        self.sum += other.sum;
+        self.count = self.count.saturating_add(other.count);
+        self.sum = self.sum.saturating_add(other.sum);
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
         for &(b, n) in &other.buckets {
             match self.buckets.binary_search_by_key(&b, |&(i, _)| i) {
-                Ok(k) => self.buckets[k].1 += n,
+                Ok(k) => self.buckets[k].1 = self.buckets[k].1.saturating_add(n),
                 Err(k) => self.buckets.insert(k, (b, n)),
             }
         }
@@ -398,33 +402,6 @@ impl MetricsSnapshot {
     pub fn gauge(&self, name: &str) -> Option<u64> {
         self.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
     }
-
-    /// One human-readable line per metric (`counter name value`,
-    /// `gauge name value`, `hist name count=… mean=… p50=… p99=… max=…`).
-    #[must_use]
-    pub fn render_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for (n, v) in &self.counters {
-            let _ = writeln!(out, "counter {n} {v}");
-        }
-        for (n, v) in &self.gauges {
-            let _ = writeln!(out, "gauge {n} {v}");
-        }
-        for (n, h) in &self.histograms {
-            let _ = writeln!(
-                out,
-                "hist {n} count={} mean={:.1} min={} p50={} p99={} max={}",
-                h.count,
-                h.mean(),
-                h.min,
-                h.quantile(0.50),
-                h.quantile(0.99),
-                h.max
-            );
-        }
-        out
-    }
 }
 
 impl Serialize for MetricsSnapshot {
@@ -536,6 +513,40 @@ mod tests {
     }
 
     #[test]
+    fn merge_and_quantile_saturate_counts_read_from_files() {
+        // A partial footer may claim 2^53 observations; 2,049 of them
+        // pool past `u64::MAX`.
+        let footer = HistogramSnapshot {
+            count: 1 << 53,
+            sum: 1 << 53,
+            min: 1,
+            max: 1 << 20,
+            buckets: vec![(3, 1 << 53), (21, 1 << 53)],
+        };
+        let mut pooled = HistogramSnapshot::default();
+        for _ in 0..2_049 {
+            pooled.merge(&footer);
+        }
+        assert_eq!((pooled.count, pooled.sum), (u64::MAX, u64::MAX));
+        assert_eq!(pooled.buckets, vec![(3, u64::MAX), (21, u64::MAX)]);
+        // The rank walk saturates too: the top quantile sits in the
+        // second bucket, past a first bucket that already holds
+        // `u64::MAX`.
+        let walk = HistogramSnapshot {
+            buckets: vec![(3, u64::MAX - 1), (21, u64::MAX - 1)],
+            ..pooled.clone()
+        };
+        assert_eq!(walk.quantile(1.0), 1 << 20);
+        // Extrema out of order (`min > max`) clamp without a panic.
+        let inverted = HistogramSnapshot {
+            min: 1 << 30,
+            max: 0,
+            ..footer
+        };
+        let _ = inverted.quantile(0.5);
+    }
+
+    #[test]
     fn registry_get_or_register_shares_cells() {
         let r = Registry::new();
         r.counter("x").add(2);
@@ -564,8 +575,5 @@ mod tests {
         assert_eq!(back.counter("a.first"), Some(4));
         assert_eq!(back.gauge("depth"), Some(11));
         assert_eq!(back.histogram("lat.ns").unwrap().count, 1);
-        let text = snap.render_text();
-        assert!(text.contains("counter a.first 4"));
-        assert!(text.contains("hist lat.ns count=1"));
     }
 }

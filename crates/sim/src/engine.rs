@@ -76,11 +76,12 @@
 //! that lost their grant and installing the new ones. The predicted
 //! completions themselves are cached as absolute times behind a dirty
 //! flag — a transfer at constant rate finishes at the same instant no
-//! matter when it is predicted — so events that change no grant,
-//! capacity or phase (burst-buffer level crossings, timetable wakeups
-//! that confirm the running allocation, external-load boundaries) skip
-//! the per-event rescan entirely. Each inter-event interval is closed in
-//! one place: the [`TelemetrySample`] the last allocation opened is the
+//! matter when it is predicted — and rebuilt only by the allocation's
+//! grant walk, so events that change no grant, capacity or phase
+//! (burst-buffer level crossings, timetable wakeups that confirm the
+//! running allocation, external-load boundaries) keep the cached list.
+//! Each inter-event interval is closed in one place: the
+//! [`TelemetrySample`] the last allocation opened is the
 //! single record of its start, end and capacity, and the telemetry tap,
 //! the steady-state window and the trace segment are all fed from it.
 //! Trace segments are only materialized when [`SimConfig::record_trace`]
@@ -514,17 +515,16 @@ pub struct Simulation<'a> {
     /// Reused scratch: predicted I/O completions, as *absolute* times.
     /// Valid across events as long as no grant, capacity or phase
     /// changed: a transfer at constant rate completes at the same
-    /// absolute instant no matter when it is predicted, so the per-event
-    /// rescan of all pending applications is skipped until
-    /// `predicted_dirty` says otherwise.
+    /// absolute instant no matter when it is predicted, so the list is
+    /// kept until `predicted_dirty` says otherwise.
     predicted: Vec<(usize, Time)>,
-    /// Double-buffer for the fused rebuild: the apply walk in
+    /// Double-buffer for the one rebuild: the apply walk in
     /// [`Simulation::allocate`] computes every granted application's
-    /// predicted completion *as it installs the rates* — same `now`, same
-    /// residues, same effective rates as the event-scan rebuild would see
-    /// one step later, hence bit-identical — and commits it by swap iff
-    /// the step left the predictions dirty. The scan-time rebuild remains
-    /// only as the rare fallback (first event, empty-pending steps).
+    /// predicted completion *as it installs the rates* — the clock and
+    /// the residues only move after the next event scan reads them — and
+    /// commits it by swap iff the step left the predictions dirty. An
+    /// allocation over an empty pending set clears the cache instead, so
+    /// every allocation leaves it clean.
     predicted_next: Vec<(usize, Time)>,
     /// Minimum of the cached predictions (`INFINITY` when none),
     /// maintained alongside the rebuild so the clean path folds one value
@@ -933,7 +933,7 @@ impl<'a> Simulation<'a> {
     }
 
     /// The congestion tap (inspection hook for steppable use: the last
-    /// closed interval's signal, windowed aggregates, peaks).
+    /// closed interval's signal, the recent ring, peaks).
     #[must_use]
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
@@ -941,8 +941,8 @@ impl<'a> Simulation<'a> {
 
     /// Min-fold over every event source: the earliest instant at which
     /// anything can happen (`INFINITY` when nothing ever will). Mutates
-    /// only the predicted-completion cache and the wakeup candidate;
-    /// [`Simulation::next_event`] runs it once per decision.
+    /// only the wakeup candidate; [`Simulation::next_event`] runs it once
+    /// per decision.
     fn peek_next_event(&mut self) -> Time {
         let mut t_next = Time::INFINITY;
         if let Some(app) = self.admission.queue.front() {
@@ -951,23 +951,11 @@ impl<'a> Simulation<'a> {
         if let Some(ev) = self.compute.peek() {
             t_next = t_next.min(ev.at);
         }
-        // Predicted I/O completions (to zero residues exactly). The
-        // absolute completion instants only move when a rate, the
-        // pending set or a phase changed, so the scan is skipped while
-        // the cached predictions are still valid.
-        if self.predicted_dirty {
-            self.predicted.clear();
-            let mut pmin = Time::INFINITY;
-            for &(_, i) in self.pending.entries() {
-                if self.hot.effective[i].get() > 0.0 {
-                    let done = self.now + self.hot.remaining[i] / self.hot.effective[i];
-                    self.predicted.push((i, done));
-                    pmin = pmin.min(done);
-                }
-            }
-            self.predicted_min = pmin;
-            self.predicted_dirty = false;
-        }
+        // Predicted I/O completions (to zero residues exactly). Every
+        // change that can move one (a rate, the pending set, a phase) is
+        // followed by an allocation, which rebuilds the cache, so it is
+        // always current here.
+        debug_assert!(!self.predicted_dirty);
         // Min-folding is associative on these well-formed times (no NaN,
         // equal values share one bit pattern), so the cached minimum is
         // bit-identical to re-folding the scratch here.
@@ -1509,8 +1497,12 @@ impl<'a> Simulation<'a> {
             self.inflow = Bw::ZERO;
             self.tel_open = TelemetrySample::idle(now, capacity);
             // Every application granted last time left the pending set,
-            // and settling zeroed its rates on the way out.
+            // and settling zeroed its rates on the way out: nothing is
+            // left to predict.
             self.granted.clear();
+            self.predicted.clear();
+            self.predicted_min = Time::INFINITY;
+            self.predicted_dirty = false;
             return Ok(());
         }
         // Refresh the kept snapshot: only the fields time or capacity can
@@ -1624,14 +1616,13 @@ impl<'a> Simulation<'a> {
         let mut suspect = false;
         let mut total_granted = Bw::ZERO;
         let mut total_delivered = Bw::ZERO;
-        // Fused predicted-completion rebuild: the walk sees exactly the
-        // values the next event scan would (the clock and the residues
-        // only move *after* that scan), so building the predictions here
-        // and committing them iff the step ends dirty is bit-identical to
-        // rebuilding lazily — minus one full pass per event. Ungranted
-        // applications predict nothing, so the grants in `AppId` order
-        // give the scan's entries in the scan's order. On the rare clean
-        // step the speculative buffer is simply dropped.
+        // Predicted-completion rebuild: the walk sees exactly the values
+        // the next event scan reads (the clock and the residues only move
+        // *after* that scan), so the predictions are built here and
+        // committed iff the step ends dirty. Ungranted applications
+        // predict nothing, so the grants in `AppId` order give the
+        // entries in `AppId` order. On a clean step the speculative
+        // buffer is simply dropped.
         self.predicted_next.clear();
         let mut pmin_next = Time::INFINITY;
         self.granted.clear();

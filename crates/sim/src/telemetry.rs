@@ -14,9 +14,9 @@
 //! Recording the full per-event utilization/contention *series* (needed
 //! for the p95/p99 quantiles of the exported [`TelemetrySummary`]) does
 //! allocate, so it is opt-in via [`crate::SimConfig::telemetry`]; with
-//! the flag off the tap still answers [`Telemetry::signal`] and
-//! maintains the windowed view, and simulation results are bit-identical
-//! either way (the tap observes, it never steers the engine).
+//! the flag off the tap still answers [`Telemetry::signal`], and
+//! simulation results are bit-identical either way (the tap observes, it
+//! never steers the engine).
 //!
 //! [`SchedContext::signal`]: iosched_core::policy::SchedContext::signal
 
@@ -110,10 +110,9 @@ impl TelemetrySample {
 }
 
 /// Number of samples the always-on ring retains. The ring backs the
-/// windowed time-series view ([`Telemetry::windowed`], [`Telemetry::last`])
-/// exposed for steppable inspection through
-/// [`crate::Simulation::telemetry`]; the per-event signal hand-off to
-/// policies reads the cached last signal and never walks the ring.
+/// daemon's live view ([`Telemetry::recent`], [`Telemetry::last`]); the
+/// per-event signal hand-off to policies reads the cached last signal
+/// and never walks the ring.
 pub const RING_CAPACITY: usize = 256;
 
 /// The tap itself: ring buffer + whole-run accumulators, optionally a
@@ -241,38 +240,6 @@ impl Telemetry {
     #[must_use]
     pub fn signal(&self) -> Option<CongestionSignal> {
         self.last_signal
-    }
-
-    /// Time-weighted signal over (up to) the trailing `window`, walking
-    /// the ring newest to oldest. Backlog and pending are taken from the
-    /// newest sample. `None` while no interval has closed.
-    #[must_use]
-    pub fn windowed(&self, window: Time) -> Option<CongestionSignal> {
-        let newest = *self.last()?;
-        let mut covered = 0.0;
-        let mut u = 0.0;
-        let mut c = 0.0;
-        let want = window.as_secs().max(0.0);
-        for k in 0..self.ring.len() {
-            let idx = (self.head + self.ring.len() - 1 - k) % self.ring.len();
-            let s = &self.ring[idx];
-            let take = s.dt().min((want - covered).max(0.0));
-            if take <= 0.0 {
-                break;
-            }
-            u += s.utilization() * take;
-            c += s.contention() * take;
-            covered += take;
-        }
-        if covered <= 0.0 {
-            return Some(newest.signal());
-        }
-        Some(CongestionSignal {
-            utilization: u / covered,
-            contention: c / covered,
-            backlog: newest.backlog,
-            pending: newest.pending,
-        })
     }
 
     /// Export the per-run summary. `None` when the series was not
@@ -436,22 +403,6 @@ mod tests {
         assert!(last
             .end
             .approx_eq(Time::secs((RING_CAPACITY * 2 + 7) as f64)));
-    }
-
-    #[test]
-    fn windowed_signal_is_time_weighted() {
-        let mut t = Telemetry::new(false);
-        // 10 s at u = 1.0, then 10 s at u = 0.5.
-        t.record(sample(0.0, 10.0, 10.0, 10.0));
-        t.record(sample(10.0, 20.0, 5.0, 10.0));
-        let w = t.windowed(Time::secs(20.0)).unwrap();
-        assert!((w.utilization - 0.75).abs() < 1e-12);
-        // A window covering only the newest interval sees only it.
-        let w = t.windowed(Time::secs(10.0)).unwrap();
-        assert!((w.utilization - 0.5).abs() < 1e-12);
-        // A partial window weights the older interval's tail.
-        let w = t.windowed(Time::secs(15.0)).unwrap();
-        assert!((w.utilization - (0.5 * 10.0 + 1.0 * 5.0) / 15.0).abs() < 1e-12);
     }
 
     #[test]

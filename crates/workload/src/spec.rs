@@ -29,6 +29,11 @@ pub const PERTURB_SEED_SALT: u64 = 0xABCD;
 /// drives both (mirrors [`PERTURB_SEED_SALT`]).
 pub const STREAM_SEED_SALT: u64 = 0x57EA;
 
+/// Most jobs a [`WorkloadSpec::Darshan`] log may synthesize: 50 times
+/// the 20,000 of Fig. 5, and a bound on the records synthesized before
+/// the window picks its jobs.
+pub const MAX_DARSHAN_JOBS: usize = 1_000_000;
+
 /// One serializable workload description.
 ///
 /// `Mix`, `Darshan`, `Congestion`, `IorProfile` and `Perturbed` are
@@ -112,7 +117,7 @@ pub enum WorkloadSpec {
 }
 
 /// A lazily-produced application roster: the one source every consumer
-/// (materialization, the streaming engine, the memory benches) pulls
+/// (materialization, the streaming engine, the memory bars) pulls
 /// from. Closed families yield their materialized roster; open streams
 /// generate one application per `next()` and never hold the full list.
 pub enum AppSource {
@@ -185,6 +190,12 @@ impl WorkloadSpec {
             } => {
                 if *jobs == 0 {
                     return Err("darshan workload needs at least one job".into());
+                }
+                if *jobs > MAX_DARSHAN_JOBS {
+                    return Err(format!(
+                        "darshan workload asks for {jobs} jobs, more than the \
+                         {MAX_DARSHAN_JOBS} allowed"
+                    ));
                 }
                 if *window_secs <= 0.0 {
                     return Err("darshan window must have positive length".into());
@@ -297,7 +308,20 @@ impl WorkloadSpec {
     fn generate_closed(&self, platform: &Platform) -> Result<Vec<AppSpec>, String> {
         let apps = match self {
             Self::Explicit(apps) => apps.clone(),
-            Self::Mix { config, seed } => config.generate(platform, *seed),
+            Self::Mix { config, seed } => {
+                // Every application holds at least one processor, so such
+                // a mix can never fit; refuse it before sizing anything
+                // by its count.
+                if config.count() as u64 > platform.procs {
+                    return Err(format!(
+                        "mix has {} applications but {} has only {} processors",
+                        config.count(),
+                        platform.name,
+                        platform.procs
+                    ));
+                }
+                config.generate(platform, *seed)
+            }
             Self::Darshan {
                 jobs,
                 log_seed,
@@ -766,6 +790,45 @@ mod tests {
             seed: 0,
         };
         assert!(spec.materialize(&Platform::vesta()).is_err());
+    }
+
+    #[test]
+    fn a_mix_larger_than_the_machine_is_refused_before_generation() {
+        // 2^53 applications: generating them first would size a vector
+        // by the count and abort the process.
+        let huge = WorkloadSpec::Mix {
+            config: MixConfig {
+                small: 1 << 53,
+                ..MixConfig::fig6a()
+            },
+            seed: 0,
+        };
+        let err = huge.materialize(&Platform::vesta()).unwrap_err();
+        assert!(err.contains("only 2048 processors"), "{err}");
+        // As a stream template too: every closed family goes through the
+        // same generation.
+        let stream = WorkloadSpec::Stream {
+            arrivals: ArrivalProcess::Poisson { rate: 0.02 },
+            template: Box::new(huge),
+            stop: StopRule::Apps(4),
+            seed: 0,
+        };
+        assert!(stream.app_source(&Platform::vesta()).is_err());
+    }
+
+    #[test]
+    fn darshan_jobs_are_bounded() {
+        let darshan = |jobs| WorkloadSpec::Darshan {
+            jobs,
+            log_seed: 0,
+            window_start: 0.0,
+            window_secs: 1_000.0,
+            coverage: 0.5,
+            seed: 0,
+        };
+        darshan(MAX_DARSHAN_JOBS).validate().unwrap();
+        let err = darshan(1 << 53).validate().unwrap_err();
+        assert!(err.contains("more than the 1000000 allowed"), "{err}");
     }
 
     #[test]

@@ -22,6 +22,7 @@
 //!
 //! [`AppId`]: iosched_model::AppId
 
+use iosched_model::app::MAX_INSTANCES;
 use iosched_model::{AppSpec, Bytes, Instance, InstancePattern, Time};
 
 /// One parsed submission: everything an [`AppSpec`] needs except the
@@ -144,15 +145,12 @@ impl AppSubmission {
                 let vol = number("vol")?
                     .ok_or("submission is missing 'vol' (GiB of I/O per instance)")?;
                 let count = number("count")?.unwrap_or(1.0);
-                // Upper bound: per-application progress accounting is
-                // O(n_tot) in memory, and `count` arrives from untrusted
-                // clients — an unbounded value is a one-line allocation
-                // bomb. 10^7 instances already exceeds the engine's
-                // default event budget.
-                if count < 1.0 || count.fract() != 0.0 || count > 10_000_000.0 {
+                // The same bound `AppSpec::validate` enforces, checked
+                // here on the float so the cast below cannot saturate.
+                if count < 1.0 || count.fract() != 0.0 || count > MAX_INSTANCES as f64 {
                     return Err(format!(
                         "submission field 'count' is {count} but must be a positive integer \
-                         (at most 10000000 instances)"
+                         (at most {MAX_INSTANCES} instances)"
                     ));
                 }
                 #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
@@ -244,6 +242,10 @@ mod tests {
             (
                 r#"{"procs": 100, "work": 1, "vol": 1, "count": 1.5}"#,
                 "'count'",
+            ),
+            (
+                r#"{"procs": 100, "work": 1, "vol": 1, "count": 10000001}"#,
+                "at most 10000000 instances",
             ),
             (r#"{"procs": 100, "work": "fast", "vol": 1}"#, "'work'"),
             (

@@ -213,12 +213,12 @@ fn serve_session_is_bit_identical_with_the_trace_attached() {
 }
 
 /// The decision trace's cost bar. `stream_10k` (10k-application Poisson
-/// stream on Intrepid, lean config, MinDilation: the `stream_10k_sim`
-/// criterion row) runs bare and with the 512-record ring attached,
-/// alternating for 15 rounds to cancel drift. The traced minimum must
-/// stay within 3 % of the bare minimum, and every round's two outcomes
-/// must match to the bit. A wall-clock bar needs a quiet process, so the
-/// test is ignored by default; run it in release mode with
+/// stream on Intrepid, lean config, MinDilation) runs bare and with the
+/// 512-record ring attached, alternating for 15 rounds to cancel drift.
+/// The traced minimum must stay within 3 % of the bare minimum, and
+/// every round's two outcomes must match to the bit. A wall-clock bar
+/// needs a quiet process, so the test is ignored by default; run it in
+/// release mode with
 /// `cargo test --release --test obs_identity -- --ignored`.
 #[test]
 #[ignore = "wall-clock bar; run alone in release mode"]
