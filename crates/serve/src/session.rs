@@ -470,6 +470,37 @@ mod tests {
         assert_eq!(snap.gauge("serve.engine.queued"), Some(3));
     }
 
+    /// A fresh session's `metrics` reply, byte for byte: the whole
+    /// catalog (3 counters, 4 gauges, 7 histograms) in name order, every
+    /// value zero and every histogram empty.
+    #[test]
+    fn a_fresh_sessions_metrics_line_is_the_whole_catalog_in_name_order() {
+        let spec = spec();
+        let path = tmp("catalog.jsonl");
+        let mut policy = spec.policy.build_online(&spec.platform).unwrap();
+        let sim = Simulation::open(&spec.platform, policy.as_mut(), &spec.config).unwrap();
+        let journal = Journal::create(&path, &spec).unwrap();
+        let session = Session::new(sim, journal, &[]).unwrap();
+        let empty = r#"{"count":0,"sum":0,"min":0,"max":0,"buckets":[]}"#;
+        let want = format!(
+            concat!(
+                r#"{{"ok":"metrics","metrics":{{"counters":{{"serve.requests":0,"#,
+                r#""serve.requests.parse_errors":0,"serve.requests.rejected":0}},"#,
+                r#""gauges":{{"serve.engine.journaled":0,"serve.engine.live":0,"#,
+                r#""serve.engine.pending":0,"serve.engine.queued":0}},"#,
+                r#""histograms":{{"serve.journal.append.ns":{e},"#,
+                r#""serve.journal.fsync.ns":{e},"serve.request.metrics.ns":{e},"#,
+                r#""serve.request.other.ns":{e},"serve.request.status.ns":{e},"#,
+                r#""serve.request.submit.ns":{e},"serve.request.telemetry.ns":{e}}}}}}}"#,
+            ),
+            e = empty
+        );
+        assert_eq!(
+            crate::protocol::metrics_line(&session.metrics_snapshot(Time::ZERO)),
+            want
+        );
+    }
+
     /// A decision trace attached to the engine picks up the session's
     /// journal-flush events — unsynced per acknowledged submit, synced
     /// at checkpoint — interleaved with the engine's own decisions.
