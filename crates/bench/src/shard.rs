@@ -46,7 +46,7 @@
 use crate::campaign::{fold_block_subset, CampaignResult, CampaignSpec, CellFold, RunMetrics};
 use crate::runner::ScenarioRunner;
 use iosched_model::append_log;
-use iosched_obs::{Histogram, HistogramSnapshot, Stopwatch};
+use iosched_obs::{HistogramSnapshot, Stopwatch};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -503,7 +503,7 @@ pub fn run_shard(
     // Per-block wall time (compute + serialized write), lapped at each
     // block completion — the fold hands blocks back in order, so the
     // inter-completion gap is the block's cost.
-    let block_hist = Histogram::detached();
+    let mut block_hist = HistogramSnapshot::default();
     let mut block_watch = Stopwatch::start();
     fold_block_subset(spec, runner, &todo, (), |(), b, outcomes| {
         if io_error.is_some() {
@@ -517,7 +517,7 @@ pub fn run_shard(
         match write_line(&mut file, &ShardLine::Block(record)) {
             Ok(()) => {
                 computed += 1;
-                block_watch.lap(&block_hist);
+                block_watch.lap(&mut block_hist);
                 progress(b, computed, todo.len());
             }
             Err(e) => io_error = Some(e),
@@ -538,7 +538,7 @@ pub fn run_shard(
             wall_ms,
             cpu_ms: proc_cpu_ms(),
             peak_rss_kib: proc_peak_rss_kib(),
-            block_time_ns: (computed > 0).then(|| block_hist.snapshot()),
+            block_time_ns: (computed > 0).then_some(block_hist),
         }),
     )?;
 

@@ -3,13 +3,12 @@
 //! Three facilities, one crate, shared by the engine, the serve daemon
 //! and the campaign shards:
 //!
-//! * [`registry`] — a lock-free metrics registry: monotonic
-//!   [`Counter`]s, [`Gauge`]s and fixed log-bucketed [`Histogram`]s.
-//!   Registration takes a `Mutex` once; every subsequent observation is
-//!   a relaxed atomic op on a pre-registered handle, so the daemon
-//!   request path can record without allocating or blocking.
-//!   [`Registry::snapshot`] freezes the whole catalog into a
-//!   serializable [`MetricsSnapshot`] (text or JSON rendering).
+//! * [`registry`] — metrics as plain values: a [`HistogramSnapshot`]
+//!   (fixed log₂ buckets plus exact moments) that its owner records into
+//!   through `&mut`, and a [`MetricsSnapshot`], the named catalog of
+//!   counters, gauges and histograms every surface reports, sorted by
+//!   name and serializable. Each recorder owns its values and runs on
+//!   one thread, so nothing is shared, locked or atomic.
 //!
 //! * [`timing`] — a [`Stopwatch`] that records elapsed nanoseconds into
 //!   a histogram: the serve daemon's per-request and journal latencies
@@ -32,6 +31,6 @@ pub mod registry;
 pub mod timing;
 pub mod trace;
 
-pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry};
+pub use registry::{HistogramSnapshot, MetricsSnapshot};
 pub use timing::Stopwatch;
 pub use trace::{DecisionTrace, TraceEvent, TraceRecord};

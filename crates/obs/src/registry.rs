@@ -1,12 +1,10 @@
-//! Lock-free metrics registry.
+//! Metrics as plain values.
 //!
-//! Registration (name → handle) takes a `Mutex` once; the returned
-//! [`Counter`]/[`Gauge`]/[`Histogram`] handles are `Arc`-backed and
-//! every observation after that is a relaxed atomic operation — no
-//! allocation, no lock, safe from the engine hot loop and the daemon
-//! request path. [`Registry::snapshot`] freezes the catalog into a
-//! [`MetricsSnapshot`] with a stable (sorted) name order, serialized as
-//! a JSON value tree.
+//! A recorder owns its metrics: `u64` counters and
+//! [`HistogramSnapshot`]s it records into through `&mut`, with no
+//! sharing, lock or atomic (every recorder in the workspace runs on one
+//! thread). [`MetricsSnapshot::new`] names them for a report, sorted by
+//! name, and serializes as a JSON value tree.
 //!
 //! Histograms are fixed log₂-bucketed: bucket 0 holds the value `0`,
 //! bucket `b ∈ 1..63` holds `[2^(b-1), 2^b)`, bucket 63 holds
@@ -15,91 +13,10 @@
 //! (an upper bound, clamped to the observed max) — plenty for latency
 //! distributions spanning nanoseconds to seconds.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
 use serde::{Deserialize, Error, Serialize, Value};
 
 /// Number of log₂ buckets in every histogram.
 pub const HIST_BUCKETS: usize = 64;
-
-/// Monotonic counter handle (clone freely; all clones share the cell).
-#[derive(Clone, Debug)]
-pub struct Counter(Arc<AtomicU64>);
-
-impl Counter {
-    /// A counter not attached to any registry (tests, scratch).
-    #[must_use]
-    pub fn detached() -> Self {
-        Self(Arc::new(AtomicU64::new(0)))
-    }
-
-    /// Add one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Add `n`.
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    #[must_use]
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// Last-write-wins gauge handle (also supports a monotonic-peak update).
-#[derive(Clone, Debug)]
-pub struct Gauge(Arc<AtomicU64>);
-
-impl Gauge {
-    /// A gauge not attached to any registry (tests, scratch).
-    #[must_use]
-    pub fn detached() -> Self {
-        Self(Arc::new(AtomicU64::new(0)))
-    }
-
-    /// Set the current value.
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Raise the value to `v` if it is larger (peak tracking).
-    pub fn peak(&self, v: u64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    #[must_use]
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// Shared histogram storage: fixed buckets plus exact scalar moments.
-#[derive(Debug)]
-struct HistCore {
-    buckets: [AtomicU64; HIST_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
-}
-
-impl HistCore {
-    fn new() -> Self {
-        Self {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-        }
-    }
-}
 
 /// Bucket index of a value: 0 for 0, else `floor(log2 v) + 1`, capped.
 #[must_use]
@@ -124,62 +41,8 @@ pub fn bucket_high(b: usize) -> u64 {
     }
 }
 
-/// Log₂-bucketed histogram handle.
-#[derive(Clone, Debug)]
-pub struct Histogram(Arc<HistCore>);
-
-impl Histogram {
-    /// A histogram not attached to any registry (tests, scratch).
-    #[must_use]
-    pub fn detached() -> Self {
-        Self(Arc::new(HistCore::new()))
-    }
-
-    /// Record one observation (typically nanoseconds or bytes).
-    pub fn record(&self, v: u64) {
-        let c = &self.0;
-        c.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        c.count.fetch_add(1, Ordering::Relaxed);
-        c.sum.fetch_add(v, Ordering::Relaxed);
-        c.min.fetch_min(v, Ordering::Relaxed);
-        c.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Number of observations so far.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
-    }
-
-    /// Freeze the current contents.
-    #[must_use]
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let c = &self.0;
-        let count = c.count.load(Ordering::Relaxed);
-        HistogramSnapshot {
-            count,
-            sum: c.sum.load(Ordering::Relaxed),
-            min: if count == 0 {
-                0
-            } else {
-                c.min.load(Ordering::Relaxed)
-            },
-            max: c.max.load(Ordering::Relaxed),
-            buckets: c
-                .buckets
-                .iter()
-                .enumerate()
-                .filter_map(|(i, b)| {
-                    let n = b.load(Ordering::Relaxed);
-                    (n > 0).then_some((i as u32, n))
-                })
-                .collect(),
-        }
-    }
-}
-
-/// A frozen histogram: exact moments plus the non-empty buckets as
-/// `(bucket index, count)` pairs. Serializable (shard footers embed
+/// A log₂-bucketed histogram: exact moments plus the non-empty buckets
+/// as `(bucket index, count)` pairs. Serializable (shard footers embed
 /// these) and mergeable (the campaign merge aggregates them).
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct HistogramSnapshot {
@@ -196,6 +59,16 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// Record one observation (typically nanoseconds or bytes). The
+    /// additions saturate at `u64::MAX`, as in [`Self::merge`].
+    pub fn record(&mut self, v: u64) {
+        self.min = if self.count == 0 { v } else { self.min.min(v) };
+        self.max = self.max.max(v);
+        self.count = self.count.saturating_add(1);
+        self.sum = self.sum.saturating_add(v);
+        self.add_to_bucket(bucket_index(v) as u32, 1);
+    }
+
     /// Exact mean (0 when empty).
     #[must_use]
     pub fn mean(&self) -> f64 {
@@ -252,122 +125,25 @@ impl HistogramSnapshot {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
         for &(b, n) in &other.buckets {
-            match self.buckets.binary_search_by_key(&b, |&(i, _)| i) {
-                Ok(k) => self.buckets[k].1 = self.buckets[k].1.saturating_add(n),
-                Err(k) => self.buckets.insert(k, (b, n)),
-            }
+            self.add_to_bucket(b, n);
+        }
+    }
+
+    /// Add `n` observations to bucket `b`, keeping the list ascending.
+    fn add_to_bucket(&mut self, b: u32, n: u64) {
+        match self.buckets.binary_search_by_key(&b, |&(i, _)| i) {
+            Ok(k) => self.buckets[k].1 = self.buckets[k].1.saturating_add(n),
+            Err(k) => self.buckets.insert(k, (b, n)),
         }
     }
 }
 
-/// The registry: a named catalog of counters, gauges and histograms.
-///
-/// `counter`/`gauge`/`histogram` are get-or-register: the same name
-/// always yields a handle to the same cell, so independent modules can
-/// share a metric by naming convention alone. Names are expected to be
-/// dotted paths (`serve.journal.fsync.ns`); the `.ns` suffix marks
-/// nanosecond histograms by convention.
-#[derive(Debug, Default)]
-pub struct Registry {
-    inner: Mutex<Inner>,
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    counters: Vec<(String, Counter)>,
-    gauges: Vec<(String, Gauge)>,
-    histograms: Vec<(String, Histogram)>,
-}
-
-impl Registry {
-    /// An empty registry.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Get or register the counter `name`.
-    ///
-    /// # Panics
-    /// Panics on a poisoned registration lock (a prior registration
-    /// panicked — unrecoverable programmer error).
-    #[must_use]
-    pub fn counter(&self, name: &str) -> Counter {
-        let mut g = self.inner.lock().expect("metrics registry poisoned");
-        if let Some((_, c)) = g.counters.iter().find(|(n, _)| n == name) {
-            return c.clone();
-        }
-        let c = Counter::detached();
-        g.counters.push((name.to_string(), c.clone()));
-        c
-    }
-
-    /// Get or register the gauge `name`.
-    ///
-    /// # Panics
-    /// Panics on a poisoned registration lock.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut g = self.inner.lock().expect("metrics registry poisoned");
-        if let Some((_, c)) = g.gauges.iter().find(|(n, _)| n == name) {
-            return c.clone();
-        }
-        let c = Gauge::detached();
-        g.gauges.push((name.to_string(), c.clone()));
-        c
-    }
-
-    /// Get or register the histogram `name`.
-    ///
-    /// # Panics
-    /// Panics on a poisoned registration lock.
-    #[must_use]
-    pub fn histogram(&self, name: &str) -> Histogram {
-        let mut g = self.inner.lock().expect("metrics registry poisoned");
-        if let Some((_, c)) = g.histograms.iter().find(|(n, _)| n == name) {
-            return c.clone();
-        }
-        let c = Histogram::detached();
-        g.histograms.push((name.to_string(), c.clone()));
-        c
-    }
-
-    /// Freeze every metric into a snapshot, names sorted for stable
-    /// output.
-    ///
-    /// # Panics
-    /// Panics on a poisoned registration lock.
-    #[must_use]
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let g = self.inner.lock().expect("metrics registry poisoned");
-        let mut counters: Vec<(String, u64)> = g
-            .counters
-            .iter()
-            .map(|(n, c)| (n.clone(), c.get()))
-            .collect();
-        let mut gauges: Vec<(String, u64)> =
-            g.gauges.iter().map(|(n, c)| (n.clone(), c.get())).collect();
-        let mut histograms: Vec<(String, HistogramSnapshot)> = g
-            .histograms
-            .iter()
-            .map(|(n, c)| (n.clone(), c.snapshot()))
-            .collect();
-        counters.sort_by(|a, b| a.0.cmp(&b.0));
-        gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        histograms.sort_by(|a, b| a.0.cmp(&b.0));
-        MetricsSnapshot {
-            counters,
-            gauges,
-            histograms,
-        }
-    }
-}
-
-/// A frozen view of a whole registry.
+/// A named catalog of counters, gauges and histograms: what a surface
+/// reports.
 ///
 /// Serializes as `{"counters": {name: n}, "gauges": {name: n},
 /// "histograms": {name: {count, sum, min, max, buckets}}}` — maps keyed
-/// by metric name, insertion (= sorted) order preserved.
+/// by metric name, in list order ([`MetricsSnapshot::new`] sorts it).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsSnapshot {
     /// Counter values by name.
@@ -379,6 +155,24 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
+    /// A catalog of the given metrics, each list sorted by name so a
+    /// report's order never depends on how its recorder lists them.
+    #[must_use]
+    pub fn new(
+        mut counters: Vec<(String, u64)>,
+        mut gauges: Vec<(String, u64)>,
+        mut histograms: Vec<(String, HistogramSnapshot)>,
+    ) -> Self {
+        counters.sort_by(|a, b| a.0.cmp(&b.0));
+        gauges.sort_by(|a, b| a.0.cmp(&b.0));
+        histograms.sort_by(|a, b| a.0.cmp(&b.0));
+        Self {
+            counters,
+            gauges,
+            histograms,
+        }
+    }
+
     /// Look up a histogram by name.
     #[must_use]
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
@@ -453,6 +247,14 @@ impl Deserialize for MetricsSnapshot {
 mod tests {
     use super::*;
 
+    fn recorded(values: &[u64]) -> HistogramSnapshot {
+        let mut h = HistogramSnapshot::default();
+        for &v in values {
+            h.record(v);
+        }
+        h
+    }
+
     #[test]
     fn bucket_boundaries() {
         assert_eq!(bucket_index(0), 0);
@@ -469,26 +271,26 @@ mod tests {
 
     #[test]
     fn histogram_moments_are_exact() {
-        let h = Histogram::detached();
-        for v in [3u64, 5, 1000, 0] {
-            h.record(v);
-        }
-        let s = h.snapshot();
+        assert_eq!(HistogramSnapshot::default().min, 0, "0 while empty");
+        let s = recorded(&[3, 5, 1000, 0]);
         assert_eq!(s.count, 4);
         assert_eq!(s.sum, 1008);
         assert_eq!(s.min, 0);
         assert_eq!(s.max, 1000);
         assert!((s.mean() - 252.0).abs() < 1e-9);
+        // Sparse buckets in ascending order, whatever the record order.
+        assert_eq!(s.buckets, vec![(0, 1), (2, 1), (3, 1), (10, 1)]);
+        assert_eq!(recorded(&[7]).min, 7);
+        // The additions saturate, like `merge`'s.
+        let full = recorded(&[u64::MAX, u64::MAX]);
+        assert_eq!((full.count, full.sum), (2, u64::MAX));
     }
 
     #[test]
     fn quantiles_clamp_to_observed_extrema() {
-        let h = Histogram::detached();
-        for _ in 0..99 {
-            h.record(100);
-        }
-        h.record(100_000);
-        let s = h.snapshot();
+        let mut values = vec![100u64; 99];
+        values.push(100_000);
+        let s = recorded(&values);
         assert_eq!(s.quantile(0.5), 127); // bucket [64,127] holds 100
         assert_eq!(s.quantile(1.0), 100_000); // clamped to max
         assert!(s.quantile(0.99) <= 127);
@@ -496,20 +298,9 @@ mod tests {
 
     #[test]
     fn merge_matches_single_histogram() {
-        let a = Histogram::detached();
-        let b = Histogram::detached();
-        let whole = Histogram::detached();
-        for v in [1u64, 7, 9, 100] {
-            a.record(v);
-            whole.record(v);
-        }
-        for v in [0u64, 2, 5000] {
-            b.record(v);
-            whole.record(v);
-        }
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        assert_eq!(merged, whole.snapshot());
+        let mut merged = recorded(&[1, 7, 9, 100]);
+        merged.merge(&recorded(&[0, 2, 5000]));
+        assert_eq!(merged, recorded(&[1, 7, 9, 100, 0, 2, 5000]));
     }
 
     #[test]
@@ -547,26 +338,12 @@ mod tests {
     }
 
     #[test]
-    fn registry_get_or_register_shares_cells() {
-        let r = Registry::new();
-        r.counter("x").add(2);
-        r.counter("x").inc();
-        assert_eq!(r.counter("x").get(), 3);
-        r.gauge("g").set(7);
-        r.gauge("g").peak(5);
-        assert_eq!(r.gauge("g").get(), 7);
-        r.histogram("h").record(9);
-        assert_eq!(r.histogram("h").count(), 1);
-    }
-
-    #[test]
     fn snapshot_sorts_and_roundtrips() {
-        let r = Registry::new();
-        r.counter("z.second").inc();
-        r.counter("a.first").add(4);
-        r.gauge("depth").set(11);
-        r.histogram("lat.ns").record(250);
-        let snap = r.snapshot();
+        let snap = MetricsSnapshot::new(
+            vec![("z.second".into(), 1), ("a.first".into(), 4)],
+            vec![("depth".into(), 11)],
+            vec![("lat.ns".into(), recorded(&[250]))],
+        );
         assert_eq!(snap.counters[0].0, "a.first");
         assert_eq!(snap.counters[1].0, "z.second");
         let json = serde_json::to_string(&snap).unwrap();

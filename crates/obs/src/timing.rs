@@ -1,16 +1,15 @@
-//! Span timing on top of the metrics registry.
+//! Span timing into plain histograms.
 //!
-//! Time a region with a [`Stopwatch`], record the elapsed nanoseconds
-//! into a registered histogram, and read the distribution back through
-//! [`crate::Registry::snapshot`]. Timing is observation-only by
-//! construction — nothing here feeds back into what it measures — so
-//! consumers may leave it attached in bit-identity-pinned paths. Cost
-//! when attached is one `Instant` pair plus a handful of relaxed atomics
-//! per region.
+//! Time a region with a [`Stopwatch`] and record the elapsed
+//! nanoseconds into a [`HistogramSnapshot`] the caller owns. Timing is
+//! observation-only by construction — nothing here feeds back into what
+//! it measures — so consumers may leave it attached in
+//! bit-identity-pinned paths. Cost when attached is one `Instant` pair
+//! plus one histogram record per region.
 
 use std::time::Instant;
 
-use crate::registry::Histogram;
+use crate::registry::HistogramSnapshot;
 
 /// A started wall-clock span.
 #[derive(Debug, Clone, Copy)]
@@ -33,7 +32,7 @@ impl Stopwatch {
     /// Record the elapsed nanoseconds into `hist` and restart the span,
     /// returning what was recorded — the idiom for timing consecutive
     /// phases with one watch.
-    pub fn lap(&mut self, hist: &Histogram) -> u64 {
+    pub fn lap(&mut self, hist: &mut HistogramSnapshot) -> u64 {
         let ns = self.elapsed_ns();
         hist.record(ns);
         self.0 = Instant::now();
@@ -41,7 +40,7 @@ impl Stopwatch {
     }
 
     /// Record the elapsed nanoseconds into `hist` without restarting.
-    pub fn record(&self, hist: &Histogram) -> u64 {
+    pub fn record(&self, hist: &mut HistogramSnapshot) -> u64 {
         let ns = self.elapsed_ns();
         hist.record(ns);
         ns
@@ -54,11 +53,11 @@ mod tests {
 
     #[test]
     fn stopwatch_laps_record_into_histograms() {
-        let h = Histogram::detached();
+        let mut h = HistogramSnapshot::default();
         let mut w = Stopwatch::start();
-        let a = w.lap(&h);
-        let b = w.record(&h);
-        assert_eq!(h.count(), 2);
+        let a = w.lap(&mut h);
+        let b = w.record(&mut h);
+        assert_eq!(h.count, 2);
         assert!(a > 0 || b > 0 || cfg!(miri)); // monotonic clocks tick
     }
 }

@@ -25,6 +25,7 @@
 //! arrival sequence can, and that is exactly what the journal records.
 
 use crate::journal::{Journal, JournalContents, ServeSpec};
+use crate::metrics::RequestKind;
 use crate::protocol::{
     self, checkpoint_line, drain_line, error_line, final_line, metrics_line, status_line,
     submit_line, telemetry_line, Request,
@@ -253,17 +254,17 @@ fn drive(
                 let request = match protocol::parse_request(&line) {
                     Ok(request) => request,
                     Err(e) => {
-                        session.metrics().parse_errors.inc();
+                        session.metrics().parse_errors += 1;
                         respond(&mut writers, id, &error_line(&e));
                         continue;
                     }
                 };
                 // Per-request latency: one watch per parsed line, recorded
                 // into the command's histogram after its response went out
-                // (the handle is an Arc clone so the borrow of `session`
-                // ends before the handlers take it mutably).
-                session.metrics().requests.inc();
-                let hist = session.metrics().request_hist(&request).clone();
+                // (the kind is taken here because the handlers consume the
+                // request).
+                session.metrics().requests += 1;
+                let kind = RequestKind::of(&request);
                 let watch = Stopwatch::start();
                 match request {
                     Request::Submit {
@@ -280,16 +281,16 @@ fn drive(
                                 respond(&mut writers, id, &submit_line(app_id, stamped));
                             }
                         }
-                        watch.record(&hist);
+                        watch.record(session.metrics().request_hist(kind));
                     }
                     Request::Status => {
                         respond(&mut writers, id, &status_line(&session.status(clock.now())));
-                        watch.record(&hist);
+                        watch.record(session.metrics().request_hist(kind));
                     }
                     Request::Metrics => {
                         let snapshot = session.metrics_snapshot(clock.now());
                         respond(&mut writers, id, &metrics_line(&snapshot));
-                        watch.record(&hist);
+                        watch.record(session.metrics().request_hist(kind));
                     }
                     Request::Telemetry { follow } => {
                         if follow && !subscribers.contains(&id) {
@@ -300,7 +301,7 @@ fn drive(
                             |s| telemetry_line(&s),
                         );
                         respond(&mut writers, id, &line);
-                        watch.record(&hist);
+                        watch.record(session.metrics().request_hist(kind));
                     }
                     Request::Checkpoint => {
                         let line = match session.checkpoint() {
@@ -308,12 +309,12 @@ fn drive(
                             Err(e) => error_line(&e),
                         };
                         respond(&mut writers, id, &line);
-                        watch.record(&hist);
+                        watch.record(session.metrics().request_hist(kind));
                     }
                     Request::Drain => {
                         let n = session.drain(clock.now())?;
                         broadcast(&mut writers, &drain_line(n, clock.now().get()));
-                        watch.record(&hist);
+                        watch.record(session.metrics().request_hist(kind));
                         return Ok(());
                     }
                     Request::Shutdown => {
@@ -327,7 +328,7 @@ fn drive(
                                      applications are undefined (drain instead)",
                                 ),
                             );
-                            watch.record(&hist);
+                            watch.record(session.metrics().request_hist(kind));
                             continue;
                         }
                         let (outcome, accepted) = session.finish()?;

@@ -1,11 +1,12 @@
-//! The daemon's observability surface: a [`Registry`] plus pre-resolved
-//! handles for every metric the serve loop touches.
+//! The daemon's observability surface: the serve loop's counters and
+//! histograms as plain values, and the catalog they report as.
 //!
-//! Handles are resolved once at session start so the hot path (one
-//! histogram record per request, one per journal write) never takes the
-//! registry lock. Everything here is observation-only: recording wall
-//! time can never influence the virtual-clock trajectory, which is a
-//! pure function of the accepted arrival sequence.
+//! The session owns its [`ServeMetrics`], and the daemon's single engine
+//! loop owns the session, so every record is a plain `&mut` update: one
+//! histogram record per request, one per journal write. Everything here
+//! is observation-only: recording wall time can never influence the
+//! virtual-clock trajectory, which is a pure function of the accepted
+//! arrival sequence.
 //!
 //! Catalog (all durations in nanoseconds, log₂-bucketed):
 //!
@@ -17,96 +18,106 @@
 //! | `serve.request.{submit,status,telemetry,metrics,other}.ns` | histogram | request handling latency |
 //! | `serve.journal.append.ns` | histogram | write-ahead arrival append (pre-ack) |
 //! | `serve.journal.fsync.ns` | histogram | journal durability barrier (`checkpoint`/`drain`) |
-//! | `serve.engine.{live,queued,pending,journaled}` | gauge | queue depths at last `metrics` request |
+//! | `serve.engine.{live,queued,pending,journaled}` | gauge | queue depths when the snapshot is taken |
 
 use crate::protocol::{Request, StatusReport};
-use iosched_obs::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
+use iosched_obs::{HistogramSnapshot, MetricsSnapshot};
 
-/// Registry plus resolved handles for the serve loop.
+/// Which latency histogram a request's handling records into, taken
+/// before the handler consumes the request. `drain`/`shutdown` share
+/// the `other` histogram with `checkpoint` — they answer once and exit,
+/// so a dedicated series would never hold more than one sample.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RequestKind {
+    /// `submit`.
+    Submit,
+    /// `status`.
+    Status,
+    /// `telemetry`.
+    Telemetry,
+    /// `metrics`.
+    Metrics,
+    /// `checkpoint`, `drain` and `shutdown`.
+    Other,
+}
+
+impl RequestKind {
+    /// The kind of `request`.
+    #[must_use]
+    pub fn of(request: &Request) -> Self {
+        match request {
+            Request::Submit { .. } => Self::Submit,
+            Request::Status => Self::Status,
+            Request::Telemetry { .. } => Self::Telemetry,
+            Request::Metrics => Self::Metrics,
+            Request::Checkpoint | Request::Drain | Request::Shutdown => Self::Other,
+        }
+    }
+}
+
+/// The serve loop's counters and histograms.
+#[derive(Debug, Default)]
 pub struct ServeMetrics {
-    registry: Registry,
     /// Protocol requests parsed successfully.
-    pub requests: Counter,
+    pub requests: u64,
     /// Lines that failed to parse.
-    pub parse_errors: Counter,
+    pub parse_errors: u64,
     /// Well-formed submissions the engine (or drain state) refused.
-    pub rejected: Counter,
+    pub rejected: u64,
     /// Write-ahead append latency (every acknowledged arrival).
-    pub journal_append: Histogram,
+    pub journal_append: HistogramSnapshot,
     /// Journal fsync latency (`checkpoint` and `drain`).
-    pub journal_fsync: Histogram,
-    req_submit: Histogram,
-    req_status: Histogram,
-    req_telemetry: Histogram,
-    req_metrics: Histogram,
-    req_other: Histogram,
-    live: Gauge,
-    queued: Gauge,
-    pending: Gauge,
-    journaled: Gauge,
+    pub journal_fsync: HistogramSnapshot,
+    req_submit: HistogramSnapshot,
+    req_status: HistogramSnapshot,
+    req_telemetry: HistogramSnapshot,
+    req_metrics: HistogramSnapshot,
+    req_other: HistogramSnapshot,
 }
 
 impl ServeMetrics {
-    /// Register the whole catalog against a fresh registry.
-    #[must_use]
-    pub fn new() -> Self {
-        let registry = Registry::new();
-        let hist = |name: &str| registry.histogram(name);
-        Self {
-            requests: registry.counter("serve.requests"),
-            parse_errors: registry.counter("serve.requests.parse_errors"),
-            rejected: registry.counter("serve.requests.rejected"),
-            journal_append: hist("serve.journal.append.ns"),
-            journal_fsync: hist("serve.journal.fsync.ns"),
-            req_submit: hist("serve.request.submit.ns"),
-            req_status: hist("serve.request.status.ns"),
-            req_telemetry: hist("serve.request.telemetry.ns"),
-            req_metrics: hist("serve.request.metrics.ns"),
-            req_other: hist("serve.request.other.ns"),
-            live: registry.gauge("serve.engine.live"),
-            queued: registry.gauge("serve.engine.queued"),
-            pending: registry.gauge("serve.engine.pending"),
-            journaled: registry.gauge("serve.engine.journaled"),
-            registry,
+    /// The latency histogram a request of `kind` records into.
+    pub fn request_hist(&mut self, kind: RequestKind) -> &mut HistogramSnapshot {
+        match kind {
+            RequestKind::Submit => &mut self.req_submit,
+            RequestKind::Status => &mut self.req_status,
+            RequestKind::Telemetry => &mut self.req_telemetry,
+            RequestKind::Metrics => &mut self.req_metrics,
+            RequestKind::Other => &mut self.req_other,
         }
     }
 
-    /// The latency histogram a request's handling records into.
-    /// `drain`/`shutdown` share the `other` bucket with `checkpoint` —
-    /// they answer once and exit, so a dedicated series would never
-    /// hold more than one sample.
+    /// The whole catalog: the counters and histograms so far, and the
+    /// queue-depth gauges read from a status snapshot plus the engine's
+    /// in-flight I/O count.
     #[must_use]
-    pub fn request_hist(&self, request: &Request) -> &Histogram {
-        match request {
-            Request::Submit { .. } => &self.req_submit,
-            Request::Status => &self.req_status,
-            Request::Telemetry { .. } => &self.req_telemetry,
-            Request::Metrics => &self.req_metrics,
-            Request::Checkpoint | Request::Drain | Request::Shutdown => &self.req_other,
-        }
-    }
-
-    /// Refresh the queue-depth gauges from a status snapshot plus the
-    /// engine's in-flight I/O count (gauges also track the high-water
-    /// mark via `peak`, so refreshing on every `metrics` request is the
-    /// sampling discipline).
-    pub fn observe_depths(&self, status: &StatusReport, pending: usize) {
-        self.live.set(status.live as u64);
-        self.queued.set(status.queued as u64);
-        self.pending.set(pending as u64);
-        self.journaled.set(status.journaled as u64);
-    }
-
-    /// Point-in-time snapshot of every registered metric.
-    #[must_use]
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        self.registry.snapshot()
-    }
-}
-
-impl Default for ServeMetrics {
-    fn default() -> Self {
-        Self::new()
+    pub fn snapshot(&self, status: &StatusReport, pending: usize) -> MetricsSnapshot {
+        let named = |kv: &[(&str, u64)]| kv.iter().map(|&(n, v)| (n.to_string(), v)).collect();
+        MetricsSnapshot::new(
+            named(&[
+                ("serve.requests", self.requests),
+                ("serve.requests.parse_errors", self.parse_errors),
+                ("serve.requests.rejected", self.rejected),
+            ]),
+            named(&[
+                ("serve.engine.live", status.live as u64),
+                ("serve.engine.queued", status.queued as u64),
+                ("serve.engine.pending", pending as u64),
+                ("serve.engine.journaled", status.journaled as u64),
+            ]),
+            [
+                ("serve.journal.append.ns", &self.journal_append),
+                ("serve.journal.fsync.ns", &self.journal_fsync),
+                ("serve.request.submit.ns", &self.req_submit),
+                ("serve.request.status.ns", &self.req_status),
+                ("serve.request.telemetry.ns", &self.req_telemetry),
+                ("serve.request.metrics.ns", &self.req_metrics),
+                ("serve.request.other.ns", &self.req_other),
+            ]
+            .into_iter()
+            .map(|(n, h)| (n.to_string(), h.clone()))
+            .collect(),
+        )
     }
 }
 
@@ -116,11 +127,12 @@ mod tests {
 
     #[test]
     fn catalog_registers_and_routes_requests() {
-        let m = ServeMetrics::new();
-        m.requests.inc();
-        m.request_hist(&Request::Status).record(100);
-        m.request_hist(&Request::Drain).record(7);
-        m.observe_depths(
+        let mut m = ServeMetrics::default();
+        m.requests += 1;
+        m.request_hist(RequestKind::of(&Request::Status))
+            .record(100);
+        m.request_hist(RequestKind::of(&Request::Drain)).record(7);
+        let snap = m.snapshot(
             &StatusReport {
                 clock_secs: 0.0,
                 engine_secs: 0.0,
@@ -134,7 +146,6 @@ mod tests {
             },
             5,
         );
-        let snap = m.snapshot();
         assert_eq!(snap.counter("serve.requests"), Some(1));
         assert_eq!(snap.gauge("serve.engine.pending"), Some(5));
         assert_eq!(snap.gauge("serve.engine.journaled"), Some(3));

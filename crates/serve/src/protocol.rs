@@ -58,7 +58,7 @@ pub enum Request {
         /// Subscribe instead of one-shot.
         follow: bool,
     },
-    /// Snapshot the daemon's metrics registry (request latency
+    /// Snapshot the daemon's metrics catalog (request latency
     /// histograms, journal timings, queue-depth gauges).
     Metrics,
     /// Force the journal to durable storage.
@@ -238,7 +238,7 @@ pub fn telemetry_line(sample: &TelemetrySample) -> String {
 }
 
 /// `{"ok":"metrics","metrics":{"counters":…,"gauges":…,"histograms":…}}`
-/// — the full registry snapshot; histogram values carry the raw
+/// — the whole metrics catalog; histogram values carry the raw
 /// log₂-bucket counts so clients derive whichever quantiles they want.
 #[must_use]
 pub fn metrics_line(snapshot: &MetricsSnapshot) -> String {
@@ -345,10 +345,13 @@ mod tests {
 
     #[test]
     fn metrics_line_is_a_parseable_registry_snapshot() {
-        let registry = iosched_obs::Registry::new();
-        registry.counter("serve.requests").add(4);
-        registry.histogram("serve.request.status.ns").record(1500);
-        let line = metrics_line(&registry.snapshot());
+        let mut status = iosched_obs::HistogramSnapshot::default();
+        status.record(1500);
+        let line = metrics_line(&MetricsSnapshot::new(
+            vec![("serve.requests".into(), 4)],
+            Vec::new(),
+            vec![("serve.request.status.ns".into(), status)],
+        ));
         assert!(line.starts_with(r#"{"ok":"metrics","metrics":{"#), "{line}");
         let v = serde_json::parse(&line).unwrap();
         let snap =

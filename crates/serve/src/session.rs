@@ -70,7 +70,7 @@ impl<'a> Session<'a> {
             last_release: Time::ZERO,
             tel_seen: 0,
             draining: false,
-            metrics: ServeMetrics::new(),
+            metrics: ServeMetrics::default(),
         };
         for app in recovered {
             session
@@ -96,7 +96,7 @@ impl<'a> Session<'a> {
         virtual_now: Time,
     ) -> Result<Result<(usize, Time), String>, String> {
         if self.draining {
-            self.metrics.rejected.inc();
+            self.metrics.rejected += 1;
             return Err("daemon is draining; submissions are closed".into());
         }
         let release = release.unwrap_or_else(|| {
@@ -107,7 +107,7 @@ impl<'a> Session<'a> {
         let id = self.sim.admitted() + self.sim.queued();
         let app = submission.into_app(id, release);
         if let Err(e) = self.sim.offer(app.clone()) {
-            self.metrics.rejected.inc();
+            self.metrics.rejected += 1;
             return Err(e.to_string());
         }
         let watch = Stopwatch::start();
@@ -117,7 +117,7 @@ impl<'a> Session<'a> {
                  the checkpoint is no longer trustworthy"
             )));
         }
-        watch.record(&self.metrics.journal_append);
+        watch.record(&mut self.metrics.journal_append);
         self.sim.trace_event(TraceEvent::JournalFlush {
             t: self.sim.now().as_secs(),
             arrivals: self.journal.arrivals() as u64,
@@ -190,7 +190,7 @@ impl<'a> Session<'a> {
     fn synced_flush(&mut self) -> Result<(), String> {
         let watch = Stopwatch::start();
         self.journal.sync()?;
-        watch.record(&self.metrics.journal_fsync);
+        watch.record(&mut self.metrics.journal_fsync);
         self.sim.trace_event(TraceEvent::JournalFlush {
             t: self.sim.now().as_secs(),
             arrivals: self.journal.arrivals() as u64,
@@ -199,20 +199,18 @@ impl<'a> Session<'a> {
         Ok(())
     }
 
-    /// The session's metric handles (the daemon loop records request
-    /// latencies through these).
-    #[must_use]
-    pub fn metrics(&self) -> &ServeMetrics {
-        &self.metrics
+    /// The session's metrics (the daemon loop records request counts
+    /// and latencies into these).
+    pub fn metrics(&mut self) -> &mut ServeMetrics {
+        &mut self.metrics
     }
 
-    /// Refresh the queue-depth gauges from live engine state and
-    /// snapshot the whole registry — the `metrics` command's payload.
+    /// The whole metrics catalog, with the queue depths read from live
+    /// engine state — the `metrics` command's payload.
     #[must_use]
     pub fn metrics_snapshot(&self, virtual_now: Time) -> MetricsSnapshot {
         self.metrics
-            .observe_depths(&self.status(virtual_now), self.sim.pending_len());
-        self.metrics.snapshot()
+            .snapshot(&self.status(virtual_now), self.sim.pending_len())
     }
 
     /// The journal file (for the `checkpoint` acknowledgement).

@@ -1,7 +1,7 @@
 //! Observation is free, bit for bit: every checked-in campaign cell and
 //! the serve session produce byte-identical outcomes with the decision
 //! trace attached and detached. This is the obs layer's core contract —
-//! the trace, the metrics registry and the span timers read the engine,
+//! the trace, the metric values and the span timers read the engine,
 //! they never steer it — and these tests pin it on the same checked-in
 //! specs (`examples/campaign_*.json`) the paper figures run from.
 
@@ -153,7 +153,7 @@ fn control_campaign_cell_is_bit_identical_with_the_trace_attached() {
 /// The serve session: a scripted submit/advance/finish run produces the
 /// same outcome bits whether or not the engine carries a decision trace
 /// (and therefore whether or not `iosched run --journal` is ever used
-/// on its journal). The session's metrics registry is always on — so
+/// on its journal). The session's metrics are always on — so
 /// this also pins that the always-on counters and histograms observe
 /// without steering.
 #[test]
