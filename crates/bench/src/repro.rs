@@ -15,6 +15,7 @@ use crate::experiments::{ablations, fig01, fig02, fig03, fig04, fig05, fig06, fi
 use crate::experiments::{fig14, fig15, fig16};
 use crate::report::{dil, pct, Table};
 use iosched_model::stats::Histogram;
+use iosched_workload::spec::MAX_DARSHAN_JOBS;
 use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::num::NonZeroUsize;
@@ -27,6 +28,9 @@ pub enum Render {
     Sized {
         /// The count the paper's evaluation uses.
         default: usize,
+        /// The largest count it takes: the experiments allocate by the
+        /// count, so an unbounded one can abort the process.
+        max: usize,
         /// Render at a given count.
         render: fn(usize) -> String,
     },
@@ -44,10 +48,19 @@ pub struct Target {
 }
 
 impl Target {
-    const fn sized(name: &'static str, default: usize, render: fn(usize) -> String) -> Self {
+    const fn sized(
+        name: &'static str,
+        default: usize,
+        max: usize,
+        render: fn(usize) -> String,
+    ) -> Self {
         Self {
             name,
-            render: Render::Sized { default, render },
+            render: Render::Sized {
+                default,
+                max,
+                render,
+            },
         }
     }
 
@@ -67,12 +80,23 @@ impl Target {
         }
     }
 
-    /// Render at `runs` (the default when `None`); a count on a fixed
-    /// experiment is an error.
+    /// Render at `runs` (the default when `None`); a count above a sized
+    /// target's largest, or any count on a fixed experiment, is an error.
     pub fn render(&self, runs: Option<NonZeroUsize>) -> Result<String, String> {
         match (self.render, runs) {
-            (Render::Sized { default, render }, runs) => {
-                Ok(render(runs.map_or(default, NonZeroUsize::get)))
+            (
+                Render::Sized {
+                    default,
+                    max,
+                    render,
+                },
+                runs,
+            ) => {
+                let n = runs.map_or(default, NonZeroUsize::get);
+                if n > max {
+                    return Err(format!("{} takes --runs up to {max}, got {n}", self.name));
+                }
+                Ok(render(n))
             }
             (Render::Fixed(render), None) => Ok(render()),
             (Render::Fixed(_), Some(_)) => Err(format!(
@@ -83,29 +107,31 @@ impl Target {
     }
 }
 
-/// Every target, in the paper's order.
+/// Every target, in the paper's order. A sized target takes up to 100
+/// times its default, except Fig. 5, whose jobs the Darshan log bound
+/// caps.
 pub const TARGETS: &[Target] = &[
-    Target::sized("fig01", 400, fig01),
+    Target::sized("fig01", 400, 40_000, fig01),
     Target::fixed("fig02", fig02),
     Target::fixed("fig03", fig03),
     Target::fixed("fig04", fig04),
-    Target::sized("fig05", 20_000, fig05),
-    Target::sized("fig06", 200, fig06),
-    Target::sized("fig07", 50, fig07),
-    Target::sized("fig08", 56, fig08),
-    Target::sized("fig09", 56, fig09),
-    Target::sized("fig10", 56, fig10),
-    Target::sized("fig11", 11, fig11),
-    Target::sized("fig12", 11, fig12),
-    Target::sized("fig13", 11, fig13),
+    Target::sized("fig05", 20_000, MAX_DARSHAN_JOBS, fig05),
+    Target::sized("fig06", 200, 20_000, fig06),
+    Target::sized("fig07", 50, 5_000, fig07),
+    Target::sized("fig08", 56, 5_600, fig08),
+    Target::sized("fig09", 56, 5_600, fig09),
+    Target::sized("fig10", 56, 5_600, fig10),
+    Target::sized("fig11", 11, 1_100, fig11),
+    Target::sized("fig12", 11, 1_100, fig12),
+    Target::sized("fig13", 11, 1_100, fig13),
     Target::fixed("fig14", fig14),
     Target::fixed("fig15", fig15),
     Target::fixed("fig16", fig16),
-    Target::sized("table1", 56, table1),
-    Target::sized("table2", 11, table2),
-    Target::sized("ablation_gamma", 12, ablation_gamma),
+    Target::sized("table1", 56, 5_600, table1),
+    Target::sized("table2", 11, 1_100, table2),
+    Target::sized("ablation_gamma", 12, 1_200, ablation_gamma),
     Target::fixed("ablation_epsilon", ablation_epsilon),
-    Target::sized("ablation_bb_capacity", 8, ablation_bb_capacity),
+    Target::sized("ablation_bb_capacity", 8, 800, ablation_bb_capacity),
 ];
 
 /// `iosched repro [<target>|all] [--runs N]`: with no target, list the
@@ -611,6 +637,19 @@ mod tests {
         assert_eq!(TARGETS.len(), 21);
         assert_eq!(names.len(), 21);
         assert!(!names.contains("all"));
+        // A count above a sized target's largest is refused before the
+        // experiment runs (an unbounded one aborted on allocation).
+        for t in TARGETS {
+            let Render::Sized { default, max, .. } = t.render else {
+                continue;
+            };
+            assert!(default <= max && max <= MAX_DARSHAN_JOBS, "{}", t.name);
+            let err = t.render(NonZeroUsize::new(max + 1)).unwrap_err();
+            assert!(
+                err.starts_with(&format!("{} takes --runs up to {max}", t.name)),
+                "{err}"
+            );
+        }
     }
 
     #[test]

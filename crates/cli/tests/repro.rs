@@ -62,6 +62,10 @@ fn bad_targets_and_counts_exit_1_without_a_table() {
         (&["fig06", "--runs", "0"], "bad --runs value '0'"),
         (&["fig06", "--runs", "x"], "bad --runs value 'x'"),
         (&["fig02", "--runs", "2"], "fig02 is a fixed experiment"),
+        (
+            &["fig01", "--runs", "9007199254740992"],
+            "fig01 takes --runs up to 40000, got 9007199254740992",
+        ),
         (&["all", "--runs", "2"], "--runs sizes one target"),
         (&["--runs", "2"], "--runs sizes one target"),
     ] {
