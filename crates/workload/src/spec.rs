@@ -165,9 +165,13 @@ impl WorkloadSpec {
                 if !(config.io_ratio > 0.0 && config.io_ratio < 1.0) {
                     return Err(format!("mix io_ratio {} outside (0, 1)", config.io_ratio));
                 }
-                if !(config.work_range.0 > 0.0 && config.work_range.1 > config.work_range.0) {
+                // A finite upper end bounds the lower one too.
+                if !(config.work_range.0 > 0.0
+                    && config.work_range.1 > config.work_range.0
+                    && config.work_range.1.is_finite())
+                {
                     return Err(format!(
-                        "mix work_range ({}, {}) must be positive and ascending",
+                        "mix work_range ({}, {}) must be positive, finite and ascending",
                         config.work_range.0, config.work_range.1
                     ));
                 }
@@ -177,8 +181,11 @@ impl WorkloadSpec {
                         config.instances.0, config.instances.1
                     ));
                 }
-                if config.release_jitter < 0.0 {
-                    return Err("mix release_jitter must be non-negative".into());
+                if !(config.release_jitter >= 0.0 && config.release_jitter.is_finite()) {
+                    return Err(format!(
+                        "mix release_jitter {} must be finite and non-negative",
+                        config.release_jitter
+                    ));
                 }
                 Ok(())
             }
@@ -212,8 +219,13 @@ impl WorkloadSpec {
                 if scenario.nodes.is_empty() {
                     return Err("IOR profile has no applications".into());
                 }
-                if params.work <= 0.0 || params.io_ratio <= 0.0 || params.iterations == 0 {
-                    return Err("IOR parameters must be positive".into());
+                for (field, v) in [("work", params.work), ("io_ratio", params.io_ratio)] {
+                    if !(v > 0.0 && v.is_finite()) {
+                        return Err(format!("IOR {field} {v} must be positive and finite"));
+                    }
+                }
+                if params.iterations == 0 {
+                    return Err("IOR iterations must be positive".into());
                 }
                 Ok(())
             }
@@ -223,8 +235,12 @@ impl WorkloadSpec {
                 vol_x,
                 ..
             } => {
-                if *work_x < 0.0 || *vol_x < 0.0 {
-                    return Err("sensibility fractions must be non-negative".into());
+                for (field, x) in [("work_x", *work_x), ("vol_x", *vol_x)] {
+                    if !(x >= 0.0 && x.is_finite()) {
+                        return Err(format!(
+                            "sensibility fraction {field} {x} must be finite and non-negative"
+                        ));
+                    }
                 }
                 if base.contains_stream() {
                     return Err("the sensibility perturbation cannot wrap an open stream; \
@@ -779,6 +795,45 @@ mod tests {
             seed: 0,
         };
         assert!(negative_sens.validate().is_err());
+
+        // A JSON number that overflows (`1e999`) reads as ∞: each is
+        // refused by the field's name, not later by what it breaks.
+        let mix = |f: fn(&mut MixConfig)| {
+            let mut config = MixConfig::fig6a();
+            f(&mut config);
+            WorkloadSpec::Mix { config, seed: 0 }
+        };
+        let ior = |f: fn(&mut IorParams)| {
+            let mut params = IorParams::default();
+            f(&mut params);
+            WorkloadSpec::IorProfile {
+                scenario: VestaScenario::new(&[64, 128]),
+                params,
+                seed: 0,
+            }
+        };
+        let perturbed = |work_x, vol_x| WorkloadSpec::Perturbed {
+            base: Box::new(WorkloadSpec::Congestion { seed: 0 }),
+            work_x,
+            vol_x,
+            seed: 0,
+        };
+        for (spec, field) in [
+            (mix(|c| c.work_range.1 = f64::INFINITY), "work_range"),
+            (mix(|c| c.release_jitter = f64::INFINITY), "release_jitter"),
+            (mix(|c| c.release_jitter = f64::NAN), "release_jitter"),
+            (ior(|p| p.work = f64::INFINITY), "work"),
+            (ior(|p| p.io_ratio = f64::INFINITY), "io_ratio"),
+            (perturbed(f64::INFINITY, 0.0), "work_x"),
+            (perturbed(0.0, f64::INFINITY), "vol_x"),
+        ] {
+            let err = spec.validate().unwrap_err();
+            assert!(err.contains(&format!("{field} ")), "{field}: {err}");
+        }
+        // The same specs with finite values pass.
+        mix(|c| c.release_jitter = 1e300).validate().unwrap();
+        ior(|_| ()).validate().unwrap();
+        perturbed(0.2, 0.2).validate().unwrap();
     }
 
     #[test]
